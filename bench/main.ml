@@ -334,11 +334,23 @@ let () =
         r.Exp.Ablation.plim_cells r.Exp.Ablation.maj_steps r.Exp.Ablation.imp_steps)
     [ "5xp1"; "alu4"; "b9"; "clip"; "cordic"; "t481" ];
   Format.printf
-    "@,Fault tolerance (functional yield vs stuck-at rate; baseline / remap / TMR):@,";
+    "@,Fault tolerance (stuck-at campaigns on ideal devices; yield per arm):@,";
   List.iter
     (fun name ->
-      Format.printf "  %s:@,%a" name Exp.Ablation.pp_yield_curve
-        (Exp.Ablation.yield_curve ~trials:100 (pick name)))
+      Format.printf "  %s:@," name;
+      let config = { Exp.Montecarlo.default with trials = 100; effort = 10 } in
+      let net = (pick name).Io.Benchmarks.build () in
+      List.iter
+        (fun rate ->
+          let t =
+            Exp.Montecarlo.run ~config:(Exp.Montecarlo.stuck_at config rate) ~name net
+          in
+          List.iter
+            (fun p ->
+              Format.printf "    rate %.4f%a@," rate Exp.Montecarlo.pp_arms
+                p.Exp.Montecarlo.arms)
+            t.Exp.Montecarlo.points)
+        [ 0.003; 0.01; 0.03 ])
     [ "5xp1"; "b9" ];
   Format.printf
     "@,Statistical variability (Monte-Carlo yield vs sigma over the sampled@,\

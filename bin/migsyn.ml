@@ -150,27 +150,16 @@ let ctx = Obs.Manifest.add_context
 let res = Obs.Manifest.add_result
 
 let parse_netlist path =
-  let wrap line msg = failwith (Printf.sprintf "%s:%d: %s" path line msg) in
-  try
-    match Filename.extension path with
-    | ".blif" -> Io.Blif.parse_file path
-    | ".bench" -> Io.Bench_format.parse_file path
-    | ".pla" -> Io.Pla.parse_file path
-    | ".aag" -> Io.Aiger.parse_file path
-    | ".aig" -> Io.Aiger.parse_binary_file path
-    | "" ->
-        failwith
-          (path ^ ": missing extension (expected .blif, .bench, .pla, .aag or .aig)")
-    | ext ->
-        failwith
-          (Printf.sprintf
-             "%s: unsupported netlist extension %s (expected .blif, .bench, .pla, .aag or .aig)"
-             path ext)
-  with
-  | Io.Blif.Parse_error (line, msg) -> wrap line msg
-  | Io.Bench_format.Parse_error (line, msg) -> wrap line msg
-  | Io.Pla.Parse_error (line, msg) -> wrap line msg
-  | Io.Aiger.Parse_error (line, msg) -> wrap line msg
+  match Io.Netlist.parse_file path with
+  | Some net -> net
+  | None when Filename.extension path = "" ->
+      failwith (Printf.sprintf "%s: missing extension (expected %s)" path Io.Netlist.expected)
+  | None ->
+      failwith
+        (Printf.sprintf "%s: unsupported netlist extension %s (expected %s)" path
+           (Filename.extension path) Io.Netlist.expected)
+  | exception Io.Netlist.Parse_error (line, msg) ->
+      failwith (Printf.sprintf "%s:%d: %s" path line msg)
 
 let input_arg =
   Arg.(
@@ -886,12 +875,16 @@ let faults_cmd =
           ~doc:"Verification rounds of the resilient executor's remap/retry loop.")
   in
   let run obs path alg effort realization rate trials seed attempts =
+    (* One stuck-at campaign per rate, on ideal devices at sigma 0: the
+       same engine as [montecarlo], so the curve is --jobs-independent. *)
+    let rates = [ rate /. 3.0; rate; Float.min 1.0 (rate *. 3.0) ] in
+    let config =
+      Exp.Montecarlo.
+        { default with trials; seed; effort; algorithm = alg; realization; max_attempts = attempts }
+    in
     if not (Float.is_finite rate && rate >= 0.0 && rate <= 1.0) then
       failwith (Printf.sprintf "--rate must be a probability in [0, 1] (got %g)" rate);
-    if trials < 1 then
-      failwith (Printf.sprintf "--trials must be at least 1 (got %d)" trials);
-    if attempts < 1 then
-      failwith (Printf.sprintf "--max-attempts must be at least 1 (got %d)" attempts);
+    Result.iter_error failwith Exp.Montecarlo.(validate (stuck_at config rate));
     with_obs ~sub:"faults" obs @@ fun () ->
     ctx "input" (Obs.Json.String path);
     ctx "rate" (Obs.Json.Float rate);
@@ -914,28 +907,26 @@ let faults_cmd =
        program, then let the resilient executor repair it.  The vectors
        follow --seed so the whole run replays under the same flag. *)
     let vectors = Rram.Verify.vectors ~seed program.Rram.Program.num_inputs in
-    let breaking = ref None in
-    (try
-       for cell = 0 to program.Rram.Program.num_regs - 1 do
-         List.iter
-           (fun value ->
-             let f = { Rram.Faults.cell; value } in
-             if not (Rram.Faults.survives program ~reference [ f ] vectors) then begin
-               breaking := Some f;
-               raise Exit
-             end)
-           [ true; false ]
-       done
-     with Exit -> ());
+    let breaks defect =
+      List.exists
+        (fun v -> Rram.Interp.run ~defects:[ defect ] program v <> reference v)
+        vectors
+    in
+    let breaking =
+      List.init program.Rram.Program.num_regs Fun.id
+      |> List.concat_map (fun cell ->
+             [ (cell, Rram.Device.Stuck_1); (cell, Rram.Device.Stuck_0) ])
+      |> List.find_opt breaks
+    in
     Format.printf "@.Repair demo (resilient executor, max %d attempts):@." attempts;
-    (match !breaking with
+    (match breaking with
     | None ->
         Format.printf
           "  no single stuck-at defect changes the outputs — nothing to repair@."
-    | Some ({ Rram.Faults.cell; value } as f) ->
+    | Some ((cell, level) as defect) ->
         Format.printf "  injected defect: cell %d stuck-at-%d@." cell
-          (if value then 1 else 0);
-        let env = Rram.Resilient.env_of_defects (Rram.Faults.to_defects [ f ]) in
+          (if level = Rram.Device.Stuck_1 then 1 else 0);
+        let env = Rram.Resilient.env_of_defects [ defect ] in
         let report =
           Rram.Resilient.run ~max_attempts:attempts ~vectors env program ~reference
         in
@@ -958,24 +949,30 @@ let faults_cmd =
             report.Rram.Resilient.attempts
             (if trusted = [] then "none" else String.concat ", " trusted)
         end);
-    let rates = [ rate /. 3.0; rate; rate *. 3.0 ] in
-    Format.printf
-      "@.Monte-Carlo functional yield (%d trials per rate, %d test vectors, seed %#x):@."
-      trials (List.length vectors) seed;
-    let rows =
-      List.map
-        (fun rate ->
-          Rram.Faults.yield_comparison ~seed ~trials ~max_attempts:attempts ~rate program
-            ~reference)
-        rates
-    in
-    Format.printf "@[<v>%a@]@." Exp.Ablation.pp_yield_curve rows
+    List.iteri
+      (fun i rate ->
+        let t =
+          Exp.Montecarlo.run ~config:(Exp.Montecarlo.stuck_at config rate)
+            ~name:(Filename.basename path) net
+        in
+        let arms = (List.hd t.Exp.Montecarlo.points).Exp.Montecarlo.arms in
+        if i = 0 then
+          Format.printf
+            "@.Monte-Carlo functional yield on ideal devices at sigma 0 (%d trials per rate, %d test vectors, seed %#x, %d-cell universe):@.  %-11s%s@."
+            trials t.Exp.Montecarlo.num_vectors seed t.Exp.Montecarlo.universe "cells"
+            (String.concat ""
+               (List.map
+                  (fun a -> Printf.sprintf " | %s %d" a.Exp.Montecarlo.arm a.Exp.Montecarlo.cells)
+                  arms));
+        Format.printf "  rate %.4f%a@." rate Exp.Montecarlo.pp_arms arms)
+      rates
   in
   Cmd.v
     (Cmd.info "faults"
        ~doc:
          "Fault-tolerance experiment: repair a stuck-at defect by remapping, and \
-          compare Monte-Carlo yield of baseline vs resilient vs TMR execution")
+          compare Monte-Carlo yield of bare IMP/MAJ vs resilient vs TMR \
+          execution in stuck-at campaigns at rates R/3, R and 3R")
     Term.(
       const run $ obs_term $ input_arg $ algorithm_arg $ effort_arg
       $ realization_arg $ rate_arg $ trials_arg $ seed_arg $ attempts_arg)

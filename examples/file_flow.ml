@@ -1,4 +1,4 @@
-(* Full file-based flow: parse a netlist (BLIF, .bench, PLA or ASCII AIGER,
+(* Full file-based flow: parse a netlist (BLIF, .bench, PLA or AIGER,
    auto-detected by extension), optimize with all four algorithms, map to
    RRAMs, verify on the device simulator, and write the best result back
    out as a majority-gate BLIF.
@@ -13,12 +13,9 @@ let demo () =
   demo_path
 
 let parse path =
-  match Filename.extension path with
-  | ".blif" -> Io.Blif.parse_file path
-  | ".bench" -> Io.Bench_format.parse_file path
-  | ".pla" -> Io.Pla.parse_file path
-  | ".aag" -> Io.Aiger.parse_file path
-  | ext -> failwith ("unknown netlist extension " ^ ext)
+  match Io.Netlist.parse_file path with
+  | Some net -> net
+  | None -> failwith ("unknown netlist extension " ^ Filename.extension path)
 
 let () =
   let path = if Array.length Sys.argv > 1 then Sys.argv.(1) else demo () in

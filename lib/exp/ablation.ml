@@ -118,17 +118,6 @@ let schedule_row ?(effort = 20) e =
   in
   (asap, bal)
 
-let yield_curve ?seed ?(effort = 10) ?(realization = Core.Rram_cost.Maj)
-    ?(rates = [ 0.003; 0.01; 0.03 ]) ?(trials = 150) e =
-  let mig = Core.Mig_opt.steps ~effort (mig_of e) in
-  let compiled = Rram.Compile_mig.compile realization mig in
-  let reference = Core.Mig_sim.eval mig in
-  List.map
-    (fun rate ->
-      Rram.Faults.yield_comparison ?seed ~trials ~rate compiled.Rram.Compile_mig.program
-        ~reference)
-    rates
-
 let boolean_rewrite_row ?(effort = 10) e =
   let mig = mig_of e in
   let area = Core.Mig_opt.area ~effort mig in
@@ -145,17 +134,6 @@ let pp_rule_ablation ppf rows =
   List.iter
     (fun { variant; cost; gates } ->
       Format.fprintf ppf "    %-34s %a gates=%d@," variant Core.Rram_cost.pp cost gates)
-    rows
-
-let pp_yield_curve ppf rows =
-  List.iter
-    (fun (c : Rram.Faults.comparison) ->
-      Format.fprintf ppf
-        "    rate %.4f: baseline %.2f | remap+retry %.2f | TMR %.2f   (%4.1f faults over %d cells; TMR array %d)@,"
-        c.Rram.Faults.rate c.Rram.Faults.baseline.Rram.Faults.yield
-        c.Rram.Faults.resilient.Rram.Faults.yield c.Rram.Faults.tmr.Rram.Faults.yield
-        c.Rram.Faults.baseline.Rram.Faults.mean_faults c.Rram.Faults.cells
-        c.Rram.Faults.tmr_cells)
     rows
 
 let pp_fanout_sweep ppf rows =

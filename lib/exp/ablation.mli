@@ -12,9 +12,10 @@
       algorithm — the knob that trades RRAM count against step count;
     - {!bdd_order_sweep}: variable-ordering heuristics for the BDD baseline;
     - {!plim_row}: sequential PLiM (RM3) execution versus the
-      level-parallel MAJ/IMP realizations;
-    - {!yield_curve}: functional yield under stuck-at defects — unprotected
-      vs defect-aware remapping vs TMR majority voting. *)
+      level-parallel MAJ/IMP realizations.
+
+    Functional yield under stuck-at defects is a {!Montecarlo} campaign
+    with a {!Rram.Variation.params} [stuck_rate]. *)
 
 val effort_sweep :
   ?efforts:int list -> Io.Benchmarks.entry -> (int * Core.Rram_cost.cost) list
@@ -56,22 +57,6 @@ val schedule_row : ?effort:int -> Io.Benchmarks.entry -> Core.Rram_cost.cost * C
     realization — the free RRAM reduction that level scheduling provides at
     unchanged (or better) step count. *)
 
-val yield_curve :
-  ?seed:int ->
-  ?effort:int ->
-  ?realization:Core.Rram_cost.realization ->
-  ?rates:float list ->
-  ?trials:int ->
-  Io.Benchmarks.entry ->
-  Rram.Faults.comparison list
-(** Monte-Carlo functional yield versus per-cell stuck-at rate for the
-    step-optimized program, comparing three execution regimes on the same
-    defect maps: as compiled, with the {!Rram.Resilient} remap/retry
-    controller, and under {!Rram.Tmr} majority voting.  One comparison per
-    rate.  [seed] pins the defect-map streams (default
-    {!Rram.Faults.yield_comparison}'s), making the whole curve
-    reproducible. *)
-
 val boolean_rewrite_row :
   ?effort:int -> Io.Benchmarks.entry -> int * int * int
 (** (initial gates, after Alg. 1, after Alg. 1 + cut-based Boolean
@@ -81,4 +66,3 @@ val boolean_rewrite_row :
 val pp_effort_sweep : Format.formatter -> (int * Core.Rram_cost.cost) list -> unit
 val pp_rule_ablation : Format.formatter -> rule_variant list -> unit
 val pp_fanout_sweep : Format.formatter -> (int * Core.Rram_cost.cost) list -> unit
-val pp_yield_curve : Format.formatter -> Rram.Faults.comparison list -> unit

@@ -1,7 +1,8 @@
-(* Massive Monte-Carlo yield campaigns over the statistical device model
-   (DESIGN.md §12).  Every trial is an independent piece of silicon sampled
-   by Rram.Variation; the per-trial seed is split off the campaign master by
-   trial index, so the campaign is bit-reproducible for any --jobs. *)
+(* Massive Monte-Carlo yield campaigns over the statistical device model,
+   stuck-at defects included (DESIGN.md §12).  Every trial is an independent
+   piece of silicon sampled by Rram.Variation; the per-trial seed is split
+   off the campaign master by trial index, so the campaign is
+   bit-reproducible for any --jobs. *)
 
 type config = {
   trials : int;
@@ -31,6 +32,9 @@ let default =
     spares = 32;
     base = Rram.Variation.nominal;
   }
+
+let stuck_at c rate =
+  { c with sigmas = [ 0.0 ]; base = { Rram.Variation.ideal with stuck_rate = rate } }
 
 let validate c =
   let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
@@ -307,6 +311,13 @@ let to_json t =
       ("wall_seconds", Float t.wall_seconds);
     ]
 
+let pp_arms ppf arms =
+  List.iter
+    (fun a ->
+      Format.fprintf ppf " | %s %.3f [%.3f,%.3f]" a.arm a.estimate.yield a.estimate.lo
+        a.estimate.hi)
+    arms
+
 let pp ppf t =
   Format.fprintf ppf
     "@[<v>Monte-Carlo yield campaign: %s, %d trials/sigma, seed %#x, %a primary@,\
@@ -315,12 +326,6 @@ let pp ppf t =
     t.num_vectors t.wall_seconds;
   List.iter
     (fun p ->
-      Format.fprintf ppf "  sigma %-5.2f" p.sigma;
-      List.iter
-        (fun a ->
-          Format.fprintf ppf " | %s %.3f [%.3f,%.3f]" a.arm a.estimate.yield
-            a.estimate.lo a.estimate.hi)
-        p.arms;
-      Format.fprintf ppf "@,")
+      Format.fprintf ppf "  sigma %-5.2f%a@," p.sigma pp_arms p.arms)
     t.points;
   Format.fprintf ppf "@]"

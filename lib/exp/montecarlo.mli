@@ -1,10 +1,9 @@
-(** Monte-Carlo yield campaigns over statistical device variability.
+(** Monte-Carlo yield campaigns: the repository's one yield engine.
 
-    Where {!Ablation.yield_curve} flips a coin per cell (stuck-at faults at
-    a flat rate), this driver samples the {e physics} of every device with
-    {!Rram.Variation} — lognormal LRS/HRS spreads, sense noise, endurance
-    drift — and measures functional yield versus the variability scale σ
-    for five execution arms on the {e same} sampled silicon:
+    The driver samples every device with {!Rram.Variation} — lognormal
+    LRS/HRS spreads, sense noise, endurance drift, stuck-at defects — and
+    measures functional yield versus the variability scale σ for five
+    execution arms on the {e same} sampled silicon:
 
     - ["imp"], ["maj"]: the two realizations run bare;
     - ["resilient"]: the primary realization behind the
@@ -19,6 +18,11 @@
     identical silicon, identical noise.  Equal [(config, net)] give
     bit-identical campaigns for every [jobs]; sigma points share trial
     seeds (common random numbers), so curves compare smoothly across σ.
+
+    {b Stuck-at campaigns.}  {!stuck_at} aims a config at the pure
+    stuck-at fault model: one σ = 0 point on {!Rram.Variation.ideal}
+    devices where each cell is stuck with probability [stuck_rate] — the
+    fault-tolerance experiment of [migsyn faults] and the bench.
 
     Campaigns fan trials across the {!Par} domain pool; {!Obs} counters
     ([exp.montecarlo/*]) and attempt/move histograms are recorded per trial
@@ -42,6 +46,11 @@ val default : config
 (** 200 trials at σ ∈ {0.25, 0.5, 1.0, 1.5}, seed [0xCA4E], auto jobs,
     effort 10 [steps] optimization, MAJ primary, 32 vectors, 4 attempts,
     32 spares, {!Rram.Variation.nominal} devices. *)
+
+val stuck_at : config -> float -> config
+(** [stuck_at c rate] is [c] with a single σ = 0 point on
+    [{ Rram.Variation.ideal with stuck_rate = rate }] devices: every cell
+    reads and switches ideally unless it is stuck. *)
 
 val validate : config -> (unit, string) result
 (** Rejects non-positive trial/vector/attempt counts, an empty or negative
@@ -88,5 +97,8 @@ val to_json : t -> Obs.Json.t
 (** Schema ["migsyn-montecarlo/1"].  Deterministic except the top-level
     ["wall_seconds"] member — strip that one field and equal campaigns
     diff byte-identical (the CI smoke job does exactly this). *)
+
+val pp_arms : Format.formatter -> arm_result list -> unit
+(** [" | arm yield [lo,hi]"] for each arm, on one line. *)
 
 val pp : Format.formatter -> t -> unit

@@ -1,9 +1,5 @@
 let default_effort = 40
 
-let src = Logs.Src.create "flow" ~doc:"Pass-manager flow engine progress"
-
-module Log = (val Logs.src_log src : Logs.LOG)
-
 type 'g pass = {
   name : string;
   category : string;
@@ -108,8 +104,6 @@ let changed_run ~ops ?(span_prefix = "flow") ?name flow g =
             in
             let g = ops.cleanup g in
             record traj (n + 1) g;
-            Log.debug (fun m ->
-                m "%s cycle %d%s" name n (if changed then "" else " (converged)"));
             if changed then loop (n + 1) g true else (g, any)
           end
         in

@@ -1,17 +1,5 @@
 type defect = Stuck_0 | Stuck_1
 
-type model = {
-  write_fail : float;
-  read_disturb : float;
-  endurance : int;
-  rng : Logic.Prng.t;
-}
-
-let model ?(write_fail = 0.0) ?(read_disturb = 0.0) ?(endurance = 0) ~seed () =
-  if write_fail < 0.0 || write_fail > 1.0 then invalid_arg "Device.model: write_fail";
-  if read_disturb < 0.0 || read_disturb > 1.0 then invalid_arg "Device.model: read_disturb";
-  { write_fail; read_disturb; endurance; rng = Logic.Prng.create seed }
-
 type physics = {
   r_lrs : float;
   r_hrs : float;
@@ -26,25 +14,16 @@ type t = {
   mutable state : bool;
   mutable defect : defect option;
   mutable wear : int;
-  model : model option;
   phys : physics option;
 }
 
-let create () = { state = false; defect = None; wear = 0; model = None; phys = None }
+let create () = { state = false; defect = None; wear = 0; phys = None }
 
 let set_defect d defect =
   d.defect <- Some defect;
   d.state <- (match defect with Stuck_0 -> false | Stuck_1 -> true)
 
-let create_with ?defect m =
-  let d = { state = false; defect = None; wear = 0; model = Some m; phys = None } in
-  Option.iter (set_defect d) defect;
-  d
-
-let create_phys ?defect ?model phys =
-  let d = { state = false; defect = None; wear = 0; model; phys = Some phys } in
-  Option.iter (set_defect d) defect;
-  d
+let create_phys phys = { state = false; defect = None; wear = 0; phys = Some phys }
 
 let defect d = d.defect
 let wear d = d.wear
@@ -75,27 +54,15 @@ let margin d =
       let m s = sense_margin p ~wear:d.wear s in
       Some (Float.min (m true) (m false))
 
-(* Drive the cell toward [v].  A defective cell ignores every pulse; a healthy
-   switching event may fail probabilistically, costs one endurance cycle, and
-   freezes the cell in place once the endurance budget is spent. *)
+(* Drive the cell toward [v].  A defective cell ignores every pulse; each
+   healthy switching event costs one cycle of wear. *)
 let switch d v =
   match d.defect with
   | Some _ -> ()
   | None ->
       if d.state <> v then begin
-        let fails =
-          match d.model with
-          | None -> false
-          | Some m -> m.write_fail > 0.0 && Logic.Prng.float m.rng < m.write_fail
-        in
-        if not fails then begin
-          d.state <- v;
-          d.wear <- d.wear + 1;
-          match d.model with
-          | Some m when m.endurance > 0 && d.wear >= m.endurance ->
-              d.defect <- Some (if d.state then Stuck_1 else Stuck_0)
-          | _ -> ()
-        end
+        d.state <- v;
+        d.wear <- d.wear + 1
       end
 
 let read d =
@@ -110,11 +77,7 @@ let read d =
       let i = p.v_read /. (if d.state then r_lrs else r_hrs) in
       let sensed = i *. (1.0 +. (p.read_noise *. Logic.Prng.gaussian p.rng)) in
       sensed > p.i_ref
-  | None -> (
-      match d.model with
-      | Some m when m.read_disturb > 0.0 && Logic.Prng.float m.rng < m.read_disturb ->
-          not d.state
-      | _ -> d.state)
+  | None -> d.state
 
 let clear d = switch d false
 let set d = switch d true

@@ -12,34 +12,16 @@
       [R' = P·R + ¬Q·R + P·¬Q = M(P, ¬Q, R)] (Fig. 2) — the intrinsic
       resistive-majority operation.
 
-    Devices created with {!create} are ideal: every pulse lands, reads are
-    noiseless, endurance is unlimited.  Devices created with {!create_with}
-    obey a non-ideal {!model}: manufacturing defects pin the cell at one
-    resistance level, a switching pulse can fail to flip the filament,
-    a read can transiently return the wrong level, and each successful
-    switching event consumes one cycle of a finite endurance budget, after
-    which the cell freezes (wears out) in its current state.  All
-    randomness is drawn from the model's deterministic PRNG. *)
+    Devices created with {!create} are ideal: every pulse lands and reads
+    are noiseless.  Devices created with {!create_phys} carry sampled
+    statistical {!physics} ({!Variation} draws them): reads sense a
+    current against a reference, with noise and wear-driven drift.  Either
+    kind can be pinned by a stuck-at {!defect}; every successful switching
+    event advances the {!wear} gauge. *)
 
 type defect = Stuck_0 | Stuck_1
 (** A cell permanently pinned in the high- (0) or low- (1) resistance
     state — from manufacturing, or from wear-out at runtime. *)
-
-type model
-(** Non-ideality parameters shared by the devices of one crossbar. *)
-
-val model :
-  ?write_fail:float ->
-  ?read_disturb:float ->
-  ?endurance:int ->
-  seed:int ->
-  unit ->
-  model
-(** [write_fail] is the probability that a switching pulse leaves the state
-    unchanged (default 0); [read_disturb] the probability that a read
-    returns the complement of the stored state without altering it
-    (default 0); [endurance] the number of switching events before the
-    cell freezes, 0 meaning unlimited (default). *)
 
 type physics = {
   r_lrs : float;  (** sampled low-resistance-state resistance, Ω *)
@@ -63,14 +45,8 @@ type t
 val create : unit -> t
 (** A fresh ideal device in the 0 (high-resistance) state. *)
 
-val create_with : ?defect:defect -> model -> t
-(** A fresh device governed by a non-ideal model, optionally with a
-    manufacturing defect. *)
-
-val create_phys : ?defect:defect -> ?model:model -> physics -> t
-(** A fresh device with sampled statistical physics; an optional [model]
-    layers the boolean non-idealities (write failure, finite endurance) on
-    top — the two compose, with [physics] owning the read path. *)
+val create_phys : physics -> t
+(** A fresh device with sampled statistical physics, in the 0 state. *)
 
 val physics : t -> physics option
 
@@ -90,8 +66,8 @@ val wear : t -> int
 (** Number of successful switching events so far. *)
 
 val read : t -> bool
-(** Sensed value; subject to transient read disturb under a non-ideal
-    model. *)
+(** Sensed value: the stored state on an ideal device, a noisy current
+    comparison on a device with {!physics}. *)
 
 val observe : t -> bool
 (** The true stored state, bypassing read noise.  For traces, debugging and

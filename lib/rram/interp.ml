@@ -1,16 +1,15 @@
-let crossbar ?model ?physics ?(defects = []) ?(stuck = []) num_regs =
+let crossbar ?physics ?(defects = []) num_regs =
   let devices =
-    match (physics, model) with
-    | Some phys, _ ->
+    match physics with
+    | Some phys ->
         if Array.length phys < num_regs then
           invalid_arg "Interp.crossbar: physics array too small";
-        Array.init num_regs (fun i -> Device.create_phys ?model phys.(i))
-    | None, None -> Array.init num_regs (fun _ -> Device.create ())
-    | None, Some m -> Array.init num_regs (fun _ -> Device.create_with m)
+        Array.init num_regs (fun i -> Device.create_phys phys.(i))
+    | None -> Array.init num_regs (fun _ -> Device.create ())
   in
-  let pin (r, d) = if r >= 0 && r < num_regs then Device.set_defect devices.(r) d in
-  List.iter pin defects;
-  List.iter (fun (r, v) -> pin (r, if v then Device.Stuck_1 else Device.Stuck_0)) stuck;
+  List.iter
+    (fun (r, d) -> if r >= 0 && r < num_regs then Device.set_defect devices.(r) d)
+    defects;
   devices
 
 (* Pulse accounting: one counter per voltage configuration, a write
@@ -77,7 +76,7 @@ let run_on ~devices ?trace (program : Program.t) inputs =
       List.iter (fun act -> act ()) actions;
       (* The callback fires after every write of the step has landed; the
          states are the true post-step states (Device.observe, immune to
-         read disturb) for all devices of the crossbar. *)
+         read noise) for all devices of the crossbar. *)
       match trace with
       | Some f -> f (idx + 1) step (Array.map Device.observe devices)
       | None -> ())
@@ -111,8 +110,6 @@ let run_on ~devices ?trace (program : Program.t) inputs =
       | Isa.Const b -> b)
     program.Program.outputs
 
-let run ?model ?defects ?stuck ?trace (program : Program.t) inputs =
-  let devices = crossbar ?model ?defects ?stuck program.Program.num_regs in
+let run ?defects ?trace (program : Program.t) inputs =
+  let devices = crossbar ?defects program.Program.num_regs in
   run_on ~devices ?trace program inputs
-
-let run_vectors program vectors = List.map (run program) vectors

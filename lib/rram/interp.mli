@@ -17,7 +17,7 @@
     - [states] holds the {e true} post-step state of every device of the
       crossbar ([Array.length states = Array.length devices], which can
       exceed [num_regs] on an oversized crossbar).  States are read with
-      {!Device.observe}: they bypass transient read disturb and reflect
+      {!Device.observe}: they bypass read noise and misreads, and reflect
       stuck-at/wear effects exactly.  This noiseless contract is what the
       differential replay of {!Resilient.run} relies on — comparing
       observed traces of an ideal and a faulty crossbar must expose the
@@ -31,25 +31,20 @@
     parallelism histogram, a writes-per-device histogram, wear gauges and a
     ["rram.interp/run"] span.
 
-    The crossbar is ideal by default.  Passing [model] runs the same program
-    on non-ideal devices (probabilistic write failure, transient read
-    disturb, finite endurance — see {!Device.model}); [defects] pins
-    individual cells stuck at 0 or 1 before execution. *)
+    The crossbar is ideal by default; [defects] pins individual cells stuck
+    at 0 or 1 before execution.  Statistical device physics comes from
+    {!Variation}, which builds its arrays with {!crossbar}. *)
 
 val crossbar :
-  ?model:Device.model ->
   ?physics:Device.physics array ->
   ?defects:(Isa.reg * Device.defect) list ->
-  ?stuck:(Isa.reg * bool) list ->
   int ->
   Device.t array
 (** [crossbar n] allocates [n] fresh devices with the given non-idealities
     applied.  Defect entries outside [0, n) are ignored (they name physical
     cells the program does not use).  [physics] gives each device its
     sampled statistical physics ({!Variation.sample}); it must cover at
-    least [n] cells and takes precedence over [model] for the read path
-    ([model] still contributes write failure and endurance when both are
-    given). *)
+    least [n] cells. *)
 
 val run_on :
   devices:Device.t array ->
@@ -58,21 +53,16 @@ val run_on :
   bool array ->
   bool array
 (** Execute on an existing crossbar, preserving its devices' wear and
-    acquired defects across runs — the cycle loop of {!Seq_exec} uses this
-    so endurance exhaustion accumulates over a stream. *)
+    defects across runs — {!Variation.env} uses this so wear, and with it
+    endurance drift, accumulates across the controller's retries. *)
 
 val run :
-  ?model:Device.model ->
   ?defects:(Isa.reg * Device.defect) list ->
-  ?stuck:(Isa.reg * bool) list ->
   ?trace:(int -> Isa.step -> bool array -> unit) ->
   Program.t ->
   bool array ->
   bool array
-(** [run program inputs] returns one boolean per program output.  The trace
-    callback follows the contract above (1-based step index, executed step,
-    noiseless post-step {!Device.observe} states).  [stuck] is the legacy
-    boolean spelling of [defects]: the listed cells ignore every pulse and
-    always hold the given value (used by {!Faults}). *)
-
-val run_vectors : Program.t -> bool array list -> bool array list
+(** [run program inputs] returns one boolean per program output, on a fresh
+    ideal crossbar with the [defects] pinned.  The trace callback follows
+    the contract above (1-based step index, executed step, noiseless
+    post-step {!Device.observe} states). *)

@@ -184,10 +184,10 @@ let compile mig =
     rm3_per_gate = (if gates = 0 then 0.0 else float_of_int !count /. float_of_int gates);
   }
 
-let run ?model ?(defects = []) program inputs =
+let run ?(defects = []) program inputs =
   if Array.length inputs <> program.num_inputs then invalid_arg "Plim.run: input count";
-  match (model, defects) with
-  | None, [] ->
+  match defects with
+  | [] ->
       (* ideal fast path: plain boolean memory *)
       let mem = Array.make (max 1 program.cells) false in
       Array.iteri (fun i c -> mem.(c) <- inputs.(i)) program.input_cells;
@@ -200,7 +200,7 @@ let run ?model ?(defects = []) program inputs =
       Array.map value program.outputs
   | _ ->
       (* every cell is a real device: RM3 is one maj_pulse on it *)
-      let mem = Interp.crossbar ?model ~defects (max 1 program.cells) in
+      let mem = Interp.crossbar ~defects (max 1 program.cells) in
       Array.iteri (fun i c -> Device.write mem.(c) inputs.(i)) program.input_cells;
       let value = function Imm b -> b | Cell c -> Device.read mem.(c) in
       List.iter

@@ -42,15 +42,13 @@ type compiled = {
 val compile : Core.Mig.t -> compiled
 
 val run :
-  ?model:Device.model ->
   ?defects:(int * Device.defect) list ->
   program ->
   bool array ->
   bool array
 (** Execute the RM3 stream.  Ideal by default (a plain boolean memory, all
-    cells 0); with [model] or [defects] every memory cell is a {!Device}
-    and each RM3 lands as one {!Device.maj_pulse}, so stuck cells, write
-    failures, read disturb and endurance wear all apply. *)
+    cells 0); with [defects] every memory cell is a {!Device} and each RM3
+    lands as one {!Device.maj_pulse}, so the stuck cells apply. *)
 
 val verify : program -> Core.Mig.t -> (unit, string) result
 

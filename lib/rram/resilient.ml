@@ -6,8 +6,8 @@ type env = {
     bool array;
 }
 
-let env_of_defects ?model defects =
-  { execute = (fun ?trace p v -> Interp.run ?model ~defects ?trace p v) }
+let env_of_defects defects =
+  { execute = (fun ?trace p v -> Interp.run ~defects ?trace p v) }
 
 type report = {
   ok : bool;

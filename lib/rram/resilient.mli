@@ -22,9 +22,9 @@ type env = {
     physical cell indices, so the same [env] stays valid as remapping moves
     the program onto fresh cells. *)
 
-val env_of_defects : ?model:Device.model -> (Isa.reg * Device.defect) list -> env
-(** Simulated hardware: an {!Interp} crossbar with the given stuck cells
-    and (optionally) a non-ideal device model. *)
+val env_of_defects : (Isa.reg * Device.defect) list -> env
+(** Simulated hardware: an ideal {!Interp} crossbar with the given stuck
+    cells. *)
 
 type report = {
   ok : bool;  (** final program matches the reference on every vector *)

@@ -27,8 +27,8 @@ let c_cycles = Obs.counter "rram.seq_exec/cycles"
 let g_wear_max = Obs.gauge "rram.seq_exec/wear.max"
 let g_wear_total = Obs.gauge "rram.seq_exec/wear.total"
 
-let run ?model ?defects t stream =
-  let devices = Interp.crossbar ?model ?defects t.program.Program.num_regs in
+let run ?defects t stream =
+  let devices = Interp.crossbar ?defects t.program.Program.num_regs in
   let state = ref (Array.copy t.init) in
   Obs.with_span ~cat:"rram" "rram.seq_exec/run"
     ~args:[ ("cycles", Obs.Json.Int (List.length stream)) ]

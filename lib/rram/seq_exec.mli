@@ -27,15 +27,13 @@ val rrams : t -> int
 val program : t -> Program.t
 
 val run :
-  ?model:Device.model ->
   ?defects:(Isa.reg * Device.defect) list ->
   t ->
   bool array list ->
   bool array list
 (** One output vector per input vector, starting from the initial state.
-    [model] and [defects] run the whole stream on one persistent non-ideal
-    crossbar: the defect map, device wear, and endurance-driven wear-out
-    all accumulate across cycles. *)
+    The whole stream runs on one persistent crossbar with the [defects]
+    pinned; device wear accumulates across cycles. *)
 
 val verify : t -> Logic.Seq.t -> ?cycles:int -> ?seed:int -> unit -> (unit, string) result
 (** Compare against {!Logic.Seq.simulate} on a random input stream. *)

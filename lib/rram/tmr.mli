@@ -11,8 +11,9 @@
     A single stuck cell lives in exactly one replica, so any single-cell
     defect (and most multi-cell ones, as long as no two replicas break the
     same output) is masked by the vote.  The cost is ~3× the devices and
-    three extra steps; {!Faults.yield_comparison} quantifies what that buys
-    at a given fault rate. *)
+    three extra steps; the ["tmr"] arm of [Exp.Montecarlo]'s campaigns
+    (with a {!Variation.params} [stuck_rate]) quantifies what that buys at
+    a given fault rate. *)
 
 type t = {
   program : Program.t;  (** the protected program *)

@@ -8,6 +8,7 @@ type params = {
   v_read : float;
   read_noise : float;
   drift : float;
+  stuck_rate : float;
 }
 
 (* HyperMetric-style HfO2 bipolar device: 2.5 kΩ / 16 kΩ median LRS/HRS
@@ -23,7 +24,10 @@ let nominal =
     v_read = 0.9;
     read_noise = 0.05;
     drift = 0.002;
+    stuck_rate = 0.0;
   }
+
+let ideal = { nominal with sigma_lrs = 0.0; sigma_hrs = 0.0; read_noise = 0.0; drift = 0.0 }
 
 let scaled ?(base = nominal) sigma =
   { base with sigma_lrs = base.sigma_lrs *. sigma; sigma_hrs = base.sigma_hrs *. sigma }
@@ -40,6 +44,8 @@ let validate p =
   else if not (p.v_read > 0.0) then err "read voltage must be positive (%g)" p.v_read
   else if p.read_noise < 0.0 then err "read noise must be non-negative (%g)" p.read_noise
   else if p.drift < 0.0 then err "drift rate must be non-negative (%g)" p.drift
+  else if not (p.stuck_rate >= 0.0 && p.stuck_rate <= 1.0) then
+    err "stuck-at rate must be a probability in [0, 1] (%g)" p.stuck_rate
   else Ok ()
 
 let lognormal rng ~median ~sigma = median *. exp (sigma *. Prng.gaussian rng)
@@ -69,8 +75,25 @@ let sample params ~seed n =
         rng;
       })
 
-let crossbar ?defects params ~seed n =
-  Interp.crossbar ~physics:(sample params ~seed n) ?defects n
+(* Stuck-at defects draw from stream [split(seed, n)], one past the last
+   device stream of the [n]-cell array: pinning cells never shifts a
+   physics or read-noise draw, and at rate 0 nothing is drawn at all. *)
+let stuck params ~seed n =
+  if params.stuck_rate <= 0.0 then []
+  else begin
+    let rng = Prng.create (Prng.split_seed seed n) in
+    let acc = ref [] in
+    for cell = 0 to n - 1 do
+      if Prng.float rng < params.stuck_rate then
+        acc := (cell, if Prng.bool rng then Device.Stuck_1 else Device.Stuck_0) :: !acc
+    done;
+    List.rev !acc
+  end
+
+let crossbar ?(defects = []) params ~seed n =
+  Interp.crossbar ~physics:(sample params ~seed n)
+    ~defects:(stuck params ~seed n @ defects)
+    n
 
 (* Built-in self-test over controller-visible operations only (write both
    levels, sense them back): a cell whose sampled resistances straddle the

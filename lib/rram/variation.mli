@@ -1,15 +1,15 @@
-(** Statistical device variability (extension).
+(** Statistical device variability and stuck-at defects (extension).
 
-    The boolean fault layer ({!Faults}, {!Device.model}) treats a defect as
-    a switch: a cell is stuck or it is not.  Real resistive devices fail
-    {e statistically}: the programmed LRS/HRS resistances spread
-    lognormally from device to device, the sense margin between the two
-    read currents collapses when a draw lands near (or across) the sense
-    reference, and endurance drift narrows the window further as switching
-    events accumulate.  This module samples that physics per device and
-    wires it behind the existing {!Device} interface, so every interpreter,
-    controller and protection scheme of the fault layer runs unchanged
-    against a physically-grounded adversary.
+    Real resistive devices fail {e statistically}: the programmed LRS/HRS
+    resistances spread lognormally from device to device, the sense margin
+    between the two read currents collapses when a draw lands near (or
+    across) the sense reference, and endurance drift narrows the window
+    further as switching events accumulate.  On top of that, a fraction of
+    cells come out of manufacturing (or wear out) stuck in one resistance
+    state.  This module samples both per device and wires them behind the
+    existing {!Device} interface, so every interpreter, controller and
+    protection scheme runs unchanged against a physically-grounded
+    adversary.
 
     The model, per device [d] of an array (DESIGN.md §12):
 
@@ -22,12 +22,15 @@
       Φ(-margin) of the {e sampled} window, not a flat coin flip;
     - each switching event advances the {!Device.wear} gauge, and the
       window closes linearly in wear: LRS drifts up and HRS down by factor
-      [1 + drift·wear] (cycle-dependent endurance drift).
+      [1 + drift·wear] (cycle-dependent endurance drift);
+    - each cell is pinned stuck with probability [stuck_rate], at a
+      uniformly drawn level ({!stuck}).
 
     All randomness descends from one campaign seed through
     {!Logic.Prng.split_seed}: the trial owns stream [split(master, trial)],
-    device [d] of the trial owns [split(trial_seed, d)].  No draw depends
-    on evaluation order across devices, arms or domains — the determinism
+    device [d] of an [n]-cell array owns [split(trial_seed, d)], and the
+    array's stuck-at draws own [split(trial_seed, n)].  No draw depends on
+    evaluation order across devices, arms or domains — the determinism
     contract [Exp.Montecarlo] and [--jobs] rely on. *)
 
 type params = {
@@ -38,11 +41,19 @@ type params = {
   v_read : float;  (** read voltage, V *)
   read_noise : float;  (** relative sigma of the sensed current *)
   drift : float;  (** window closure per switching event *)
+  stuck_rate : float;  (** probability that a cell is stuck, in [\[0, 1\]] *)
 }
 
 val nominal : params
 (** A bipolar HfO2-class device: 2.5 kΩ / 16 kΩ medians, shapes
-    0.18 / 0.45, 0.9 V reads, 5% sense noise, 0.2% drift per cycle. *)
+    0.18 / 0.45, 0.9 V reads, 5% sense noise, 0.2% drift per cycle, no
+    stuck cells. *)
+
+val ideal : params
+(** {!nominal} with every non-ideality off: no spread, no sense noise, no
+    drift, no stuck cells.  Every device of such an array reads and
+    switches like an ideal {!Device.create} cell, so
+    [{ ideal with stuck_rate = r }] is the pure stuck-at fault model. *)
 
 val scaled : ?base:params -> float -> params
 (** [scaled s] multiplies the two lognormal shapes of [base] (default
@@ -51,7 +62,8 @@ val scaled : ?base:params -> float -> params
 
 val validate : params -> (unit, string) result
 (** Rejects non-positive resistances and voltages, an LRS median at or
-    above the HRS median, and negative sigmas / noise / drift. *)
+    above the HRS median, negative sigmas / noise / drift, and a stuck-at
+    rate outside [\[0, 1\]]. *)
 
 val lognormal : Logic.Prng.t -> median:float -> sigma:float -> float
 (** [median · exp(sigma · N(0,1))] — mean [median·exp(sigma²/2)]. *)
@@ -67,11 +79,19 @@ val sample : params -> seed:int -> int -> Device.physics array
     sampled with the same seed replay the same silicon {e and} the same
     noise. *)
 
+val stuck : params -> seed:int -> int -> (Isa.reg * Device.defect) list
+(** [stuck params ~seed n] draws the stuck cells of an [n]-cell array:
+    each cell independently with probability [stuck_rate], stuck at a
+    uniform level; ascending by cell.  The draws come from stream
+    [split(seed, n)], which no physics or read-noise draw of the array
+    uses, and at rate 0 nothing is drawn — so the stuck-at layer never perturbs the
+    rest of the sampled silicon. *)
+
 val crossbar :
   ?defects:(Isa.reg * Device.defect) list -> params -> seed:int -> int -> Device.t array
-(** A fresh crossbar over {!sample}d physics, ready for {!Interp.run_on};
-    [defects] additionally pins cells (stuck-at faults compose with
-    variability). *)
+(** A fresh crossbar over {!sample}d physics with the {!stuck} cells
+    pinned, ready for {!Interp.run_on}; [defects] pins further cells
+    (overriding a drawn level on the same cell). *)
 
 val screen : ?passes:int -> Device.t array -> Isa.reg list
 (** Built-in self-test: write each cell to both levels and sense them back,

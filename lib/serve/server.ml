@@ -47,42 +47,22 @@ let reject code fmt =
   Printf.ksprintf (fun msg -> raise (Reject (code, msg))) fmt
 
 let parse_inline ~format ~source =
-  let wrap line msg = reject Protocol.Bad_request "circuit:%d: %s" line msg in
-  try
-    match format with
-    | "blif" -> Io.Blif.parse_string source
-    | "bench" -> Io.Bench_format.parse_string source
-    | "pla" -> Io.Pla.parse_string source
-    | "aag" -> Io.Aiger.parse_string source
-    | "aig" -> Io.Aiger.parse_binary_string source
-    | _ -> reject Protocol.Bad_request "unknown circuit format %S" format
-  with
-  | Io.Blif.Parse_error (line, msg) -> wrap line msg
-  | Io.Bench_format.Parse_error (line, msg) -> wrap line msg
-  | Io.Pla.Parse_error (line, msg) -> wrap line msg
-  | Io.Aiger.Parse_error (line, msg) -> wrap line msg
-  | Failure msg -> reject Protocol.Bad_request "circuit: %s" msg
+  match Io.Netlist.parse_string ~format source with
+  | Some net -> net
+  | None -> reject Protocol.Bad_request "unknown circuit format %S" format
+  | exception Io.Netlist.Parse_error (line, msg) ->
+      reject Protocol.Bad_request "circuit:%d: %s" line msg
+  | exception Failure msg -> reject Protocol.Bad_request "circuit: %s" msg
 
 let parse_file path =
-  let wrap line msg = reject Protocol.Io_error "%s:%d: %s" path line msg in
-  try
-    match Filename.extension path with
-    | ".blif" -> Io.Blif.parse_file path
-    | ".bench" -> Io.Bench_format.parse_file path
-    | ".pla" -> Io.Pla.parse_file path
-    | ".aag" -> Io.Aiger.parse_file path
-    | ".aig" -> Io.Aiger.parse_binary_file path
-    | ext ->
-        reject Protocol.Io_error
-          "%s: unsupported netlist extension %S (expected .blif, .bench, .pla, .aag or .aig)"
-          path ext
-  with
-  | Io.Blif.Parse_error (line, msg) -> wrap line msg
-  | Io.Bench_format.Parse_error (line, msg) -> wrap line msg
-  | Io.Pla.Parse_error (line, msg) -> wrap line msg
-  | Io.Aiger.Parse_error (line, msg) -> wrap line msg
-  | Sys_error msg -> reject Protocol.Io_error "%s" msg
-  | Failure msg -> reject Protocol.Io_error "%s" msg
+  match Io.Netlist.parse_file path with
+  | Some net -> net
+  | None ->
+      reject Protocol.Io_error "%s: unsupported netlist extension %S (expected %s)" path
+        (Filename.extension path) Io.Netlist.expected
+  | exception Io.Netlist.Parse_error (line, msg) ->
+      reject Protocol.Io_error "%s:%d: %s" path line msg
+  | exception (Sys_error msg | Failure msg) -> reject Protocol.Io_error "%s" msg
 
 (* Compile_mig wraps crossbar mapping errors with its own prefix; that is
    noise on the wire. *)

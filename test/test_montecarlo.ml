@@ -2,9 +2,10 @@
    (DESIGN.md §12): the splittable PRNG's stability and stream separation,
    the lognormal/Gaussian samplers' moments, the Variation device model
    (validation, perfect σ=0 arrays, drift-collapsed margins, the BIST
-   screen), wear-aware remapping, and the campaign driver's determinism
-   contract — jobs=1 and jobs=N produce identical per-trial outcomes — plus
-   the protection-dominance shape of the yield curves. *)
+   screen, stuck-at draws), wear-aware remapping, and the campaign driver's
+   determinism contract — jobs=1 and jobs=N produce identical per-trial
+   outcomes — plus the protection-dominance shape of the yield curves, over
+   device physics and over stuck-at rates. *)
 
 let c17 () =
   let path =
@@ -93,6 +94,12 @@ let variation_tests =
           (is_error (Rram.Variation.validate { n with drift = -0.001 }));
         check bool "zero read voltage" true
           (is_error (Rram.Variation.validate { n with v_read = 0.0 }));
+        check bool "negative stuck rate" true
+          (is_error (Rram.Variation.validate { n with stuck_rate = -0.1 }));
+        check bool "stuck rate above 1" true
+          (is_error (Rram.Variation.validate { n with stuck_rate = 1.5 }));
+        check bool "nan stuck rate" true
+          (is_error (Rram.Variation.validate { n with stuck_rate = Float.nan }));
         check bool "nominal is fine" false (is_error (Rram.Variation.validate n)));
     test_case "sigma 0 array computes the reference exactly" `Quick (fun () ->
         let program, reference = compiled_c17 () in
@@ -145,6 +152,29 @@ let variation_tests =
         let healthy = Rram.Interp.crossbar ~physics:good 3 in
         check (list int) "healthy array screens clean" []
           (Rram.Variation.screen healthy));
+    test_case "stuck cells leave physics alone" `Quick (fun () ->
+        let p = Rram.Variation.nominal in
+        let resistances params =
+          Array.map
+            (fun d ->
+              match Rram.Device.physics d with
+              | Some ph -> (ph.Rram.Device.r_lrs, ph.Rram.Device.r_hrs)
+              | None -> Alcotest.fail "physics")
+            (Rram.Variation.crossbar params ~seed:9 64)
+        in
+        check int "rate 0 draws nothing" 0 (List.length (Rram.Variation.stuck p ~seed:9 64));
+        let stuck = { p with stuck_rate = 0.25 } in
+        check bool "same silicon at any stuck rate" true
+          (resistances p = resistances stuck);
+        let pinned = Rram.Variation.stuck stuck ~seed:9 64 in
+        check bool "some cells stuck" true (pinned <> []);
+        let devices = Rram.Variation.crossbar stuck ~seed:9 64 in
+        List.iter
+          (fun (c, level) ->
+            check bool "drawn cell is pinned" true (Rram.Device.defect devices.(c) = Some level))
+          pinned;
+        check int "rate 1 pins every cell" 64
+          (List.length (Rram.Variation.stuck { p with stuck_rate = 1.0 } ~seed:9 64)));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -266,6 +296,61 @@ let montecarlo_tests =
           (fingerprint (campaign ()) = fingerprint (campaign ())));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Stuck-at campaigns: rd53, steps effort 8, sigma 0, ideal devices      *)
+(* ------------------------------------------------------------------ *)
+
+let stuck_campaign =
+  let net = Logic.Funcgen.rd 5 3 in
+  let memo = Hashtbl.create 8 in
+  fun ?(jobs = 1) rate ->
+    match Hashtbl.find_opt memo (jobs, rate) with
+    | Some t -> t
+    | None ->
+        let config =
+          { Exp.Montecarlo.default with trials = 150; effort = 8; jobs = Some jobs }
+        in
+        let t =
+          Exp.Montecarlo.run ~config:(Exp.Montecarlo.stuck_at config rate) ~name:"rd53" net
+        in
+        Hashtbl.replace memo (jobs, rate) t;
+        t
+
+let stuck_yield rate arm =
+  yield_of (List.hd (stuck_campaign rate).Exp.Montecarlo.points) arm
+
+let arms = [ "imp"; "maj"; "resilient"; "wear"; "tmr" ]
+
+let fault_tests =
+  let open Alcotest in
+  [
+    test_case "no faults = full yield" `Quick (fun () ->
+        List.iter (fun arm -> check (float 0.0) arm 1.0 (stuck_yield 0.0 arm)) arms);
+    test_case "rate 1.0 kills every arm" `Quick (fun () ->
+        List.iter (fun arm -> check (float 0.0) arm 0.0 (stuck_yield 1.0 arm)) arms);
+    test_case "protection pays at rate 0.01" `Quick (fun () ->
+        let y = stuck_yield 0.01 in
+        check bool "TMR beats bare MAJ" true (y "tmr" > y "maj");
+        check bool "remapping at least matches TMR" true (y "resilient" >= y "tmr");
+        check bool "MAJ's smaller fault surface beats IMP" true (y "maj" > y "imp"));
+    test_case "yield falls as the rate rises" `Quick (fun () ->
+        List.iter
+          (fun arm ->
+            check bool arm true
+              (stuck_yield 0.003 arm >= stuck_yield 0.01 arm
+              && stuck_yield 0.01 arm >= stuck_yield 0.03 arm))
+          [ "imp"; "maj"; "tmr" ]);
+    test_case "identical at jobs 1, 3 and 4" `Quick (fun () ->
+        List.iter
+          (fun jobs ->
+            check bool
+              (Printf.sprintf "jobs %d" jobs)
+              true
+              (fingerprint (stuck_campaign 0.01)
+              = fingerprint (stuck_campaign ~jobs 0.01)))
+          [ 3; 4 ]);
+  ]
+
 let campaign_props =
   [
     QCheck.Test.make ~count:3
@@ -282,5 +367,6 @@ let () =
       ("variation", variation_tests);
       ("remap-wear", remap_tests);
       ("campaign", montecarlo_tests);
+      ("faults", fault_tests);
       ("campaign-props", List.map QCheck_alcotest.to_alcotest campaign_props);
     ]

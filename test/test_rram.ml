@@ -578,38 +578,31 @@ let crossbar_props =
 (* Non-ideal devices, fault semantics, remapping, TMR                   *)
 (* ------------------------------------------------------------------ *)
 
+(* Noiseless physics with the LRS and HRS resistances swapped: every read
+   senses the complement of the stored state. *)
+let swapped_physics n =
+  Array.map
+    (fun p -> { p with Rram.Device.r_lrs = p.Rram.Device.r_hrs; r_hrs = p.Rram.Device.r_lrs })
+    (Rram.Variation.sample Rram.Variation.ideal ~seed:1 n)
+
 let nonideal_device_tests =
   let open Alcotest in
   [
     test_case "zeroed model behaves ideally" `Quick (fun () ->
-        let m = Rram.Device.model ~seed:1 () in
-        let d = Rram.Device.create_with m in
+        let d =
+          Rram.Device.create_phys (Rram.Variation.sample Rram.Variation.ideal ~seed:1 1).(0)
+        in
         Rram.Device.set d;
         check bool "set" true (Rram.Device.read d);
         Rram.Device.clear d;
         check bool "clear" false (Rram.Device.read d));
-    test_case "write_fail = 1.0 never switches" `Quick (fun () ->
-        let m = Rram.Device.model ~write_fail:1.0 ~seed:2 () in
-        let d = Rram.Device.create_with m in
-        Rram.Device.set d;
-        Rram.Device.write d true;
-        check bool "still 0" false (Rram.Device.read d);
-        check int "no wear" 0 (Rram.Device.wear d));
     test_case "read_disturb = 1.0 flips every read but not the state" `Quick (fun () ->
-        let m = Rram.Device.model ~read_disturb:1.0 ~seed:3 () in
-        let d = Rram.Device.create_with m in
+        let d = Rram.Device.create_phys (swapped_physics 1).(0) in
         check bool "reads 1" true (Rram.Device.read d);
-        check bool "stores 0" false (Rram.Device.observe d));
-    test_case "endurance exhaustion freezes the cell" `Quick (fun () ->
-        let m = Rram.Device.model ~endurance:3 ~seed:4 () in
-        let d = Rram.Device.create_with m in
+        check bool "stores 0" false (Rram.Device.observe d);
         Rram.Device.set d;
-        Rram.Device.clear d;
-        Rram.Device.set d;
-        (* three switching events: the cell wears out stuck at 1 *)
-        check bool "worn out" true (Rram.Device.defect d = Some Rram.Device.Stuck_1);
-        Rram.Device.clear d;
-        check bool "frozen" true (Rram.Device.read d));
+        check bool "reads 0" false (Rram.Device.read d);
+        check bool "stores 1" true (Rram.Device.observe d));
     test_case "defective cell ignores every pulse" `Quick (fun () ->
         let d = Rram.Device.create () in
         Rram.Device.set_defect d Rram.Device.Stuck_0;
@@ -631,38 +624,18 @@ let fault_reference_setup () =
   let mig = Core.Mig_opt.steps ~effort:8 (Core.Mig_of_network.convert net) in
   (mig, Core.Mig_sim.eval mig)
 
-(* A single stuck-at fault that flips at least one output on some vector. *)
+let survives program ~reference defects vectors =
+  List.for_all (fun v -> Rram.Interp.run ~defects program v = reference v) vectors
+
+(* A single stuck-at defect that flips at least one output on some vector. *)
 let find_breaking_fault program ~reference vectors =
-  let result = ref None in
-  (try
-     for cell = 0 to program.Rram.Program.num_regs - 1 do
-       List.iter
-         (fun value ->
-           let f = { Rram.Faults.cell; value } in
-           if not (Rram.Faults.survives program ~reference [ f ] vectors) then begin
-             result := Some f;
-             raise Exit
-           end)
-         [ true; false ]
-     done
-   with Exit -> ());
-  !result
+  List.init program.Rram.Program.num_regs Fun.id
+  |> List.concat_map (fun cell -> [ (cell, Rram.Device.Stuck_1); (cell, Rram.Device.Stuck_0) ])
+  |> List.find_opt (fun d -> not (survives program ~reference [ d ] vectors))
 
 let fault_semantics_tests =
   let open Alcotest in
   [
-    test_case "yield at rate 0.0 is exactly 1.0 (both realizations)" `Quick (fun () ->
-        let mig, reference = fault_reference_setup () in
-        List.iter
-          (fun realization ->
-            let r = Rram.Compile_mig.compile realization mig in
-            let y =
-              Rram.Faults.functional_yield ~trials:50 ~rate:0.0
-                r.Rram.Compile_mig.program ~reference
-            in
-            check (float 0.0) "yield" 1.0 y.Rram.Faults.yield;
-            check (float 0.0) "mean faults" 0.0 y.Rram.Faults.mean_faults)
-          [ Core.Rram_cost.Imp; Core.Rram_cost.Maj ]);
     test_case "a stuck cell that is never live cannot change outputs" `Quick (fun () ->
         let mig, reference = fault_reference_setup () in
         let r = Rram.Compile_mig.compile Core.Rram_cost.Maj mig in
@@ -672,12 +645,10 @@ let fault_semantics_tests =
         let spare = p.Rram.Program.num_regs in
         let vectors = Rram.Verify.vectors p.Rram.Program.num_inputs in
         List.iter
-          (fun value ->
+          (fun level ->
             check bool "outputs unchanged" true
-              (Rram.Faults.survives widened ~reference
-                 [ { Rram.Faults.cell = spare; value } ]
-                 vectors))
-          [ true; false ];
+              (survives widened ~reference [ (spare, level) ] vectors))
+          [ Rram.Device.Stuck_1; Rram.Device.Stuck_0 ];
         (* the resilient executor agrees: nothing to detect, nothing remapped *)
         let env = Rram.Resilient.env_of_defects [ (spare, Rram.Device.Stuck_1) ] in
         let report = Rram.Resilient.run env widened ~reference in
@@ -691,19 +662,18 @@ let fault_semantics_tests =
         let vectors = Rram.Verify.vectors p.Rram.Program.num_inputs in
         match find_breaking_fault p ~reference vectors with
         | None -> fail "expected a breaking single stuck-at fault"
-        | Some f ->
+        | Some ((cell, _) as f) ->
             (* unrepaired: fails by construction *)
-            check bool "unrepaired fails" false
-              (Rram.Faults.survives p ~reference [ f ] vectors);
-            let env = Rram.Resilient.env_of_defects (Rram.Faults.to_defects [ f ]) in
+            check bool "unrepaired fails" false (survives p ~reference [ f ] vectors);
+            let env = Rram.Resilient.env_of_defects [ f ] in
             let report = Rram.Resilient.run env p ~reference in
             check bool "repaired" true report.Rram.Resilient.ok;
             check bool "needed a retry" true (report.Rram.Resilient.attempts > 1);
             check bool "diagnosed the injected cell" true
-              (List.mem f.Rram.Faults.cell report.Rram.Resilient.diagnosed);
+              (List.mem cell report.Rram.Resilient.diagnosed);
             (* the repaired program no longer touches the dead cell *)
             let live = Rram.Remap.live_regs report.Rram.Resilient.program in
-            check bool "dead cell abandoned" false live.(f.Rram.Faults.cell));
+            check bool "dead cell abandoned" false live.(cell));
     test_case "remapped program verifies and grows only by the moves" `Quick (fun () ->
         let mig, _ = fault_reference_setup () in
         let r = Rram.Compile_mig.compile Core.Rram_cost.Imp mig in
@@ -758,32 +728,19 @@ let tmr_tests =
         let vectors = Rram.Verify.vectors p.Rram.Program.num_inputs in
         match find_breaking_fault p ~reference vectors with
         | None -> fail "expected a breaking single stuck-at fault"
-        | Some f ->
+        | Some (cell, level) ->
             let tmr = Rram.Tmr.protect p in
             let n = p.Rram.Program.num_regs in
             (* the same defect in each replica in turn: always voted out *)
             List.iter
               (fun k ->
-                let shifted = { f with Rram.Faults.cell = f.Rram.Faults.cell + (k * n) } in
                 check bool
                   (Printf.sprintf "replica %d masked" k)
                   true
-                  (Rram.Faults.survives tmr.Rram.Tmr.program ~reference [ shifted ]
+                  (survives tmr.Rram.Tmr.program ~reference
+                     [ (cell + (k * n), level) ]
                      vectors))
               [ 0; 1; 2 ]);
-    test_case "TMR beats baseline yield at rate 0.01" `Quick (fun () ->
-        let mig, reference = fault_reference_setup () in
-        let r = Rram.Compile_mig.compile Core.Rram_cost.Maj mig in
-        let c =
-          Rram.Faults.yield_comparison ~trials:150 ~rate:0.01 r.Rram.Compile_mig.program
-            ~reference
-        in
-        check bool "tmr > baseline" true
-          (c.Rram.Faults.tmr.Rram.Faults.yield
-          > c.Rram.Faults.baseline.Rram.Faults.yield);
-        check bool "resilient >= tmr" true
-          (c.Rram.Faults.resilient.Rram.Faults.yield
-          >= c.Rram.Faults.tmr.Rram.Faults.yield));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -793,10 +750,11 @@ let tmr_tests =
 
 let interp_trace_tests =
   let open Alcotest in
-  let collect ?model program inputs =
+  let collect ?physics program inputs =
     let acc = ref [] in
+    let devices = Rram.Interp.crossbar ?physics program.Rram.Program.num_regs in
     ignore
-      (Rram.Interp.run ?model
+      (Rram.Interp.run_on ~devices
          ~trace:(fun idx step states -> acc := (idx, step, Array.copy states) :: !acc)
          program inputs);
     List.rev !acc
@@ -848,9 +806,10 @@ let interp_trace_tests =
               entries)
           [ true; false ]);
     test_case "states are noiseless observes under full read disturb" `Quick (fun () ->
-        (* read_disturb = 1.0 complements every sensed read; the program
-           avoids Reg reads so execution is unaffected, and the trace must
-           show the true stored states (Device.observe), not reads. *)
+        (* Swapped LRS/HRS physics complements every sensed read; the
+           program avoids Reg reads so execution is unaffected, and the
+           trace must show the true stored states (Device.observe), not
+           reads. *)
         let program =
           {
             Rram.Program.num_inputs = 1;
@@ -867,8 +826,7 @@ let interp_trace_tests =
             outputs = [| Rram.Isa.Input 0 |];
           }
         in
-        let model = Rram.Device.model ~read_disturb:1.0 ~seed:0xD157 () in
-        let entries = collect ~model program [| true |] in
+        let entries = collect ~physics:(swapped_physics 2) program [| true |] in
         let expect = [ [| true; true |]; [| true; false |]; [| true; true |] ] in
         check (list int) "indices" [ 1; 2; 3 ] (List.map (fun (i, _, _) -> i) entries);
         List.iteri

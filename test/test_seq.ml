@@ -115,49 +115,24 @@ let exec_props =
 let fault_tests =
   let open Alcotest in
   [
-    test_case "no faults = full yield" `Quick (fun () ->
-        let mig = Core.Mig_of_network.convert (Funcgen.full_adder ()) in
-        let compiled = Rram.Compile_mig.compile Core.Rram_cost.Maj mig in
-        let y =
-          Rram.Faults.functional_yield ~trials:20 ~rate:0.0
-            compiled.Rram.Compile_mig.program ~reference:(Core.Mig_sim.eval mig)
-        in
-        check (float 0.001) "yield 1" 1.0 y.Rram.Faults.yield);
-    test_case "saturating fault rate kills the yield" `Quick (fun () ->
-        let mig = Core.Mig_of_network.convert (Funcgen.rd 5 3) in
-        let compiled = Rram.Compile_mig.compile Core.Rram_cost.Maj mig in
-        let y =
-          Rram.Faults.functional_yield ~trials:20 ~rate:1.0
-            compiled.Rram.Compile_mig.program ~reference:(Core.Mig_sim.eval mig)
-        in
-        check bool "yield < 0.5" true (y.Rram.Faults.yield < 0.5));
     test_case "a single stuck output register corrupts results" `Quick (fun () ->
         let mig = Core.Mig.create () in
         let a = Core.Mig.add_pi mig and b = Core.Mig.add_pi mig and c = Core.Mig.add_pi mig in
         ignore (Core.Mig.add_po mig (Core.Mig.maj mig a b c));
         let compiled = Rram.Compile_mig.compile Core.Rram_cost.Maj mig in
-        let vectors = Rram.Verify.vectors 3 in
+        let program = compiled.Rram.Compile_mig.program in
         (* find the output register and stick it at 0 *)
         let out_reg =
-          match compiled.Rram.Compile_mig.program.Rram.Program.outputs.(0) with
+          match program.Rram.Program.outputs.(0) with
           | Rram.Isa.Reg r -> r
           | _ -> fail "expected register output"
         in
         check bool "corrupts" false
-          (Rram.Faults.survives compiled.Rram.Compile_mig.program
-             ~reference:(Core.Mig_sim.eval mig)
-             [ { Rram.Faults.cell = out_reg; value = false } ]
-             vectors));
-    test_case "yield is monotone in fault rate (statistically)" `Quick (fun () ->
-        let mig = Core.Mig_of_network.convert (Funcgen.comparator 3) in
-        let compiled = Rram.Compile_mig.compile Core.Rram_cost.Maj mig in
-        let reference = Core.Mig_sim.eval mig in
-        let y rate =
-          (Rram.Faults.functional_yield ~trials:100 ~rate
-             compiled.Rram.Compile_mig.program ~reference)
-            .Rram.Faults.yield
-        in
-        check bool "monotone-ish" true (y 0.001 >= y 0.05));
+          (List.for_all
+             (fun v ->
+               Rram.Interp.run ~defects:[ (out_reg, Rram.Device.Stuck_0) ] program v
+               = Core.Mig_sim.eval mig v)
+             (Rram.Verify.vectors 3)));
   ]
 
 let () =

@@ -8,7 +8,8 @@ open Logic
 module Json = Obs.Json
 module P = Serve.Protocol
 
-let json = Alcotest.testable (Fmt.of_to_string Json.to_string) ( = )
+let json =
+  Alcotest.testable (fun ppf j -> Format.pp_print_string ppf (Json.to_string j)) ( = )
 
 (* ------------------------------------------------------------------ *)
 (* Protocol codec                                                      *)
