@@ -636,6 +636,28 @@ let find_breaking_fault program ~reference vectors =
 let fault_semantics_tests =
   let open Alcotest in
   [
+    test_case "yield at rate 0.0 is exactly 1.0 (both realizations)" `Quick (fun () ->
+        let mig, reference = fault_reference_setup () in
+        let params = { Rram.Variation.ideal with stuck_rate = 0.0 } in
+        List.iter
+          (fun realization ->
+            let p = (Rram.Compile_mig.compile realization mig).Rram.Compile_mig.program in
+            let n = p.Rram.Program.num_regs in
+            let vectors = Rram.Verify.vectors p.Rram.Program.num_inputs in
+            let trials = 50 in
+            let faults = ref 0 and passed = ref 0 in
+            for seed = 1 to trials do
+              faults := !faults + List.length (Rram.Variation.stuck params ~seed n);
+              let devices = Rram.Variation.crossbar params ~seed n in
+              if
+                List.for_all
+                  (fun v -> Rram.Interp.run_on ~devices p v = reference v)
+                  vectors
+              then incr passed
+            done;
+            check (float 0.0) "yield" 1.0 (Float.of_int !passed /. Float.of_int trials);
+            check (float 0.0) "mean faults" 0.0 (Float.of_int !faults /. Float.of_int trials))
+          [ Core.Rram_cost.Imp; Core.Rram_cost.Maj ]);
     test_case "a stuck cell that is never live cannot change outputs" `Quick (fun () ->
         let mig, reference = fault_reference_setup () in
         let r = Rram.Compile_mig.compile Core.Rram_cost.Maj mig in

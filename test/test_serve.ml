@@ -222,6 +222,23 @@ let junk_variant ?(flip_po = false) seed mig =
     let base = Hashtbl.find map (Core.Mig.node_of s) in
     if Core.Mig.is_compl s then Core.Mig.not_ base else base
   in
+  let sorted a b c = List.sort compare [ a; b; c ] in
+  (* [Core.Mig.maj] hash-conses: a junk gate whose fanins match those of a
+     live gate [m >= n] would hand that live gate the junk's earlier id and
+     break the monotone renumbering, so such a junk gate is skipped *)
+  let collides n junk =
+    let rec go m =
+      m < Core.Mig.num_nodes mig
+      && ((match Core.Mig.kind mig m with
+          | Core.Mig.Gate ->
+              let f = Core.Mig.fanins mig m in
+              Array.for_all (fun s -> Hashtbl.mem map (Core.Mig.node_of s)) f
+              && sorted (translate f.(0)) (translate f.(1)) (translate f.(2)) = junk
+          | _ -> false)
+         || go (m + 1))
+    in
+    go n
+  in
   (* id order keeps the live gates' relative order, so the renumbering from
      [mig] to [out] is monotone — the invariance the cache key guarantees *)
   for n = 0 to Core.Mig.num_nodes mig - 1 do
@@ -230,7 +247,10 @@ let junk_variant ?(flip_po = false) seed mig =
         if Prng.bool rng then begin
           (* junk: a gate nothing will reference *)
           let pick () = Prng.pick rng !created in
-          ignore (Core.Mig.maj out (pick ()) (pick ()) (Core.Mig.not_ (pick ())))
+          let a = pick () in
+          let b = pick () in
+          let c = Core.Mig.not_ (pick ()) in
+          if not (collides n (sorted a b c)) then ignore (Core.Mig.maj out a b c)
         end;
         let f = Core.Mig.fanins mig n in
         let s =
