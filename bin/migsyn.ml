@@ -894,7 +894,6 @@ let faults_cmd =
     let mig = Core.Mig_opt.run ~effort alg (Core.Mig_of_network.convert net) in
     let r = Rram.Compile_mig.compile realization mig in
     let program = r.Rram.Compile_mig.program in
-    let reference = Core.Mig_sim.eval mig in
     let tmr = Rram.Tmr.protect program in
     Format.printf
       "%a realization after %s optimization: %d RRAMs, %d steps@.TMR-protected: %d RRAMs, %d steps (%d voted outputs)@."
@@ -907,6 +906,13 @@ let faults_cmd =
        program, then let the resilient executor repair it.  The vectors
        follow --seed so the whole run replays under the same flag. *)
     let vectors = Rram.Verify.vectors ~seed program.Rram.Program.num_inputs in
+    (* The reference is tabulated once; every candidate defect and the
+       repair look the fixed vector set up in the table. *)
+    let reference =
+      let table = Hashtbl.create (List.length vectors) in
+      List.iter2 (Hashtbl.replace table) vectors (Core.Mig_sim.eval_all mig vectors);
+      Hashtbl.find table
+    in
     let breaks defect =
       List.exists
         (fun v -> Rram.Interp.run ~defects:[ defect ] program v <> reference v)

@@ -28,6 +28,18 @@ let eval mig a =
   in
   Array.map (fun bv -> Bitvec.get bv 0) (simulate mig ins)
 
+let eval_all mig vectors =
+  let n = Mig.num_pis mig in
+  let width = List.length vectors in
+  let ins = Array.init n (fun _ -> Bitvec.create width) in
+  List.iteri (fun k v -> Array.iteri (fun i b -> if b then Bitvec.set ins.(i) k true) v) vectors;
+  let outs = simulate mig ins in
+  (* Without inputs the simulator answers with one-bit patterns: every
+     vector is the empty one. *)
+  List.mapi
+    (fun k _ -> Array.map (fun bv -> Bitvec.get bv (if n = 0 then 0 else k)) outs)
+    vectors
+
 let truth_tables mig =
   let n = Mig.num_pis mig in
   if n > Truth_table.max_vars then invalid_arg "Mig_sim.truth_tables: too many inputs";

@@ -145,13 +145,13 @@ let run ?(config = default) ~name net =
       (fun i _ -> i < config.vectors)
       (Rram.Verify.vectors ~seed:config.seed primary.Rram.Program.num_inputs)
   in
-  (* Tabulate the reference before fanning out: Mig_sim.eval walks the MIG
-     with scratch marks inside the graph record, so calling it from worker
-     domains would race.  Every reference lookup of a trial hits this
+  (* Tabulate the reference before fanning out: the MIG simulator walks the
+     graph with scratch marks inside the graph record, so calling it from
+     worker domains would race.  Every reference lookup of a trial hits this
      table — campaigns only ever evaluate the fixed vector set. *)
   let reference =
     let table = Hashtbl.create (List.length vectors) in
-    List.iter (fun v -> Hashtbl.replace table v (Core.Mig_sim.eval mig v)) vectors;
+    List.iter2 (Hashtbl.replace table) vectors (Core.Mig_sim.eval_all mig vectors);
     fun v -> Hashtbl.find table v
   in
   (* One cell universe for every arm of a trial: equal seeds then sample

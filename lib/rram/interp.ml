@@ -113,3 +113,110 @@ let run_on ~devices ?trace (program : Program.t) inputs =
 let run ?defects ?trace (program : Program.t) inputs =
   let devices = crossbar ?defects program.Program.num_regs in
   run_on ~devices ?trace program inputs
+
+(* Bit-sliced execution on an ideal crossbar.  The program is flattened once
+   into parallel arrays: micro-op [k] of step [s] (for [step_start.(s) <= k <
+   step_start.(s + 1)]) writes register [dst.(k)] from the value slots
+   [src_a.(k)] / [src_b.(k)].  A slot names a register ([0, num_regs)), an
+   input line ([num_regs + i]) or a constant rail (the last two slots), so
+   every operand read is one array load. *)
+type kind = K_load | K_reset | K_imp | K_maj
+
+let run_lanes (program : Program.t) =
+  let nr = program.Program.num_regs and ni = program.Program.num_inputs in
+  let slot = function
+    | Isa.Reg r ->
+        if r < 0 || r >= nr then invalid_arg "Interp.run_lanes: register out of range";
+        r
+    | Isa.Input i ->
+        if i < 0 || i >= ni then invalid_arg "Interp.run_lanes: input out of range";
+        nr + i
+    | Isa.Const b -> nr + ni + Bool.to_int b
+  in
+  let micros = Array.of_list (List.concat program.Program.steps) in
+  let nsteps = List.length program.Program.steps in
+  let step_start = Array.make (nsteps + 1) 0 in
+  List.iteri
+    (fun s step -> step_start.(s + 1) <- step_start.(s) + List.length step)
+    program.Program.steps;
+  let zero = slot (Isa.Const false) in
+  let decoded =
+    Array.map
+      (function
+        | Isa.Load (_, o) -> (K_load, slot o, zero)
+        | Isa.Reset _ -> (K_reset, zero, zero)
+        | Isa.Imp { src; _ } -> (K_imp, slot (Isa.Reg src), zero)
+        | Isa.Maj_pulse { p; q; _ } -> (K_maj, slot p, slot q))
+      micros
+  in
+  let kind = Array.map (fun (c, _, _) -> c) decoded in
+  let src_a = Array.map (fun (_, a, _) -> a) decoded in
+  let src_b = Array.map (fun (_, _, b) -> b) decoded in
+  let dst = Array.map (fun m -> slot (Isa.Reg (Isa.micro_dst m))) micros in
+  let pulses c = Array.fold_left (fun n k -> if k = c then n + 1 else n) 0 kind in
+  let loads = pulses K_load and resets = pulses K_reset in
+  let imps = pulses K_imp and majs = pulses K_maj in
+  let width s = step_start.(s + 1) - step_start.(s) in
+  let max_width = Array.fold_left max 0 (Array.init nsteps width) in
+  let writes = Array.make nr 0 in
+  Array.iter (fun d -> writes.(d) <- writes.(d) + 1) dst;
+  let outputs = Array.map slot program.Program.outputs in
+  fun ~lanes inputs ->
+    if lanes < 1 || lanes > Sys.int_size then invalid_arg "Interp.run_lanes: lanes";
+    if Array.length inputs <> ni then invalid_arg "Interp.run_lanes: input count";
+    let obs = Obs.enabled () in
+    let t0 = if obs then Obs.now_ns () else 0L in
+    let vals = Array.make (nr + ni + 2) 0 in
+    Array.blit inputs 0 vals nr ni;
+    vals.(nr + ni + 1) <- -1;
+    let la = Array.make max_width 0 and lb = Array.make max_width 0 in
+    for s = 0 to nsteps - 1 do
+      let lo = step_start.(s) and hi = step_start.(s + 1) in
+      (* Parallel semantics: latch all source values before any write; the
+         destination's own state is read when its write lands, in order. *)
+      for k = lo to hi - 1 do
+        la.(k - lo) <- vals.(src_a.(k));
+        lb.(k - lo) <- vals.(src_b.(k))
+      done;
+      for k = lo to hi - 1 do
+        let d = dst.(k) and p = la.(k - lo) in
+        vals.(d) <-
+          (match kind.(k) with
+          | K_load -> p
+          | K_reset -> 0
+          | K_imp -> lnot p lor vals.(d)
+          | K_maj ->
+              let nq = lnot lb.(k - lo) and r = vals.(d) in
+              (p land nq) lor ((p lor nq) land r))
+      done
+    done;
+    if obs then begin
+      (* Every counter and histogram reads as if the [lanes] vectors had run
+         one by one through {!run}; the wear gauges stay with {!run_on}. *)
+      Obs.incr ~by:lanes c_runs;
+      Obs.incr ~by:(lanes * nsteps) c_steps;
+      Obs.incr ~by:(lanes * loads) c_loads;
+      Obs.incr ~by:(lanes * resets) c_resets;
+      Obs.incr ~by:(lanes * imps) c_imps;
+      Obs.incr ~by:(lanes * majs) c_majs;
+      for s = 0 to nsteps - 1 do
+        for _ = 1 to lanes do
+          Obs.observe h_step_width (width s)
+        done
+      done;
+      Array.iter
+        (fun w ->
+          for _ = 1 to lanes do
+            Obs.observe h_writes w
+          done)
+        writes;
+      Obs.emit_span ~cat:"rram" "rram.interp/run" ~t0
+        ~args:
+          [
+            ("steps", Obs.Json.Int nsteps);
+            ("regs", Obs.Json.Int nr);
+            ("lanes", Obs.Json.Int lanes);
+          ]
+    end;
+    let mask = if lanes = Sys.int_size then -1 else (1 lsl lanes) - 1 in
+    Array.map (fun o -> vals.(o) land mask) outputs

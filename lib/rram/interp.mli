@@ -29,7 +29,9 @@
     When observability is enabled ({!Obs.set_enabled}), every run records
     pulse counters (["rram.interp/pulses.*"]), a micro-ops-per-step
     parallelism histogram, a writes-per-device histogram, wear gauges and a
-    ["rram.interp/run"] span.
+    ["rram.interp/run"] span.  The counters count {e vectors}: the
+    bit-sliced {!run_lanes}, which {!Verify} uses, records one vector per
+    lane, so they read the same whichever executor ran the vectors.
 
     The crossbar is ideal by default; [defects] pins individual cells stuck
     at 0 or 1 before execution.  Statistical device physics comes from
@@ -66,3 +68,30 @@ val run :
     ideal crossbar with the [defects] pinned.  The trace callback follows
     the contract above (1-based step index, executed step, noiseless
     post-step {!Device.observe} states). *)
+
+val run_lanes : Program.t -> lanes:int -> int array -> int array
+(** Bit-sliced execution on a fresh ideal crossbar: [run_lanes program
+    ~lanes inputs] runs [lanes] input vectors ([1 ≤ lanes ≤ Sys.int_size])
+    at once.  Bit [j] of [inputs.(i)] is input [i] of vector [j]; bit [j] of
+    output word [o] is what {!run} returns for output [o] on vector [j].
+    Bits at or above [lanes] of the result are zero; those of [inputs] are
+    ignored.  Every register is one machine word, so a micro-operation costs
+    two or three bitwise operations for all lanes together.
+
+    Partially applied to a program, it flattens the step list into arrays
+    once and returns the kernel; each call allocates its own registers, so
+    one kernel may run on several domains.  The step semantics are exactly
+    {!run_on}'s, also on programs {!Program.validate} would reject: all
+    source operands of a step are latched before any write, the writes land
+    in micro-operation order, and an [Imp] or [Maj_pulse] reads its
+    destination's state as its own write lands (so a second write to one
+    register in a step sees the first).
+    @raise Invalid_argument when a register or input line is out of range
+    (on partial application), or on a bad [lanes] or input count.
+
+    {b Telemetry.}  When observability is enabled, one call records what
+    [lanes] calls of {!run} would: every ["rram.interp/*"] counter counts
+    {e vectors} (so ["runs"] grows by [lanes]), and the step-width and
+    writes-per-device histograms see each value [lanes] times.  It emits
+    one ["rram.interp/run"] span per call, with a ["lanes"] argument.  It
+    sets no wear gauge: wear belongs to the physical arrays of {!run_on}. *)

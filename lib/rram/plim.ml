@@ -214,13 +214,10 @@ let verify program mig =
   if Core.Mig.num_pis mig <> program.num_inputs then Error "input count mismatch"
   else begin
     let vectors = Verify.vectors (Core.Mig.num_pis mig) in
-    let rec go = function
-      | [] -> Ok ()
-      | v :: rest ->
-          if run program v = Core.Mig_sim.eval mig v then go rest
-          else Error "PLiM program disagrees with the MIG"
-    in
-    go vectors
+    if List.for_all2 (fun v want -> run program v = want) vectors
+         (Core.Mig_sim.eval_all mig vectors)
+    then Ok ()
+    else Error "PLiM program disagrees with the MIG"
   end
 
 let pp_operand ppf = function

@@ -885,6 +885,297 @@ let interp_trace_tests =
         check bool "repaired" true report.Rram.Resilient.ok);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Bit-sliced kernel and bit-parallel verification                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Lane [j] of a word array, as one input or output vector. *)
+let lane_vector words j = Array.map (fun w -> (w lsr j) land 1 = 1) words
+
+let random_words rng n = Array.init n (fun _ -> Int64.to_int (Prng.next64 rng))
+
+(* Interp.run_lanes agrees with Interp.run on every lane, and leaves the
+   bits above the lanes zero. *)
+let lanes_agree program ~lanes words =
+  let got = Rram.Interp.run_lanes program ~lanes words in
+  List.for_all
+    (fun j -> Rram.Interp.run program (lane_vector words j) = lane_vector got j)
+    (List.init lanes Fun.id)
+  && Array.for_all (fun w -> lanes = Sys.int_size || w lsr lanes = 0) got
+
+(* Programs Program.validate may reject: several micro-ops per step, two
+   writes to one register in a step, IMP with src = dst, constant and input
+   operands everywhere an operand may go. *)
+let random_program rng =
+  let ni = Prng.int rng 4 and nr = 1 + Prng.int rng 5 in
+  let reg () = Prng.int rng nr in
+  let operand () =
+    match Prng.int rng (if ni = 0 then 2 else 3) with
+    | 0 -> Rram.Isa.Reg (reg ())
+    | 1 -> Rram.Isa.Const (Prng.bool rng)
+    | _ -> Rram.Isa.Input (Prng.int rng ni)
+  in
+  let micro () =
+    match Prng.int rng 4 with
+    | 0 -> Rram.Isa.Load (reg (), operand ())
+    | 1 -> Rram.Isa.Reset (reg ())
+    | 2 -> Rram.Isa.Imp { src = reg (); dst = reg () }
+    | _ -> Rram.Isa.Maj_pulse { p = operand (); q = operand (); dst = reg () }
+  in
+  let step () = List.init (1 + Prng.int rng 4) (fun _ -> micro ()) in
+  {
+    Rram.Program.num_inputs = ni;
+    num_regs = nr;
+    steps = List.init (1 + Prng.int rng 8) (fun _ -> step ());
+    outputs = Array.init (1 + Prng.int rng 3) (fun _ -> operand ());
+  }
+
+(* The serial, crossbar, BDD, AIG and TMR programs of rd53. *)
+let rd53_programs () =
+  let net = Funcgen.rd 5 3 in
+  let mig = Core.Mig_of_network.convert net in
+  let serial r = (Rram.Compile_mig.compile r mig).Rram.Compile_mig.program in
+  let crossbar =
+    let r = Core.Rram_cost.Maj in
+    match Rram.Compile_crossbar.compile ~arch:(Rram.Compile_crossbar.fit r mig) r mig with
+    | Ok c -> c.Rram.Compile_crossbar.program
+    | Error e -> Alcotest.fail e
+  in
+  let bdd =
+    (Rram.Compile_bdd.compile ~mode:`Sequential (Bdd_lib.Bdd_of_network.build net))
+      .Rram.Compile_bdd.program
+  in
+  let aig =
+    (Rram.Compile_aig.compile ~mode:`Levelized (Aig_lib.Aig_of_network.convert net))
+      .Rram.Compile_aig.program
+  in
+  [
+    ("serial IMP", serial Core.Rram_cost.Imp);
+    ("serial MAJ", serial Core.Rram_cost.Maj);
+    ("crossbar MAJ", crossbar);
+    ("BDD", bdd);
+    ("AIG", aig);
+    ("TMR", (Rram.Tmr.protect (serial Core.Rram_cost.Maj)).Rram.Tmr.program);
+  ]
+
+let lane_counts = [ 1; 62; Sys.int_size ]
+
+(* The per-vector check the bit-parallel Verify replaced: Interp.run and the
+   single-vector reference on every test vector, in order. *)
+let oracle ?seed program ~n ~reference =
+  let bits a = String.concat "" (List.map (fun b -> if b then "1" else "0") (Array.to_list a)) in
+  let rec go = function
+    | [] -> Ok ()
+    | v :: rest ->
+        let got = Rram.Interp.run program v and want = reference v in
+        if got = want then go rest
+        else
+          Error
+            (Printf.sprintf "mismatch on input %s: program %s, reference %s" (bits v)
+               (bits got) (bits want))
+  in
+  go (Rram.Verify.vectors ?seed n)
+
+let oracle_network ?seed program net =
+  oracle ?seed program ~n:(Network.num_inputs net) ~reference:(Network.eval net)
+
+let oracle_mig ?seed program mig =
+  oracle ?seed program ~n:(Core.Mig.num_pis mig) ~reference:(Core.Mig_sim.eval mig)
+
+let verdict = Alcotest.(result unit string)
+
+(* [n]-input AND compiled to serial MAJ, and an [n]-input network that is
+   constant 0: they differ exactly where every input is 1. *)
+let and_vs_zero n =
+  let build out =
+    let net = Network.create () in
+    let ins = Array.init n (fun i -> Network.add_input net (Printf.sprintf "x%d" i)) in
+    Network.add_output net "f" (out net ins);
+    net
+  in
+  let and_net = build (fun net ins -> Network.gate net Network.And ins) in
+  let zero_net = build (fun net _ -> Network.const net false) in
+  let program =
+    (Rram.Compile_mig.compile Core.Rram_cost.Maj (Core.Mig_of_network.convert and_net))
+      .Rram.Compile_mig.program
+  in
+  (program, and_net, zero_net)
+
+(* Swap the operands of the [k]-th MAJ pulse. *)
+let swap_maj_operand (program : Rram.Program.t) k =
+  let seen = ref (-1) in
+  let swap = function
+    | Rram.Isa.Maj_pulse { p; q; dst } ->
+        incr seen;
+        if !seen = k then Rram.Isa.Maj_pulse { p = q; q = p; dst }
+        else Rram.Isa.Maj_pulse { p; q; dst }
+    | m -> m
+  in
+  { program with Rram.Program.steps = List.map (List.map swap) program.Rram.Program.steps }
+
+(* The mutants of the first MAJ pulses must each get the oracle's exact
+   answer, and at least one of them must be caught. *)
+let check_mutants ~name ~verify ~oracle program =
+  let results =
+    List.init 6 (fun k ->
+        let m = swap_maj_operand program k in
+        let got = verify m in
+        Alcotest.check verdict (Printf.sprintf "%s mutant %d" name k) (oracle m) got;
+        got)
+  in
+  Alcotest.(check bool) (name ^ ": some mutant is caught") true
+    (List.exists Result.is_error results)
+
+let lanes_tests =
+  let open Alcotest in
+  [
+    test_case "a second write in a step sees the first" `Quick (fun () ->
+        (* Step 2 latches p = r0 = 1, resets r0, then IMP reads r0 = 0 as its
+           write lands: r0 <- not 1 or 0 = 0. *)
+        let program =
+          {
+            Rram.Program.num_inputs = 0;
+            num_regs = 1;
+            steps =
+              [
+                [ Rram.Isa.Imp { src = 0; dst = 0 } ];
+                [ Rram.Isa.Reset 0; Rram.Isa.Imp { src = 0; dst = 0 } ];
+              ];
+            outputs = [| Rram.Isa.Reg 0 |];
+          }
+        in
+        check (array bool) "Interp.run" [| false |] (Rram.Interp.run program [||]);
+        check (array int) "run_lanes" [| 0 |] (Rram.Interp.run_lanes program ~lanes:5 [||]));
+    test_case "rd53 programs agree lane by lane" `Quick (fun () ->
+        let rng = Prng.create 53 in
+        List.iter
+          (fun (name, program) ->
+            List.iter
+              (fun lanes ->
+                check bool
+                  (Printf.sprintf "%s, %d lanes" name lanes)
+                  true
+                  (lanes_agree program ~lanes (random_words rng 5)))
+              lane_counts)
+          (rd53_programs ()));
+    test_case "bad lane and input counts are rejected" `Quick (fun () ->
+        let _, program = List.hd (rd53_programs ()) in
+        let run = Rram.Interp.run_lanes program in
+        check_raises "0 lanes" (Invalid_argument "Interp.run_lanes: lanes") (fun () ->
+            ignore (run ~lanes:0 (Array.make 5 0)));
+        check_raises "too many lanes" (Invalid_argument "Interp.run_lanes: lanes")
+          (fun () -> ignore (run ~lanes:(Sys.int_size + 1) (Array.make 5 0)));
+        check_raises "input count" (Invalid_argument "Interp.run_lanes: input count")
+          (fun () -> ignore (run ~lanes:1 (Array.make 4 0))));
+    test_case "counters and histograms count vectors" `Quick (fun () ->
+        (* 63 vectors through the kernel record exactly what 63 runs of
+           Interp.run record; only the span count differs. *)
+        let _, program = List.nth (rd53_programs ()) 1 in
+        let words = random_words (Prng.create 7) 5 in
+        let snapshot f =
+          Obs.reset ();
+          Obs.set_enabled true;
+          Fun.protect ~finally:(fun () -> Obs.set_enabled false) f;
+          let h name = Obs.histogram_buckets (Obs.histogram name) in
+          ( List.filter
+              (fun (n, _) -> String.starts_with ~prefix:"rram.interp/" n)
+              (Obs.counters ()),
+            h "rram.interp/micro_ops_per_step",
+            h "rram.interp/writes_per_device" )
+        in
+        let per_vector =
+          snapshot (fun () ->
+              for j = 0 to Sys.int_size - 1 do
+                ignore (Rram.Interp.run program (lane_vector words j))
+              done)
+        in
+        let lanes =
+          snapshot (fun () ->
+              ignore (Rram.Interp.run_lanes program ~lanes:Sys.int_size words))
+        in
+        Obs.reset ();
+        check bool "identical counters and histograms" true (per_vector = lanes));
+  ]
+
+let lanes_props =
+  [
+    QCheck.Test.make ~name:"random unvalidated programs: run_lanes = run on every lane"
+      ~count:300
+      (QCheck.make QCheck.Gen.(int_bound 1_000_000))
+      (fun seed ->
+        let rng = Prng.create seed in
+        let program = random_program rng in
+        List.for_all
+          (fun lanes ->
+            lanes_agree program ~lanes (random_words rng program.Rram.Program.num_inputs))
+          lane_counts);
+  ]
+
+let verify_tests =
+  let open Alcotest in
+  let boundary n =
+    test_case (Printf.sprintf "n = %d: result and message match the oracle" n) `Quick
+      (fun () ->
+        let net = Funcgen.parity n in
+        let program =
+          (Rram.Compile_mig.compile Core.Rram_cost.Imp (Core.Mig_of_network.convert net))
+            .Rram.Compile_mig.program
+        in
+        check verdict "correct program" (Ok ()) (Rram.Verify.against_network program net);
+        (* Exhaustively the AND differs from 0 on the last vector (lane 0 of
+           the chunk after the last full word for n = 6 and 12); on seeded
+           vectors, on the all-one corner. *)
+        let program, _, zero = and_vs_zero n in
+        let want = oracle_network program zero in
+        check bool "the oracle sees the mismatch" true (Result.is_error want);
+        check verdict "mismatch message" want (Rram.Verify.against_network program zero))
+  in
+  List.map boundary [ 6; 12; 13 ]
+  @ [
+      test_case "vector counts at the boundaries" `Quick (fun () ->
+          List.iter
+            (fun (n, count) ->
+              check int (Printf.sprintf "n = %d" n) count
+                (List.length (Rram.Verify.vectors n)))
+            [ (6, 64); (12, 4096); (13, 258) ]);
+      test_case "serial MAJ mutants, 13 inputs, seeded vectors" `Quick (fun () ->
+          let mig = Core.Mig_of_network.convert (Funcgen.rd 13 4) in
+          let program = (Rram.Compile_mig.compile Core.Rram_cost.Maj mig).Rram.Compile_mig.program in
+          check_mutants ~name:"rd13 4"
+            ~verify:(fun p -> Rram.Verify.against_mig ~seed:7 p mig)
+            ~oracle:(fun p -> oracle_mig ~seed:7 p mig)
+            program);
+      test_case "crossbar mutants, 12 inputs, exhaustive" `Quick (fun () ->
+          let net = Funcgen.comparator 6 in
+          let mig = Core.Mig_of_network.convert net in
+          let r = Core.Rram_cost.Maj in
+          match Rram.Compile_crossbar.compile ~arch:(Rram.Compile_crossbar.fit r mig) r mig with
+          | Error e -> fail e
+          | Ok c ->
+              check int "inputs" 12 (Network.num_inputs net);
+              check_mutants ~name:"comparator 6"
+                ~verify:(fun p -> Rram.Verify.against_network p net)
+                ~oracle:(fun p -> oracle_network p net)
+                c.Rram.Compile_crossbar.program);
+      test_case "input and output count mismatches" `Quick (fun () ->
+          let net = Funcgen.rd 5 3 in
+          let mig = Core.Mig_of_network.convert net in
+          let program = (Rram.Compile_mig.compile Core.Rram_cost.Maj mig).Rram.Compile_mig.program in
+          let narrow = { program with Rram.Program.num_inputs = 4 } in
+          check verdict "network" (Error "input count mismatch")
+            (Rram.Verify.against_network narrow net);
+          check verdict "MIG" (Error "input count mismatch") (Rram.Verify.against_mig narrow mig);
+          let fewer =
+            { program with Rram.Program.outputs = Array.sub program.Rram.Program.outputs 0 2 }
+          in
+          check verdict "fewer outputs, network" (oracle_network fewer net)
+            (Rram.Verify.against_network fewer net);
+          check verdict "fewer outputs, MIG" (oracle_mig fewer mig)
+            (Rram.Verify.against_mig fewer mig);
+          check verdict "the message" (Error "mismatch on input 00000: program 00, reference 000")
+            (Rram.Verify.against_mig fewer mig));
+    ]
+
 let () =
   Alcotest.run "rram"
     [
@@ -901,4 +1192,7 @@ let () =
       ("fault-semantics", fault_semantics_tests);
       ("tmr", tmr_tests);
       ("interp-trace", interp_trace_tests);
+      ("lanes", lanes_tests);
+      ("lanes-props", List.map QCheck_alcotest.to_alcotest lanes_props);
+      ("verify", verify_tests);
     ]
