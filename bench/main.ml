@@ -1,33 +1,38 @@
 (* Benchmark harness: regenerates every table of the paper's evaluation
-   section (§IV) and times the flows with Bechamel.
+   section (§IV).
 
    Sections:
      1. Table I   — cost-model cross-check (formula vs executed programs)
      2. Table II  — the six optimization columns over the 25-benchmark suite
      3. Table III — comparison with the BDD flow [11] and the AIG flow [12]
      4. §IV-A     — runtime claim ("each algorithm < 3 s for the whole set")
-     5. Bechamel  — one Test.make per table
+
+   Timing numbers come from perfbench (perfbench/run.py); this harness
+   records quality only, apart from the §IV-A lines it prints.
 
    EFFORT (env var) overrides the paper's effort = 40.
    --json [FILE] additionally writes a machine-readable per-benchmark
-   summary (default FILE: BENCH_results.json); CI uploads it as an
-   artifact.
+   summary (default FILE: BENCH_results.json) and the BENCH_opt.json
+   quality golden; CI compares both exactly.
    --jobs N fans the per-circuit work of each table over N domains
-   (default 1 — the stable-timing baseline).  Row content is bit-identical
-   to the sequential run except for the wall-time fields; only the
-   elapsed time changes (DESIGN.md §11).
+   (default 1).  Every written document is identical to the sequential
+   run's (DESIGN.md §11).
    --ledger FILE (or $MIGSYN_LEDGER) appends a migsyn-run/1 manifest of
-   the whole harness run — effort, jobs, table timings, the per-cell
-   BENCH_opt measurements and the aggregated span tree — to a JSON-lines
-   run ledger, comparable across runs with `migsyn report`. *)
+   the whole harness run — effort, jobs, row counts and the aggregated
+   span tree — to a JSON-lines run ledger, comparable across runs with
+   `migsyn report`. *)
 
-open Bechamel
-open Toolkit
+let die msg =
+  prerr_endline ("bench: " ^ msg);
+  exit 1
 
 let effort =
   match Sys.getenv_opt "EFFORT" with
-  | Some v -> int_of_string v
   | None -> Core.Mig_opt.default_effort
+  | Some v -> (
+      match int_of_string_opt v with
+      | Some n when n >= 0 -> n
+      | _ -> die "EFFORT expects a non-negative integer")
 
 let json_path =
   let rec scan = function
@@ -44,7 +49,8 @@ let jobs =
     | "--jobs" :: n :: _ -> (
         match int_of_string_opt n with
         | Some n when n >= 1 -> n
-        | _ -> failwith "bench: --jobs expects a positive integer")
+        | _ -> die "--jobs expects a positive integer")
+    | [ "--jobs" ] -> die "--jobs expects a positive integer"
     | _ :: rest -> scan rest
   in
   scan (Array.to_list Sys.argv)
@@ -53,7 +59,7 @@ let ledger_path =
   let rec scan = function
     | [] -> Sys.getenv_opt "MIGSYN_LEDGER"
     | "--ledger" :: p :: _ when String.length p > 0 && p.[0] <> '-' -> Some p
-    | "--ledger" :: _ -> failwith "bench: --ledger expects a file path"
+    | "--ledger" :: _ -> die "--ledger expects a file path"
     | _ :: rest -> scan rest
   in
   scan (Array.to_list Sys.argv)
@@ -84,11 +90,6 @@ let custom_flows =
 let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
 
-let wall f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
 let () =
   Printf.printf "MIG-based RRAM synthesis — evaluation harness (effort = %d, jobs = %d)\n"
     effort jobs;
@@ -106,21 +107,17 @@ let () =
   Format.printf "%a@." Exp.Experiments.pp_table1_check ();
 
   section "Table II: optimization results (25 benchmarks, 6 columns)";
-  let t2, t2_time = wall (fun () -> Exp.Experiments.table2 ~effort ~jobs ()) in
+  let t2 = Exp.Experiments.table2 ~effort ~jobs () in
   Format.printf "%a@." Exp.Experiments.pp_table2 t2;
-  Printf.printf "(Table II computed in %.2f s — all six algorithms over the suite)\n" t2_time;
   Obs.Manifest.add_result "table2_rows" (Obs.Json.Int (List.length t2));
-  Obs.Manifest.add_result "table2_seconds" (Obs.Json.Float t2_time);
 
   section "Table III (left): MIG vs the BDD-based flow [11]";
-  let t3b, t3b_time = wall (fun () -> Exp.Experiments.table3_bdd ~effort ~jobs ()) in
-  Format.printf "%a@." Exp.Experiments.pp_table3_bdd t3b;
-  Printf.printf "(computed in %.2f s)\n" t3b_time;
+  Format.printf "%a@." Exp.Experiments.pp_table3_bdd
+    (Exp.Experiments.table3_bdd ~effort ~jobs ());
 
   section "Table III (right): MIG vs the AIG-based flow [12]";
-  let t3a, t3a_time = wall (fun () -> Exp.Experiments.table3_aig ~effort ~jobs ()) in
-  Format.printf "%a@." Exp.Experiments.pp_table3_aig t3a;
-  Printf.printf "(computed in %.2f s)\n" t3a_time;
+  Format.printf "%a@." Exp.Experiments.pp_table3_aig
+    (Exp.Experiments.table3_aig ~effort ~jobs ());
 
   section "End-to-end verification (device simulator vs source networks)";
   Par.map ~jobs
@@ -136,15 +133,12 @@ let () =
 
   section "Runtime claim (paper §IV-A: each algorithm < 3 s on the whole suite)";
   let time_algorithm name run =
-    let _, dt =
-      wall (fun () ->
-          List.iter
-            (fun e ->
-              let mig = Core.Mig_of_network.convert (e.Io.Benchmarks.build ()) in
-              ignore (run mig))
-            Io.Benchmarks.table2)
-    in
-    Printf.printf "  %-24s %.2f s (paper bound: < 3 s)\n%!" name dt
+    let t0 = Obs.now_ns () in
+    List.iter
+      (fun e -> ignore (run (Core.Mig_of_network.convert (e.Io.Benchmarks.build ()))))
+      Io.Benchmarks.table2;
+    Printf.printf "  %-24s %.2f s (paper bound: < 3 s)\n%!" name
+      (Int64.to_float (Int64.sub (Obs.now_ns ()) t0) /. 1e9)
   in
   time_algorithm "area (Alg. 1)" (Core.Mig_opt.area ~effort);
   time_algorithm "depth (Alg. 2)" (Core.Mig_opt.depth ~effort);
@@ -164,15 +158,14 @@ let () =
   | None -> ()
   | Some path ->
       section "JSON export (--json)";
-      let flows = Exp.Experiments.default_flows ~effort () @ custom_flows in
-      let rows, dt = wall (fun () -> Exp.Experiments.profile ~effort ~flows ~jobs ()) in
-      Obs.write_json path (Exp.Experiments.profile_json ~effort ~elapsed_seconds:dt rows);
-      Printf.printf "  wrote %s (%d benchmarks, per-algorithm wall times; %.2f s)\n" path
-        (List.length rows) dt;
-      (* Per-algorithm wall times on the largest bundled and generated
-         circuits: the perf-regression smoke for the incremental analysis
-         core.  The committed BENCH_opt.json is the local baseline; CI
-         regenerates it (at its own EFFORT) and uploads it as an artifact. *)
+      let paper_flows = Exp.Experiments.default_flows ~effort () in
+      let rows = Exp.Experiments.profile ~effort ~flows:(paper_flows @ custom_flows) ~jobs () in
+      Obs.write_json path (Exp.Experiments.profile_json ~effort rows);
+      Printf.printf "  wrote %s (%d benchmarks)\n" path (List.length rows);
+      (* The quality golden on the largest bundled and generated circuits:
+         each flow's result size, depth and Table I costs, plus the crossbar
+         backend's measured devices and latency.  CI regenerates it at
+         EFFORT=2 and compares it exactly with the committed BENCH_opt.json. *)
       let opt_path = "BENCH_opt.json" in
       let bundled =
         List.filter_map
@@ -190,42 +183,36 @@ let () =
         ]
       in
       (* The large-N tier: seeded Io.Gen synthetics at 10^4 and 10^5 gates.
-         These rows are what catches an accidentally reintroduced quadratic
-         hot path — on bundled circuits (hundreds of gates) an O(n^2) walk
-         is invisible, at 10^5 it is the whole runtime.  The 10^4 tier runs
-         the five paper algorithms; the 10^5 tier runs only the canonical
-         area flow to keep the harness bounded. *)
+         The 10^4 tier runs the five paper algorithms and the crossbar
+         backend; the 10^5 tier runs only the canonical area flow to keep
+         the harness bounded. *)
       let scale_build gates () =
         Core.Mig_of_network.convert
           (Io.Gen.scale_network ~name:(Printf.sprintf "scale%d" gates) ~gates ())
       in
-      let algorithms =
-        [
-          ("area", fun m -> ignore (Core.Mig_opt.area ~effort m));
-          ("depth", fun m -> ignore (Core.Mig_opt.depth ~effort m));
-          ("rram-imp", fun m -> ignore (Core.Mig_opt.rram_costs ~effort Core.Rram_cost.Imp m));
-          ("rram-maj", fun m -> ignore (Core.Mig_opt.rram_costs ~effort Core.Rram_cost.Maj m));
-          ("steps", fun m -> ignore (Core.Mig_opt.steps ~effort m));
-          (* Wave scheduling on the fitted geometry: times the crossbar
-             backend itself (fit = one unbounded-column scheduling pass,
-             then the real compile), not the optimization in front of it. *)
-          ( "crossbar-maj",
-            fun m ->
-              let arch = Rram.Compile_crossbar.fit Core.Rram_cost.Maj m in
-              ignore (Rram.Compile_crossbar.compile ~arch Core.Rram_cost.Maj m) );
-        ]
-        @ List.map
-            (fun spec ->
-              (spec.Exp.Experiments.flow_name, fun m -> ignore (Exp.Experiments.run_flow spec m)))
-            custom_flows
+      let flow_cell spec =
+        ( spec.Exp.Experiments.flow_name,
+          fun m -> Exp.Experiments.(alg_result_fields (measure spec m)) )
       in
-      let paper_algorithms =
-        List.filter (fun (alg, _) -> not (String.contains alg '/')) algorithms
+      (* Wave scheduling on the fitted geometry (fit = one unbounded-column
+         scheduling pass, then the real compile) of the unoptimized MIG. *)
+      let crossbar_maj m =
+        let arch = Rram.Compile_crossbar.fit Core.Rram_cost.Maj m in
+        match Rram.Compile_crossbar.compile ~arch Core.Rram_cost.Maj m with
+        | Error msg -> failwith ("bench: crossbar-maj: " ^ msg)
+        | Ok r ->
+            let t = r.Rram.Compile_crossbar.measured in
+            [
+              ("algorithm", Obs.Json.String "crossbar-maj");
+              ("devices", Obs.Json.Int t.Core.Rram_cost.devices);
+              ("latency", Obs.Json.Int t.Core.Rram_cost.latency);
+            ]
       in
+      let paper_algorithms = List.map flow_cell paper_flows @ [ ("crossbar-maj", crossbar_maj) ] in
+      let algorithms = paper_algorithms @ List.map flow_cell custom_flows in
       let area_only = List.filter (fun (alg, _) -> alg = "area") algorithms in
-      (* One pool task per (circuit, algorithm) cell, in the same order the
-         sequential concat_map produced — Par.map keeps that order, so the
-         row list differs from a --jobs 1 run only in the "seconds" field. *)
+      (* One pool task per (circuit, algorithm) cell; Par.map keeps the
+         sequential order, so the document is the same for every --jobs. *)
       let tiers =
         List.map (fun (c, b) -> (c, b, algorithms)) (bundled @ generated)
         @ [
@@ -235,46 +222,28 @@ let () =
       in
       let cells =
         List.concat_map
-          (fun (circuit, build, algs) ->
-            List.map (fun (alg, run) -> (circuit, build, alg, run)) algs)
+          (fun (circuit, build, algs) -> List.map (fun (_, run) -> (circuit, build, run)) algs)
           tiers
       in
-      let opt_rows, opt_dt =
-        wall (fun () ->
-            Par.map ~jobs
-              (fun (circuit, build, alg, run) ->
-                let gates = Core.Mig.size (build ()) in
-                let _, dt = wall (fun () -> run (build ())) in
-                Obs.Json.Assoc
-                  [
-                    ("circuit", Obs.Json.String circuit);
-                    ("gates", Obs.Json.Int gates);
-                    ("algorithm", Obs.Json.String alg);
-                    ("seconds", Obs.Json.Float dt);
-                  ])
-              cells)
+      let opt_rows =
+        Par.map ~jobs
+          (fun (circuit, build, run) ->
+            let mig = build () in
+            Obs.Json.Assoc
+              (("circuit", Obs.Json.String circuit)
+              :: ("gates", Obs.Json.Int (Core.Mig.size mig))
+              :: run mig))
+          cells
       in
       Obs.write_json opt_path
         (Obs.Json.Assoc
            [
-             ("schema", Obs.Json.String "migsyn-bench-opt/1");
+             ("schema", Obs.Json.String "migsyn-bench-opt/2");
              ("effort", Obs.Json.Int effort);
              ("rows", Obs.Json.List opt_rows);
            ]);
-      Printf.printf
-        "  wrote %s (%d rows: optimization wall times on the largest circuits; %.2f s)\n"
-        opt_path (List.length opt_rows) opt_dt;
-      (* Mirror the BENCH_opt cells into the run manifest so a ledgered
-         harness run is directly comparable to the committed baseline. *)
-      List.iter
-        (fun row ->
-          let s k =
-            match Obs.Json.member k row with Obs.Json.String s -> s | _ -> ""
-          in
-          Obs.Manifest.add_result
-            (Printf.sprintf "opt.%s.%s.seconds" (s "circuit") (s "algorithm"))
-            (Obs.Json.member "seconds" row))
-        opt_rows);
+      Printf.printf "  wrote %s (%d cells: quality on the largest circuits)\n" opt_path
+        (List.length opt_rows));
 
   section "Ablations (design-choice studies; see DESIGN.md)";
   let pick name = Option.get (Io.Benchmarks.find name) in
@@ -400,62 +369,11 @@ let () =
     List.filter_map Io.Benchmarks.find
       [ "5xp1"; "alu4"; "b9"; "clip"; "cordic"; "t481" ]
   in
-  let xbar, xbar_time =
-    wall (fun () -> Exp.Crossbar.run ~effort ~jobs ~entries:xbar_entries ())
-  in
+  let xbar = Exp.Crossbar.run ~effort ~jobs ~entries:xbar_entries () in
   Format.printf "%a" Exp.Crossbar.pp xbar;
-  Printf.printf "(crossbar sweep computed in %.2f s; full suite: migsyn crossbar)\n"
-    xbar_time;
+  Printf.printf "(full suite: migsyn crossbar)\n";
   Obs.Manifest.add_result "crossbar_rows"
     (Obs.Json.Int (List.length xbar.Exp.Crossbar.rows));
-  Obs.Manifest.add_result "crossbar_seconds" (Obs.Json.Float xbar_time);
-
-  section "Bechamel micro-benchmarks (one per table)";
-  let table1_test =
-    Test.make ~name:"table1/maj-gate-compile+execute"
-      (Staged.stage (fun () ->
-           let mig = Core.Mig.create () in
-           let a = Core.Mig.add_pi mig in
-           let b = Core.Mig.add_pi mig in
-           let c = Core.Mig.add_pi mig in
-           ignore (Core.Mig.add_po mig (Core.Mig.maj mig a b c));
-           let r = Rram.Compile_mig.compile Core.Rram_cost.Maj mig in
-           Rram.Interp.run r.Rram.Compile_mig.program [| true; false; true |]))
-  in
-  let alu4 = (Option.get (Io.Benchmarks.find "alu4")).Io.Benchmarks.build () in
-  let alu4_mig = Core.Mig_of_network.convert alu4 in
-  let table2_test =
-    Test.make ~name:"table2/steps-optimization-alu4"
-      (Staged.stage (fun () -> Core.Mig_opt.steps ~effort:10 alu4_mig))
-  in
-  let b9 = (Option.get (Io.Benchmarks.find "b9")).Io.Benchmarks.build () in
-  let b9_perm = Bdd_lib.Bdd_order.order Bdd_lib.Bdd_order.Dfs b9 in
-  let table3_bdd_test =
-    Test.make ~name:"table3/bdd-flow-b9"
-      (Staged.stage (fun () ->
-           Rram.Compile_bdd.compile (Bdd_lib.Bdd_of_network.build ~perm:b9_perm b9)))
-  in
-  let rd73 = Logic.Funcgen.rd 7 3 in
-  let table3_aig_test =
-    Test.make ~name:"table3/aig-flow-rd73"
-      (Staged.stage (fun () ->
-           Rram.Compile_aig.compile (Aig_lib.Aig_of_network.convert rd73)))
-  in
-  let tests = [ table1_test; table2_test; table3_bdd_test; table3_aig_test ] in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~stabilize:false () in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-  List.iter
-    (fun test ->
-      let raw = Benchmark.all cfg instances test in
-      let results = Analyze.all ols (List.hd instances) raw in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some [ est ] -> Printf.printf "  %-40s %12.0f ns/run\n" name est
-          | _ -> Printf.printf "  %-40s (no estimate)\n" name)
-        results)
-    tests;
   (match ledger_path with
   | None -> ()
   | Some path ->

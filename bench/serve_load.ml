@@ -12,11 +12,10 @@
 
    The driver asserts the daemon's request and cache counters against the
    closed-form expectations (any drift is a caching or batching bug and
-   exits 1), then writes a migsyn-serve-bench/1 document (default
-   BENCH_serve.json) with the deterministic mix counts plus throughput and
-   client-side latency quantiles.  Wall-clock fields are named *_seconds /
-   *_rps so `migsyn report` treats them as noisy or they are --ignore'd;
-   everything else must reproduce bit-exactly.
+   exits 1), then writes a migsyn-serve-bench/2 document (default
+   BENCH_serve.json) of deterministic mix counts and daemon counters that
+   must reproduce bit-exactly.  It records no timings: perfbench's
+   serve-mix workload is the daemon's latency and throughput benchmark.
 
    Usage: serve_load.exe [--socket PATH] [--json FILE] [--requests N]
                          [--clients N] [--jobs N] *)
@@ -132,13 +131,6 @@ let check_ok label json =
     failwith
       (Printf.sprintf "serve_load: %s answered %s" label (Json.to_string json))
 
-let seconds_since t0 = Int64.to_float (Int64.sub (Obs.now_ns ()) t0) /. 1e9
-
-let quantile sorted q =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else sorted.(int_of_float (q *. float_of_int (n - 1) +. 0.5))
-
 (* ---------------- the run ---------------- *)
 
 let () =
@@ -168,32 +160,22 @@ let () =
     classes;
 
   (* load: [clients] domains replay repeats + uniques + error lines *)
-  let t_load = Obs.now_ns () in
   let worker w =
     let conn = Serve.Client.connect socket_path in
-    let lat = ref [] in
-    let by_class = Array.make n_classes [] in
+    let by_class = Array.make n_classes 0 in
     (* repeats: global indices w, w+clients, ... -> class (i mod n_classes) *)
     let i = ref w in
     while !i < requests do
       let c = !i mod n_classes in
-      let t0 = Obs.now_ns () in
-      let resp = Serve.Client.rpc conn (Json.of_string class_lines.(c)) in
-      let dt = seconds_since t0 in
-      check_ok class_names.(c) resp;
-      lat := dt :: !lat;
-      by_class.(c) <- dt :: by_class.(c);
+      check_ok class_names.(c) (Serve.Client.rpc conn (Json.of_string class_lines.(c)));
+      by_class.(c) <- by_class.(c) + 1;
       i := !i + clients
     done;
     (* uniques: one-off circuits, each a miss *)
     let u = ref w in
     while !u < unique do
       let line = encode (unique_request !u) in
-      let t0 = Obs.now_ns () in
-      let resp = Serve.Client.rpc conn (Json.of_string line) in
-      let dt = seconds_since t0 in
-      check_ok (Printf.sprintf "load%04d" !u) resp;
-      lat := dt :: !lat;
+      check_ok (Printf.sprintf "load%04d" !u) (Serve.Client.rpc conn (Json.of_string line));
       u := !u + clients
     done;
     (* errors: the daemon must answer structured envelopes and stay up *)
@@ -208,11 +190,10 @@ let () =
       e := !e + clients
     done;
     Serve.Client.close conn;
-    (!lat, by_class)
+    by_class
   in
   let domains = List.init clients (fun w -> Domain.spawn (fun () -> worker w)) in
   let results = List.map Domain.join domains in
-  let load_seconds = seconds_since t_load in
 
   (* totals from the daemon, then shut it down *)
   let metrics =
@@ -249,30 +230,17 @@ let () =
   expect "cache.coalesced" (geti cache "coalesced") 0;
   expect "cache.evictions" (geti cache "evictions") 0;
 
-  (* latency quantiles over every timed load request *)
-  let all = Array.of_list (List.concat_map fst results) in
-  Array.sort compare all;
-  let mean =
-    if Array.length all = 0 then 0.0
-    else Array.fold_left ( +. ) 0.0 all /. float_of_int (Array.length all)
-  in
   let per_class c =
-    let samples =
-      List.concat_map (fun (_, by) -> by.(c)) results |> Array.of_list
-    in
-    Array.sort compare samples;
     Json.Assoc
       [
         ("class", Json.String class_names.(c));
-        ("requests", Json.Int (Array.length samples));
-        ("p50_seconds", Json.Float (quantile samples 0.5));
-        ("p99_seconds", Json.Float (quantile samples 0.99));
+        ("requests", Json.Int (List.fold_left (fun n by -> n + by.(c)) 0 results));
       ]
   in
   let doc =
     Json.Assoc
       [
-        ("schema", Json.String "migsyn-serve-bench/1");
+        ("schema", Json.String "migsyn-serve-bench/2");
         ("classes", Json.Int n_classes);
         ("requests", Json.Int (geti counters "total"));
         ("repeats", Json.Int requests);
@@ -290,32 +258,10 @@ let () =
               ("coalesced", Json.Int (geti cache "coalesced"));
               ("evictions", Json.Int (geti cache "evictions"));
             ] );
-        ( "throughput_rps",
-          Json.Float
-            (float_of_int (requests + unique + errors_sent) /. load_seconds) );
-        ( "latency",
-          Json.Assoc
-            [
-              ("p50_seconds", Json.Float (quantile all 0.5));
-              ("p90_seconds", Json.Float (quantile all 0.9));
-              ("p99_seconds", Json.Float (quantile all 0.99));
-              ("mean_seconds", Json.Float mean);
-              ( "max_seconds",
-                Json.Float
-                  (if Array.length all = 0 then 0.0
-                   else all.(Array.length all - 1)) );
-            ] );
         ("mix", Json.List (List.init n_classes per_class));
       ]
   in
   Obs.write_json json_path doc;
-  Printf.printf
-    "serve_load: %d requests over %d clients: %.0f req/s, p50 %.2f ms, p90 %.2f \
-     ms, p99 %.2f ms (hits=%d misses=%d) -> %s\n"
+  Printf.printf "serve_load: %d requests over %d clients (hits=%d misses=%d) -> %s\n"
     (requests + unique + errors_sent)
-    clients
-    (float_of_int (requests + unique + errors_sent) /. load_seconds)
-    (1000.0 *. quantile all 0.5)
-    (1000.0 *. quantile all 0.9)
-    (1000.0 *. quantile all 0.99)
-    (geti cache "hits") (geti cache "misses") json_path
+    clients (geti cache "hits") (geti cache "misses") json_path

@@ -1334,8 +1334,8 @@ let report_cmd =
       & info [ "ignore" ] ~docv:"METRIC"
           ~doc:
             "Drop this metric from the comparison (repeatable), e.g. \
-             $(b,--ignore seconds) when diffing a parallel run against a \
-             sequential one for determinism only.")
+             $(b,--ignore total_ns) to gate a run ledger on its \
+             deterministic rows only.")
   in
   let md_arg =
     Arg.(

@@ -291,14 +291,18 @@ let default_flows ?effort () =
 let run_flow spec mig =
   Core.Mig_flows.run ~name:spec.flow_name (Core.Mig_flows.parse_exn spec.script) mig
 
-type timed_alg = {
-  flow : flow_spec;
-  size : int;
-  depth : int;
-  imp : cost;
-  maj : cost;
-  seconds : float;
-}
+type alg_result = { flow : flow_spec; size : int; depth : int; imp : cost; maj : cost }
+
+let measure flow mig =
+  let optimized = run_flow flow mig in
+  let size, depth = Core.Mig_passes.size_and_depth optimized in
+  {
+    flow;
+    size;
+    depth;
+    imp = Core.Rram_cost.of_mig Core.Rram_cost.Imp optimized;
+    maj = Core.Rram_cost.of_mig Core.Rram_cost.Maj optimized;
+  }
 
 type profile_row = {
   bench : string;
@@ -306,7 +310,7 @@ type profile_row = {
   exact : bool;
   initial_size : int;
   initial_depth : int;
-  algs : timed_alg list;
+  algs : alg_result list;
 }
 
 let profile_row ?effort ?flows (e : Io.Benchmarks.entry) =
@@ -314,30 +318,13 @@ let profile_row ?effort ?flows (e : Io.Benchmarks.entry) =
   let flows = match flows with Some fs -> fs | None -> default_flows ?effort () in
   let mig = Core.Mig_of_network.convert (e.Io.Benchmarks.build ()) in
   let initial_size, initial_depth = Core.Mig_passes.size_and_depth mig in
-  let algs =
-    List.map
-      (fun flow ->
-        let t0 = Obs.now_ns () in
-        let optimized = run_flow flow mig in
-        let seconds = Int64.to_float (Int64.sub (Obs.now_ns ()) t0) /. 1e9 in
-        let size, depth = Core.Mig_passes.size_and_depth optimized in
-        {
-          flow;
-          size;
-          depth;
-          imp = Core.Rram_cost.of_mig Core.Rram_cost.Imp optimized;
-          maj = Core.Rram_cost.of_mig Core.Rram_cost.Maj optimized;
-          seconds;
-        })
-      flows
-  in
   {
     bench = e.Io.Benchmarks.name;
     inputs = e.Io.Benchmarks.inputs;
     exact = e.Io.Benchmarks.exact;
     initial_size;
     initial_depth;
-    algs;
+    algs = List.map (fun flow -> measure flow mig) flows;
   }
 
 let profile ?effort ?flows ?(jobs = 1) ?(entries = Io.Benchmarks.table2) () =
@@ -350,13 +337,23 @@ let cost_json (c : cost) =
       ("steps", Obs.Json.Int c.Core.Rram_cost.steps);
     ]
 
-let profile_json ~effort ~elapsed_seconds rows =
+let alg_result_fields (a : alg_result) =
+  let open Obs.Json in
+  [
+    ("algorithm", String a.flow.flow_name);
+    ("script", String a.flow.script);
+    ("size", Int a.size);
+    ("depth", Int a.depth);
+    ("imp", cost_json a.imp);
+    ("maj", cost_json a.maj);
+  ]
+
+let profile_json ~effort rows =
   let open Obs.Json in
   Assoc
     [
-      ("schema", String "migsyn-bench/2");
+      ("schema", String "migsyn-bench/3");
       ("effort", Int effort);
-      ("elapsed_seconds", Float elapsed_seconds);
       ( "benchmarks",
         List
           (List.map
@@ -370,21 +367,7 @@ let profile_json ~effort ~elapsed_seconds rows =
                      Assoc
                        [ ("size", Int r.initial_size); ("depth", Int r.initial_depth) ]
                    );
-                   ( "algorithms",
-                     List
-                       (List.map
-                          (fun (a : timed_alg) ->
-                            Assoc
-                              [
-                                ("algorithm", String a.flow.flow_name);
-                                ("script", String a.flow.script);
-                                ("size", Int a.size);
-                                ("depth", Int a.depth);
-                                ("imp", cost_json a.imp);
-                                ("maj", cost_json a.maj);
-                                ("seconds", Float a.seconds);
-                              ])
-                          r.algs) );
+                   ("algorithms", List (List.map (fun a -> Assoc (alg_result_fields a)) r.algs));
                  ])
              rows) );
     ]

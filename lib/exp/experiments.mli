@@ -85,14 +85,17 @@ val run_flow : flow_spec -> Core.Mig.t -> Core.Mig.t
 (** Parse and run a flow on a MIG.  @raise Invalid_argument on a script
     error (the CLI validates scripts before reaching this). *)
 
-type timed_alg = {
+type alg_result = {
   flow : flow_spec;  (** the pipeline this row measured *)
   size : int;  (** MIG gate count after the flow *)
   depth : int;  (** MIG depth after the flow *)
   imp : cost;
   maj : cost;
-  seconds : float;  (** wall time of this optimization run (monotonic clock) *)
 }
+
+val measure : flow_spec -> Core.Mig.t -> alg_result
+(** Run one flow on a MIG and record the result's size, depth and Table I
+    costs under both realizations. *)
 
 type profile_row = {
   bench : string;
@@ -100,7 +103,7 @@ type profile_row = {
   exact : bool;
   initial_size : int;
   initial_depth : int;
-  algs : timed_alg list;  (** one entry per flow, in the given order *)
+  algs : alg_result list;  (** one entry per flow, in the given order *)
 }
 
 val profile_row : ?effort:int -> ?flows:flow_spec list -> Io.Benchmarks.entry -> profile_row
@@ -112,18 +115,21 @@ val profile :
   ?entries:Io.Benchmarks.entry list ->
   unit ->
   profile_row list
-(** Per-benchmark before/after shape and per-flow wall time over [entries]
+(** Per-benchmark before/after shape and per-flow {!measure} over [entries]
     (default: the Table II suite) — the machine-readable counterpart of
     [table2], used by [bench --json].  [flows] defaults to {!default_flows};
-    extra named custom flows appear as additional rows, distinguishable in
-    the perf trajectory by their recorded name and script.  [jobs] (default
-    [1]) fans benchmarks out over a {!Par} pool; rows are identical to the
-    sequential run except for the [seconds] wall-time fields. *)
+    extra named custom flows appear as additional rows, distinguishable by
+    their recorded name and script.  [jobs] (default [1]) fans benchmarks
+    out over a {!Par} pool; the rows are identical to the sequential run. *)
 
-val profile_json : effort:int -> elapsed_seconds:float -> profile_row list -> Obs.Json.t
+val alg_result_fields : alg_result -> (string * Obs.Json.t) list
+(** One flow's measurement as JSON members: [algorithm], [script], [size],
+    [depth], and the [imp] / [maj] costs as [{rrams, steps}]. *)
+
+val profile_json : effort:int -> profile_row list -> Obs.Json.t
 (** Serializes [profile] rows as the [BENCH_results.json] document
-    (schema ["migsyn-bench/2"]); every algorithm row records the flow's
-    name and script string. *)
+    (schema ["migsyn-bench/3"]); every algorithm row holds
+    {!alg_result_fields}. *)
 
 val verify_entry : ?effort:int -> Io.Benchmarks.entry -> (unit, string) result
 (** End-to-end check for one benchmark: optimize (multi-objective, MAJ),

@@ -15,9 +15,7 @@ type source = {
 }
 
 let noisy_metric name =
-  String.ends_with ~suffix:"seconds" name
-  || String.ends_with ~suffix:"_ns" name
-  || String.ends_with ~suffix:"_rps" name
+  String.ends_with ~suffix:"seconds" name || String.ends_with ~suffix:"_ns" name
 
 (* ------------------------------------------------------------------ *)
 (* Flattening documents into keyed rows                                *)
@@ -44,6 +42,14 @@ let pick_metrics names json =
       | _ -> None)
     names
 
+(* A Table I cost object [{rrams, steps}] under [label] becomes the
+   metrics [label_rrams] and [label_steps]. *)
+let cost_metrics label json =
+  List.filter_map
+    (fun key ->
+      Option.map (fun v -> (label ^ "_" ^ key, v)) (num_member key (Json.member label json)))
+    [ "rrams"; "steps" ]
+
 let bench_opt_rows json =
   let head = { r_key = [ "bench-opt" ]; r_metrics = pick_metrics [ "effort" ] json } in
   let rows =
@@ -51,7 +57,9 @@ let bench_opt_rows json =
       (fun r ->
         {
           r_key = [ "bench-opt"; str_member "circuit" r; str_member "algorithm" r ];
-          r_metrics = pick_metrics [ "gates"; "seconds" ] r;
+          r_metrics =
+            pick_metrics [ "gates"; "size"; "depth"; "devices"; "latency" ] r
+            @ cost_metrics "imp" r @ cost_metrics "maj" r;
         })
       (Json.to_list (Json.member "rows" json))
   in
@@ -144,13 +152,8 @@ let crossbar_rows json =
   in
   head :: rows
 
-let bench2_rows json =
-  let head =
-    {
-      r_key = [ "bench" ];
-      r_metrics = pick_metrics [ "effort"; "elapsed_seconds" ] json;
-    }
-  in
+let bench_rows json =
+  let head = { r_key = [ "bench" ]; r_metrics = pick_metrics [ "effort" ] json } in
   let rows =
     List.concat_map
       (fun b ->
@@ -170,19 +173,11 @@ let bench2_rows json =
         let alg_rows =
           List.map
             (fun a ->
-              let cost label j =
-                List.filter_map
-                  (fun key ->
-                    Option.map
-                      (fun v -> (label ^ "_" ^ key, v))
-                      (num_member key (Json.member label j)))
-                  [ "rrams"; "steps" ]
-              in
               {
                 r_key = [ "bench"; name; str_member "algorithm" a ];
                 r_metrics =
-                  pick_metrics [ "size"; "depth"; "seconds" ] a @ cost "imp" a
-                  @ cost "maj" a;
+                  pick_metrics [ "size"; "depth" ] a @ cost_metrics "imp" a
+                  @ cost_metrics "maj" a;
               })
             (Json.to_list (Json.member "algorithms" b))
         in
@@ -218,33 +213,16 @@ let serve_bench_rows json =
           (Json.member "totals" json);
     }
   in
-  let latency =
-    {
-      r_key = [ "serve-bench"; "latency" ];
-      r_metrics =
-        pick_metrics [ "throughput_rps" ] json
-        @ pick_metrics
-            [
-              "p50_seconds";
-              "p90_seconds";
-              "p99_seconds";
-              "mean_seconds";
-              "max_seconds";
-            ]
-            (Json.member "latency" json);
-    }
-  in
   let mix =
     List.map
       (fun m ->
         {
           r_key = [ "serve-bench"; str_member "class" m ];
-          r_metrics =
-            pick_metrics [ "requests"; "p50_seconds"; "p99_seconds" ] m;
+          r_metrics = pick_metrics [ "requests" ] m;
         })
       (Json.to_list (Json.member "mix" json))
   in
-  head :: totals :: latency :: mix
+  head :: totals :: mix
 
 (* Scalars become metrics under dotted names; structured values are kept
    as their compact JSON text so they still compare exactly. *)
@@ -336,11 +314,11 @@ let rows_of_json ~path json =
   let schema = str_member "schema" json in
   let rows =
     match schema with
-    | "migsyn-bench-opt/1" -> bench_opt_rows json
+    | "migsyn-bench-opt/2" -> bench_opt_rows json
     | "migsyn-montecarlo/1" -> montecarlo_rows json
     | "migsyn-crossbar/1" -> crossbar_rows json
-    | "migsyn-bench/2" -> bench2_rows json
-    | "migsyn-serve-bench/1" -> serve_bench_rows json
+    | "migsyn-bench/3" -> bench_rows json
+    | "migsyn-serve-bench/2" -> serve_bench_rows json
     | "migsyn-run/1" -> run_rows json
     | "" -> failwith (path ^ ": no \"schema\" member; not a comparable document")
     | s -> failwith (path ^ ": unsupported schema " ^ s)

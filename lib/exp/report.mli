@@ -8,13 +8,15 @@
       baseline, σ × arm for Monte-Carlo campaigns, span path for run
       manifests) so the same measurement is matched across runs whatever
       the file order;
-    - {e noisy} metrics (wall-clock derived: ["seconds"], ["wall_seconds"],
-      any ["*_ns"] or ["*_rps"]) compare under a relative threshold plus an
-      absolute floor, because timing jitter is not a regression;
-    - every other metric is {e exact}: gate counts, Table I costs,
-      Monte-Carlo outcomes and span call counts are deterministic, so any
-      difference is a real behavioral change and is flagged regardless of
-      direction.
+    - {e noisy} metrics (wall-clock derived: any ["*seconds"] or ["*_ns"];
+      only run manifests yield them, as the other documents either carry
+      no timer or have their [wall_seconds] skipped) compare under a
+      relative threshold plus an absolute floor, because timing jitter is
+      not a regression;
+    - every other metric is {e exact}: gate counts, depths, Table I costs,
+      crossbar devices and latency, Monte-Carlo outcomes, serve counters
+      and span call counts are deterministic, so any difference is a real
+      behavioral change and is flagged regardless of direction.
 
     A regression is: an exact mismatch, a noisy metric past the threshold
     in the slow direction, or a baseline row/metric missing from the
@@ -42,9 +44,10 @@ val noisy_metric : string -> bool
 
 val rows_of_json : path:string -> Obs.Json.t -> source
 (** Flatten one parsed document into comparable rows.  Supported schemas:
-    ["migsyn-bench-opt/1"], ["migsyn-montecarlo/1"], ["migsyn-crossbar/1"],
-    ["migsyn-bench/2"], ["migsyn-serve-bench/1"] and ["migsyn-run/1"].
-    @raise Failure on an unknown or missing schema. *)
+    ["migsyn-bench-opt/2"], ["migsyn-montecarlo/1"], ["migsyn-crossbar/1"],
+    ["migsyn-bench/3"], ["migsyn-serve-bench/2"] and ["migsyn-run/1"].
+    @raise Failure on an unknown or missing schema (earlier versions of
+    these schemas, which carried wall-clock fields, are unsupported). *)
 
 val load : string -> source
 (** Read [path] and flatten it: a single JSON document is dispatched on its
@@ -97,8 +100,8 @@ val compare :
     absolute floor in seconds (scaled to ns for [*_ns] metrics) below
     which noisy deltas are ignored — microsecond jitter on a microsecond
     pass is not signal.  [ignore_metrics] drops the named metrics from the
-    comparison entirely (e.g. [["seconds"]] when checking determinism of a
-    parallel run against a sequential one).
+    comparison entirely (e.g. [["total_ns"; "self_ns"]] when gating only
+    the deterministic rows of a run ledger).
     @raise Invalid_argument on a negative or non-finite threshold,
     min_time, or an unknown metric classification request. *)
 

@@ -3,7 +3,8 @@ module Json = Json
 let enabled_flag = ref false
 let set_enabled b = enabled_flag := b
 let enabled () = !enabled_flag
-let now_ns () = Monotonic_clock.now ()
+external now_ns : unit -> (int64[@unboxed]) = "migsyn_now_ns_byte" "migsyn_now_ns"
+  [@@noalloc]
 
 (* Trace timestamps are reported relative to this origin so they stay small
    and readable in trace viewers. *)

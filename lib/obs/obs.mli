@@ -14,8 +14,8 @@
     handle, and creation is allowed while disabled — only {e recording} is
     gated.
 
-    Timing uses the monotonic clock (CLOCK_MONOTONIC via bechamel's stub),
-    so spans are immune to wall-clock adjustments.
+    Timing uses the monotonic clock (CLOCK_MONOTONIC, read by a small C
+    stub in this library), so spans are immune to wall-clock adjustments.
 
     Two export formats:
     - {!chrome_trace_json}: the Chrome trace-event format (a JSON object

@@ -424,11 +424,9 @@ let experiment_tests =
             ]
         in
         let row = Exp.Experiments.profile_row ~flows entry in
-        check int "one timed entry per flow" 6
+        check int "one measured entry per flow" 6
           (List.length row.Exp.Experiments.algs);
-        let json =
-          Exp.Experiments.profile_json ~effort:1 ~elapsed_seconds:0.0 [ row ]
-        in
+        let json = Exp.Experiments.profile_json ~effort:1 [ row ] in
         let rec count_scripts = function
           | Obs.Json.Assoc kvs ->
               List.fold_left
@@ -443,7 +441,7 @@ let experiment_tests =
         match json with
         | Obs.Json.Assoc kvs ->
             check bool "schema bumped" true
-              (List.assoc "schema" kvs = Obs.Json.String "migsyn-bench/2")
+              (List.assoc "schema" kvs = Obs.Json.String "migsyn-bench/3")
         | _ -> fail "profile_json is not an object");
   ]
 

@@ -374,6 +374,46 @@ let span_tests =
         | _ -> Alcotest.fail "malformed line accepted");
   ]
 
+(* ------------------------------------------------------------------ *)
+(* The monotonic clock                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Whether [n] consecutive reads of [Obs.now_ns] never go backwards. *)
+let monotone_reads n =
+  let prev = ref (Obs.now_ns ()) in
+  let ok = ref true in
+  for _ = 1 to n do
+    let t = Obs.now_ns () in
+    if Int64.compare t !prev < 0 then ok := false;
+    prev := t
+  done;
+  !ok
+
+let clock_tests =
+  [
+    Alcotest.test_case "now_ns never decreases, main domain and pool worker" `Quick
+      (fun () ->
+        Alcotest.(check bool) "main domain" true (monotone_reads 100_000);
+        Alcotest.(check (list bool))
+          "pool worker" [ true ]
+          (Par.map ~jobs:2 monotone_reads [ 100_000 ]));
+    Alcotest.test_case "a span around a 10 ms sleep records >= 10^7 ns" `Quick
+      (fun () ->
+        with_obs_enabled @@ fun () ->
+        Obs.with_span "test/sleep" (fun () -> Unix.sleepf 0.01);
+        match Obs.span_tree () with
+        | [ n ] ->
+            Alcotest.(check bool)
+              "total_ns >= 10^7" true
+              (Int64.compare n.Obs.sn_total_ns 10_000_000L >= 0)
+        | _ -> Alcotest.fail "expected one root span");
+  ]
+
 let () =
   Alcotest.run "obs"
-    [ ("json", json_tests); ("obs", obs_tests); ("spans", span_tests) ]
+    [
+      ("json", json_tests);
+      ("obs", obs_tests);
+      ("spans", span_tests);
+      ("clock", clock_tests);
+    ]

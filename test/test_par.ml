@@ -153,18 +153,8 @@ let obs_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Parallel experiments == sequential experiments (modulo wall time)   *)
+(* Parallel experiments == sequential experiments                      *)
 (* ------------------------------------------------------------------ *)
-
-(* Zero out the only nondeterministic field so rows compare exactly. *)
-let detimed (row : Exp.Experiments.profile_row) =
-  {
-    row with
-    Exp.Experiments.algs =
-      List.map
-        (fun a -> { a with Exp.Experiments.seconds = 0.0 })
-        row.Exp.Experiments.algs;
-  }
 
 let experiment_props =
   [
@@ -174,10 +164,7 @@ let experiment_props =
         let entries =
           List.filteri (fun i _ -> i < 2) Io.Benchmarks.table2
         in
-        let run jobs =
-          List.map detimed
-            (Exp.Experiments.profile ~effort:2 ~jobs ~entries ())
-        in
+        let run jobs = Exp.Experiments.profile ~effort:2 ~jobs ~entries () in
         run 1 = run jobs);
   ]
 

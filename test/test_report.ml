@@ -17,28 +17,56 @@ let with_tmp ?suffix text f =
   let path = write_tmp ?suffix text in
   Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
 
-let bench_opt_doc ?(gates = 143) ?(seconds = 0.02) () =
+(* A migsyn-bench-opt/2 quality golden: two flow cells and one crossbar
+   cell of one circuit, every column deterministic. *)
+let bench_opt_doc ?(gates = 143) ?(maj_steps = 57) () =
+  let cost rrams steps = Json.Assoc [ ("rrams", Json.Int rrams); ("steps", Json.Int steps) ] in
+  let cell algorithm columns =
+    Json.Assoc
+      ([
+         ("circuit", Json.String "alu4");
+         ("gates", Json.Int gates);
+         ("algorithm", Json.String algorithm);
+       ]
+      @ columns)
+  in
+  let flow_cell algorithm ~size ~depth ~imp ~maj =
+    cell algorithm
+      [ ("size", Json.Int size); ("depth", Json.Int depth); ("imp", imp); ("maj", maj) ]
+  in
   Json.to_string
     (Json.Assoc
        [
-         ("schema", Json.String "migsyn-bench-opt/1");
+         ("schema", Json.String "migsyn-bench-opt/2");
          ("effort", Json.Int 40);
          ( "rows",
            Json.List
              [
+               flow_cell "steps" ~size:150 ~depth:12 ~imp:(cost 170 97)
+                 ~maj:(cost 160 maj_steps);
+               flow_cell "area" ~size:120 ~depth:18 ~imp:(cost 140 130)
+                 ~maj:(cost 130 80);
+               cell "crossbar-maj" [ ("devices", Json.Int 96); ("latency", Json.Int 75) ];
+             ] );
+       ])
+
+(* A migsyn-run/1 manifest with one timed span: its [total_ns] is the
+   noisy metric the threshold and floor tests move. *)
+let run_doc ~total_ns =
+  Json.to_string
+    (Json.Assoc
+       [
+         ("schema", Json.String "migsyn-run/1");
+         ("tool", Json.String "bench");
+         ("subcommand", Json.String "harness");
+         ( "spans",
+           Json.List
+             [
                Json.Assoc
                  [
-                   ("circuit", Json.String "alu4");
-                   ("gates", Json.Int gates);
-                   ("algorithm", Json.String "steps");
-                   ("seconds", Json.Float seconds);
-                 ];
-               Json.Assoc
-                 [
-                   ("circuit", Json.String "alu4");
-                   ("gates", Json.Int gates);
-                   ("algorithm", Json.String "area");
-                   ("seconds", Json.Float 0.01);
+                   ("name", Json.String "flow/steps");
+                   ("count", Json.Int 3);
+                   ("total_ns", Json.Int total_ns);
                  ];
              ] );
        ])
@@ -93,16 +121,24 @@ let load_tests =
     Alcotest.test_case "bench-opt rows keyed by circuit x algorithm" `Quick
       (fun () ->
         let src = load_str (bench_opt_doc ()) in
-        Alcotest.(check string) "schema" "migsyn-bench-opt/1" src.Report.src_schema;
-        Alcotest.(check int) "head + 2 rows" 3 (List.length src.Report.src_rows);
-        let row =
-          List.find
-            (fun r -> r.Report.r_key = [ "bench-opt"; "alu4"; "steps" ])
-            src.Report.src_rows
+        Alcotest.(check string) "schema" "migsyn-bench-opt/2" src.Report.src_schema;
+        Alcotest.(check int) "head + 3 rows" 4 (List.length src.Report.src_rows);
+        let row alg =
+          (List.find
+             (fun r -> r.Report.r_key = [ "bench-opt"; "alu4"; alg ])
+             src.Report.src_rows)
+            .Report.r_metrics
         in
         Alcotest.(check bool)
           "gates exact metric" true
-          (List.assoc "gates" row.Report.r_metrics = Report.Num 143.0));
+          (List.assoc "gates" (row "steps") = Report.Num 143.0);
+        Alcotest.(check (list string))
+          "flow cell quality columns"
+          [ "gates"; "size"; "depth"; "imp_rrams"; "imp_steps"; "maj_rrams"; "maj_steps" ]
+          (List.map fst (row "steps"));
+        Alcotest.(check (list string))
+          "crossbar cell columns" [ "gates"; "devices"; "latency" ]
+          (List.map fst (row "crossbar-maj")));
     Alcotest.test_case "montecarlo rows skip wall_seconds" `Quick (fun () ->
         let src = load_str (montecarlo_doc ()) in
         List.iter
@@ -177,6 +213,32 @@ let load_tests =
             | exception Failure _ -> ()
             | _ -> Alcotest.failf "accepted %S" text)
           [ "{\"schema\": \"bogus/9\"}"; "{\"rows\": []}"; "" ]);
+    Alcotest.test_case "bench-opt/1 is an unsupported schema" `Quick (fun () ->
+        let v1 =
+          Json.to_string
+            (Json.Assoc
+               [
+                 ("schema", Json.String "migsyn-bench-opt/1");
+                 ("effort", Json.Int 40);
+                 ( "rows",
+                   Json.List
+                     [
+                       Json.Assoc
+                         [
+                           ("circuit", Json.String "alu4");
+                           ("gates", Json.Int 143);
+                           ("algorithm", Json.String "steps");
+                           ("seconds", Json.Float 0.02);
+                         ];
+                     ] );
+               ])
+        in
+        match load_str v1 with
+        | exception Failure msg ->
+            Alcotest.(check bool)
+              "names the schema" true
+              (String.ends_with ~suffix:"unsupported schema migsyn-bench-opt/1" msg)
+        | _ -> Alcotest.fail "accepted migsyn-bench-opt/1");
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -191,12 +253,12 @@ let compare_tests =
         let r = compare_docs (bench_opt_doc ()) (bench_opt_doc ()) in
         Alcotest.(check bool) "no regressions" false (Report.regressed r);
         Alcotest.(check int) "exit 0" 0 (Report.exit_code r);
-        Alcotest.(check int) "all rows matched" 3 r.Report.rp_matched);
+        Alcotest.(check int) "all rows matched" 4 r.Report.rp_matched);
     Alcotest.test_case "a slowed pass regresses, exit 2" `Quick (fun () ->
         let r =
           compare_docs ~threshold:0.25
-            (bench_opt_doc ~seconds:0.02 ())
-            (bench_opt_doc ~seconds:0.2 ())
+            (run_doc ~total_ns:20_000_000)
+            (run_doc ~total_ns:200_000_000)
         in
         Alcotest.(check int) "exit 2" 2 (Report.exit_code r);
         Alcotest.(check bool) "kind slower" true (List.mem Report.Slower (kinds r)));
@@ -204,15 +266,15 @@ let compare_tests =
         (* +20% < 25% threshold *)
         let r =
           compare_docs ~threshold:0.25
-            (bench_opt_doc ~seconds:0.05 ())
-            (bench_opt_doc ~seconds:0.06 ())
+            (run_doc ~total_ns:50_000_000)
+            (run_doc ~total_ns:60_000_000)
         in
         Alcotest.(check int) "relative noise" 0 (Report.exit_code r);
-        (* +900% but only +0.9 ms, under the 5 ms floor *)
+        (* +900% but only +0.9 ms, under the 5 ms floor scaled to ns *)
         let r =
           compare_docs ~threshold:0.25
-            (bench_opt_doc ~seconds:0.0001 ())
-            (bench_opt_doc ~seconds:0.001 ())
+            (run_doc ~total_ns:100_000)
+            (run_doc ~total_ns:1_000_000)
         in
         Alcotest.(check int) "absolute floor" 0 (Report.exit_code r));
     Alcotest.test_case "exact metrics flag any change, both directions" `Quick
@@ -227,12 +289,21 @@ let compare_tests =
               "exact mismatch" true
               (List.mem Report.Exact_mismatch (kinds r)))
           [ 150; 120 ]);
+    Alcotest.test_case "a bench-opt/2 quality column change is an exact mismatch"
+      `Quick (fun () ->
+        let r = compare_docs (bench_opt_doc ()) (bench_opt_doc ~maj_steps:56 ()) in
+        Alcotest.(check int) "exit 2" 2 (Report.exit_code r);
+        match r.Report.rp_regressions with
+        | [ f ] ->
+            Alcotest.(check bool) "exact mismatch" true (f.Report.f_kind = Report.Exact_mismatch);
+            Alcotest.(check string) "metric" "maj_steps" f.Report.f_metric;
+            Alcotest.(check (list string))
+              "cell" [ "bench-opt"; "alu4"; "steps" ] f.Report.f_key
+        | fs -> Alcotest.failf "expected one finding, got %d" (List.length fs));
     Alcotest.test_case "faster wall time is an improvement, not a regression"
       `Quick (fun () ->
         let r =
-          compare_docs
-            (bench_opt_doc ~seconds:0.2 ())
-            (bench_opt_doc ~seconds:0.02 ())
+          compare_docs (run_doc ~total_ns:200_000_000) (run_doc ~total_ns:20_000_000)
         in
         Alcotest.(check int) "exit 0" 0 (Report.exit_code r);
         Alcotest.(check bool)
@@ -288,28 +359,35 @@ let render_tests =
   [
     Alcotest.test_case "markdown states the verdict and findings" `Quick
       (fun () ->
-        let r = compare_docs (bench_opt_doc ~gates:143 ()) (bench_opt_doc ~gates:150 ()) in
-        let md = Report.to_markdown r in
-        let contains needle =
+        let contains md needle =
           let n = String.length needle and h = String.length md in
           let rec go i = i + n <= h && (String.sub md i n = needle || go (i + 1)) in
           go 0
         in
-        Alcotest.(check bool) "verdict" true (contains "**Verdict: REGRESSED**");
-        Alcotest.(check bool) "key rendered" true (contains "bench-opt > alu4 > steps");
-        Alcotest.(check bool) "kind rendered" true (contains "exact mismatch");
-        let clean = compare_docs (bench_opt_doc ()) (bench_opt_doc ()) in
-        let md_ok = Report.to_markdown clean in
+        let md =
+          Report.to_markdown
+            (compare_docs (bench_opt_doc ~gates:143 ()) (bench_opt_doc ~gates:150 ()))
+        in
+        Alcotest.(check bool) "verdict" true (contains md "**Verdict: REGRESSED**");
+        Alcotest.(check bool) "key rendered" true (contains md "bench-opt > alu4 > steps");
+        Alcotest.(check bool) "kind rendered" true (contains md "exact mismatch");
+        let slow =
+          Report.to_markdown
+            (compare_docs (run_doc ~total_ns:20_000_000) (run_doc ~total_ns:200_000_000))
+        in
         Alcotest.(check bool)
-          "clean verdict" true
-          (let n = String.length "**Verdict: OK**" and h = String.length md_ok in
-           let rec go i =
-             i + n <= h && (String.sub md_ok i n = "**Verdict: OK**" || go (i + 1))
-           in
-           go 0));
+          "span key rendered" true
+          (contains slow "run > bench > harness > span > flow/steps");
+        Alcotest.(check bool)
+          "slower rendered with its delta" true
+          (contains slow "| total_ns | 20000000 | 200000000 | +900.0% | slower |");
+        let clean = Report.to_markdown (compare_docs (bench_opt_doc ()) (bench_opt_doc ())) in
+        Alcotest.(check bool) "clean verdict" true (contains clean "**Verdict: OK**"));
     Alcotest.test_case "json report round-trips with every finding" `Quick
       (fun () ->
-        let r = compare_docs (bench_opt_doc ~seconds:0.02 ()) (bench_opt_doc ~seconds:0.2 ()) in
+        let r =
+          compare_docs (run_doc ~total_ns:20_000_000) (run_doc ~total_ns:200_000_000)
+        in
         let doc = Report.to_json r in
         let parsed = Json.of_string (Json.to_string ~pretty:true doc) in
         Alcotest.(check bool) "round-trips" true (parsed = doc);
