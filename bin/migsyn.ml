@@ -22,7 +22,13 @@
    in chrome://tracing or Perfetto), --metrics FILE (flat metrics JSON),
    --flame FILE (collapsed stacks for flamegraph.pl) and --ledger FILE
    (append a migsyn-run/1 manifest to a JSON-lines run ledger; also set by
-   $MIGSYN_LEDGER); any of them switches the Obs layer on for the run. *)
+   $MIGSYN_LEDGER); any of them switches the Obs layer on for the run.
+
+   Every subcommand is built by [subcommand], so its body runs inside the
+   one run wrapper [run_sub], which owns those flags and the error path:
+   a body returns its exit code and reports an expected failure only by
+   raising [Failure].  Command-line usage errors stay cmdliner's, exit
+   124. *)
 
 open Cmdliner
 
@@ -94,21 +100,39 @@ let obs_term =
     $ ledger_arg)
 
 let write_text path text =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc text)
+  Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc text)
 
-(* Run [f] with the Obs layer switched on when any export flag was given,
-   and write the requested artifacts even if [f] fails partway.  The run
-   manifest is started whenever the layer is on (the profile subcommand
-   enables it with no flags), so `--ledger` always records a complete
-   record — including for failed runs, which is when the ledger is most
-   interesting. *)
-let with_obs ~sub opts f =
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let export opts =
+  let wrote what write =
+    Option.iter (fun path ->
+        write path;
+        Format.printf "wrote %s %s@." what path)
+  in
+  wrote "trace" (fun p -> Obs.write_json p (Obs.chrome_trace_json ())) opts.o_trace;
+  wrote "metrics" (fun p -> Obs.write_json p (Obs.metrics_json ())) opts.o_metrics;
+  wrote "flame"
+    (fun p -> write_text p (Obs.collapsed_stacks ~weight:opts.o_flame_weight ()))
+    opts.o_flame;
+  Option.iter
+    (fun path ->
+      Obs.Ledger.append path (Obs.Manifest.finish ());
+      Format.printf "appended run to %s@." path)
+    opts.o_ledger
+
+(* The one run wrapper every subcommand body goes through.  It switches
+   the Obs layer on when any export flag was given (or [observe] asks for
+   it), starts the run manifest, runs [body] for its exit code, and writes
+   the requested artifacts on every exit path, so `--ledger` records
+   failed runs too.  An expected failure is a [Failure] or [Sys_error]
+   from the body: after the artifacts are written it becomes exactly one
+   `migsyn SUB: error: MSG` line and exit code 1.  Nothing else is caught,
+   so a programming error keeps its backtrace. *)
+let run_sub ?(observe = false) ~sub opts body =
   if
-    opts.o_trace <> None || opts.o_metrics <> None || opts.o_flame <> None
-    || opts.o_ledger <> None
+    observe || opts.o_trace <> None || opts.o_metrics <> None
+    || opts.o_flame <> None || opts.o_ledger <> None
   then begin
     Obs.set_enabled true;
     Obs.reset ()
@@ -116,35 +140,20 @@ let with_obs ~sub opts f =
   if Obs.enabled () then
     Obs.Manifest.start ~tool:"migsyn" ~subcommand:sub
       ~argv:(Array.to_list Sys.argv) ();
-  let export () =
-    (match opts.o_trace with
-    | Some path ->
-        Obs.write_json path (Obs.chrome_trace_json ());
-        Format.printf "wrote trace %s@." path
-    | None -> ());
-    (match opts.o_metrics with
-    | Some path ->
-        Obs.write_json path (Obs.metrics_json ());
-        Format.printf "wrote metrics %s@." path
-    | None -> ());
-    (match opts.o_flame with
-    | Some path ->
-        write_text path (Obs.collapsed_stacks ~weight:opts.o_flame_weight ());
-        Format.printf "wrote flame %s@." path
-    | None -> ());
-    match opts.o_ledger with
-    | Some path ->
-        Obs.Ledger.append path (Obs.Manifest.finish ());
-        Format.printf "appended run to %s@." path
-    | None -> ()
-  in
-  match f () with
-  | v ->
-      export ();
-      v
-  | exception e ->
-      export ();
-      raise e
+  match Fun.protect ~finally:(fun () -> export opts) body with
+  | code -> code
+  | exception
+      ( Failure msg
+      | Sys_error msg
+      | Fun.Finally_raised (Failure msg | Sys_error msg) ) ->
+      prerr_endline (Printf.sprintf "migsyn %s: error: %s" sub msg);
+      1
+
+(* A subcommand: [body]'s arguments plus the observability flags, run
+   inside {!run_sub}. *)
+let subcommand ?observe sub ~doc body =
+  Cmd.v (Cmd.info sub ~doc)
+    Term.(const (run_sub ?observe ~sub) $ obs_term $ body)
 
 let ctx = Obs.Manifest.add_context
 let res = Obs.Manifest.add_result
@@ -208,9 +217,9 @@ let realization_arg =
     & opt realization_conv Core.Rram_cost.Maj
     & info [ "r"; "realization" ] ~docv:"R" ~doc:"RRAM realization: imp or maj.")
 
-(* --arch stays a raw string through cmdliner and is validated inside each
-   subcommand so the diagnostic follows the `migsyn <sub>: error: ...`
-   convention (cmdliner's conv errors carry only the tool name). *)
+(* --arch stays a raw string through cmdliner and is parsed by
+   [parse_arch] inside the run, so a bad geometry is an expected failure
+   (exit 1, ledgered) rather than a usage error (exit 124). *)
 let arch_arg =
   Arg.(
     value
@@ -223,25 +232,21 @@ let arch_arg =
            crossbar geometry packs independent same-level gates into \
            parallel pulse waves, one gate pulse per row per step.")
 
-(* Compile_mig.compile wraps crossbar mapping errors as
-   [Invalid_argument "Compile_mig.compile: ..."]; the internal prefix is
-   noise in a user-facing diagnostic. *)
-let strip_compile_prefix msg =
-  let prefix = "Compile_mig.compile: " in
-  let plen = String.length prefix in
-  if String.length msg >= plen && String.sub msg 0 plen = prefix then
-    String.sub msg plen (String.length msg - plen)
-  else msg
-
-let parse_arch_or_fail ~sub arch =
-  match arch with
+let parse_arch = function
   | None -> Core.Rram_cost.Unbounded_serial
-  | Some text -> (
-      match Core.Rram_cost.parse_arch text with
-      | Ok a -> a
-      | Error e ->
-          prerr_endline ("migsyn " ^ sub ^ ": error: " ^ e);
-          exit 1)
+  | Some text -> Result.fold ~ok:Fun.id ~error:failwith (Core.Rram_cost.parse_arch text)
+
+(* A flow-script error (byte position, did-you-mean suggestion) is a user
+   error. *)
+let parse_flow text =
+  match Core.Mig_flows.parse text with
+  | Ok flow -> flow
+  | Error e -> failwith (Format.asprintf "%a" Flow.Script.pp_error e)
+
+(* A crossbar geometry too small for the circuit is a user error. *)
+let compile_mig ~arch realization mig =
+  try Rram.Compile_mig.compile ~arch realization mig
+  with Invalid_argument msg -> failwith msg
 
 let jobs_arg =
   Arg.(
@@ -259,8 +264,7 @@ let resolve_jobs n = Par.resolve_jobs (if n <= 0 then None else Some n)
 (* ---------------- stats ---------------- *)
 
 let stats_cmd =
-  let run obs path =
-    with_obs ~sub:"stats" obs @@ fun () ->
+  let run path () =
     ctx "input" (Obs.Json.String path);
     let net = parse_netlist path in
     Format.printf "network: %a@." Logic.Network.pp_stats net;
@@ -280,10 +284,11 @@ let stats_cmd =
     Format.printf "Table I: IMP %a   MAJ %a@." Core.Rram_cost.pp
       (Core.Rram_cost.of_mig Core.Rram_cost.Imp mig)
       Core.Rram_cost.pp
-      (Core.Rram_cost.of_mig Core.Rram_cost.Maj mig)
+      (Core.Rram_cost.of_mig Core.Rram_cost.Maj mig);
+    0
   in
-  Cmd.v (Cmd.info "stats" ~doc:"Print representation statistics for a netlist")
-    Term.(const run $ obs_term $ input_arg)
+  subcommand "stats" ~doc:"Print representation statistics for a netlist"
+    Term.(const run $ input_arg)
 
 (* ---------------- optimize ---------------- *)
 
@@ -293,8 +298,7 @@ let optimize_cmd =
       value & opt (some string) None
       & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Write the optimized MIG as BLIF.")
   in
-  let run obs path alg effort out =
-    with_obs ~sub:"optimize" obs @@ fun () ->
+  let run path alg effort out () =
     ctx "input" (Obs.Json.String path);
     ctx "algorithm" (Obs.Json.String (Core.Mig_opt.algorithm_name alg));
     ctx "effort" (Obs.Json.Int effort);
@@ -316,15 +320,15 @@ let optimize_cmd =
     Format.printf "  IMP %a (initial %a)@." Core.Rram_cost.pp imp Core.Rram_cost.pp
       before_imp;
     Format.printf "  MAJ %a@." Core.Rram_cost.pp maj;
-    match out with
-    | None -> ()
-    | Some f ->
+    Option.iter
+      (fun f ->
         Io.Blif.write_file ~model_name:"optimized" f (Core.Mig_to_network.export optimized);
-        Format.printf "wrote %s@." f
+        Format.printf "wrote %s@." f)
+      out;
+    0
   in
-  Cmd.v
-    (Cmd.info "optimize" ~doc:"Optimize a netlist with one of the paper's algorithms")
-    Term.(const run $ obs_term $ input_arg $ algorithm_arg $ effort_arg $ out_arg)
+  subcommand "optimize" ~doc:"Optimize a netlist with one of the paper's algorithms"
+    Term.(const run $ input_arg $ algorithm_arg $ effort_arg $ out_arg)
 
 (* ---------------- flow ---------------- *)
 
@@ -397,16 +401,6 @@ let flow_cmd =
             "Input netlist (.blif, .bench, .pla, .aag or .aig); not needed \
              with --list-passes.")
   in
-  (* Flow-script problems are user errors, not internal ones: report them as
-     `migsyn flow: error: ...` (with the byte position and a did-you-mean
-     suggestion from the parser) and exit 1, per the CLI error convention. *)
-  let fail fmt =
-    Format.kasprintf
-      (fun msg ->
-        prerr_endline ("migsyn flow: error: " ^ msg);
-        exit 1)
-      fmt
-  in
   let list_passes () =
     Format.printf "passes (usable in flow scripts; see also 'cycle', 'every', \
                    'accept_if'):@.";
@@ -428,21 +422,14 @@ let flow_cmd =
         | None -> ())
       Core.Mig_flows.canonical_names
   in
-  let run obs scripts file list portfolio cost effort jobs arch dump_out
-      no_verify stats input =
-    with_obs ~sub:"flow" obs @@ fun () ->
+  let run scripts file list portfolio cost effort jobs arch dump_out no_verify
+      stats input () =
     if list then list_passes ()
     else begin
-      let script_of_file f =
-        let ic = open_in_bin f in
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      let path = match input with Some p -> p | None -> fail "missing NETLIST argument" in
+      let path = match input with Some p -> p | None -> failwith "missing NETLIST argument" in
       ctx "input" (Obs.Json.String path);
       ctx "effort" (Obs.Json.Int effort);
-      let arch = parse_arch_or_fail ~sub:"flow" arch in
+      let arch = parse_arch arch in
       ctx "arch" (Obs.Json.String (Core.Rram_cost.arch_to_string arch));
       (* The xbar_* accept_if costs read the flow-level architecture, so it
          must be set before any script is parsed or raced. *)
@@ -457,12 +444,12 @@ let flow_cmd =
           let specs =
             match (scripts, file) with
             | [], None -> Core.Mig_flows.default_portfolio ~effort ()
-            | [], Some f -> [ (Filename.basename f, script_of_file f) ]
+            | [], Some f -> [ (Filename.basename f, read_file f) ]
             | scripts, None ->
                 List.mapi
                   (fun i s -> (Printf.sprintf "script%d" (i + 1), s))
                   scripts
-            | _ :: _, Some _ -> fail "--script and --file are mutually exclusive"
+            | _ :: _, Some _ -> failwith "--script and --file are mutually exclusive"
           in
           let jobs = resolve_jobs jobs in
           ctx "jobs" (Obs.Json.Int jobs);
@@ -470,7 +457,7 @@ let flow_cmd =
           ctx "cost" (Obs.Json.String cost);
           let winner, outcomes =
             try Core.Mig_flows.portfolio ~jobs ~cost specs mig
-            with Invalid_argument msg -> fail "%s" msg
+            with Invalid_argument msg -> failwith msg
           in
           (match List.find_opt (fun o -> o.Flow.o_winner) outcomes with
           | Some o ->
@@ -491,16 +478,12 @@ let flow_cmd =
           let text =
             match (scripts, file) with
             | [ s ], None -> s
-            | [], Some f -> script_of_file f
-            | _ :: _ :: _, _ -> fail "repeated --script requires --portfolio"
-            | _ :: _, Some _ -> fail "--script and --file are mutually exclusive"
-            | [], None -> fail "one of --script, --file or --list-passes is required"
+            | [], Some f -> read_file f
+            | _ :: _ :: _, _ -> failwith "repeated --script requires --portfolio"
+            | _ :: _, Some _ -> failwith "--script and --file are mutually exclusive"
+            | [], None -> failwith "one of --script, --file or --list-passes is required"
           in
-          let flow =
-            match Core.Mig_flows.parse text with
-            | Ok flow -> flow
-            | Error e -> fail "%a" Flow.Script.pp_error e
-          in
+          let flow = parse_flow text in
           let result = Core.Mig_flows.run ~name:"script" flow mig in
           Format.printf "flow: %s@." (Flow.Script.to_string flow);
           result
@@ -515,10 +498,7 @@ let flow_cmd =
         before_depth depth;
       List.iter
         (fun realization ->
-          let r =
-            try Rram.Compile_mig.compile ~arch realization optimized
-            with Invalid_argument msg -> fail "%s" (strip_compile_prefix msg)
-          in
+          let r = compile_mig ~arch realization optimized in
           let verdict =
             if no_verify then ""
             else
@@ -542,22 +522,22 @@ let flow_cmd =
           imp.Core.Rram_cost.rrams imp.Core.Rram_cost.steps
           maj.Core.Rram_cost.rrams maj.Core.Rram_cost.steps
       end;
-      match dump_out with
-      | None -> ()
-      | Some f ->
+      Option.iter
+        (fun f ->
           Io.Blif.write_file ~model_name:"flow" f (Core.Mig_to_network.export optimized);
-          Format.printf "wrote %s@." f
-    end
+          Format.printf "wrote %s@." f)
+        dump_out
+    end;
+    0
   in
-  Cmd.v
-    (Cmd.info "flow"
-       ~doc:
-         "Optimize a netlist with a user-written flow script composed from \
-          the registered passes (cycle / every / accept_if combinators), or \
-          race several scripts with --portfolio; --list-passes prints the \
-          vocabulary.")
+  subcommand "flow"
+    ~doc:
+      "Optimize a netlist with a user-written flow script composed from \
+       the registered passes (cycle / every / accept_if combinators), or \
+       race several scripts with --portfolio; --list-passes prints the \
+       vocabulary."
     Term.(
-      const run $ obs_term $ script_arg $ file_arg $ list_arg $ portfolio_arg
+      const run $ script_arg $ file_arg $ list_arg $ portfolio_arg
       $ cost_arg $ effort_arg $ jobs_arg $ arch_arg $ out_arg $ no_verify_arg
       $ stats_arg $ input_opt_arg)
 
@@ -570,12 +550,11 @@ let map_cmd =
   let no_verify_arg =
     Arg.(value & flag & info [ "no-verify" ] ~doc:"Skip simulator verification.")
   in
-  let run obs path alg effort realization arch dump no_verify =
-    with_obs ~sub:"map" obs @@ fun () ->
+  let run path alg effort realization arch dump no_verify () =
     ctx "input" (Obs.Json.String path);
     ctx "algorithm" (Obs.Json.String (Core.Mig_opt.algorithm_name alg));
     ctx "effort" (Obs.Json.Int effort);
-    let arch = parse_arch_or_fail ~sub:"map" arch in
+    let arch = parse_arch arch in
     ctx "arch" (Obs.Json.String (Core.Rram_cost.arch_to_string arch));
     let net = parse_netlist path in
     let mig = Core.Mig_opt.run ~effort alg (Core.Mig_of_network.convert net) in
@@ -594,9 +573,7 @@ let map_cmd =
           (r.Rram.Compile_mig.program, Rram.Placement.place r.Rram.Compile_mig.program)
       | Core.Rram_cost.Crossbar _ -> (
           match Rram.Compile_crossbar.compile ~arch realization mig with
-          | Error e ->
-              prerr_endline ("migsyn map: error: " ^ e);
-              exit 1
+          | Error e -> failwith e
           | Ok c ->
               let m = c.Rram.Compile_crossbar.measured in
               res "rrams" (Obs.Json.Int m.Core.Rram_cost.devices);
@@ -632,18 +609,18 @@ let map_cmd =
       | Ok () -> Format.printf "  verified against the source netlist@."
       | Error e -> failwith ("verification failed: " ^ e)
     end;
-    if dump then Format.printf "@.%a@." Rram.Program.pp program
+    if dump then Format.printf "@.%a@." Rram.Program.pp program;
+    0
   in
-  Cmd.v (Cmd.info "map" ~doc:"Compile a netlist to an RRAM program")
+  subcommand "map" ~doc:"Compile a netlist to an RRAM program"
     Term.(
-      const run $ obs_term $ input_arg $ algorithm_arg $ effort_arg
+      const run $ input_arg $ algorithm_arg $ effort_arg
       $ realization_arg $ arch_arg $ dump_arg $ no_verify_arg)
 
 (* ---------------- compare ---------------- *)
 
 let compare_cmd =
-  let run obs path effort =
-    with_obs ~sub:"compare" obs @@ fun () ->
+  let run path effort () =
     ctx "input" (Obs.Json.String path);
     ctx "effort" (Obs.Json.Int effort);
     let net = parse_netlist path in
@@ -674,11 +651,11 @@ let compare_cmd =
     let a = Rram.Compile_aig.compile ~mode:`Sequential aig in
     Format.printf "AIG [12]: %d ANDs, %d RRAMs %d steps (sequential)@."
       a.Rram.Compile_aig.aig_nodes a.Rram.Compile_aig.measured_rrams
-      a.Rram.Compile_aig.measured_steps
+      a.Rram.Compile_aig.measured_steps;
+    0
   in
-  Cmd.v
-    (Cmd.info "compare" ~doc:"Compare the MIG flow against the BDD and AIG baselines")
-    Term.(const run $ obs_term $ input_arg $ effort_arg)
+  subcommand "compare" ~doc:"Compare the MIG flow against the BDD and AIG baselines"
+    Term.(const run $ input_arg $ effort_arg)
 
 (* ---------------- plim ---------------- *)
 
@@ -686,8 +663,7 @@ let plim_cmd =
   let dump_arg =
     Arg.(value & flag & info [ "p"; "program" ] ~doc:"Dump the RM3 instruction stream.")
   in
-  let run obs path alg effort dump =
-    with_obs ~sub:"plim" obs @@ fun () ->
+  let run path alg effort dump () =
     ctx "input" (Obs.Json.String path);
     let net = parse_netlist path in
     let mig = Core.Mig_opt.run ~effort alg (Core.Mig_of_network.convert net) in
@@ -701,20 +677,20 @@ let plim_cmd =
     (match Rram.Plim.verify c.Rram.Plim.program mig with
     | Ok () -> Format.printf "  verified on the PLiM machine model@."
     | Error e -> failwith ("verification failed: " ^ e));
-    if dump then Format.printf "@.%a@." Rram.Plim.pp_program c.Rram.Plim.program
+    if dump then Format.printf "@.%a@." Rram.Plim.pp_program c.Rram.Plim.program;
+    0
   in
-  Cmd.v
-    (Cmd.info "plim"
-       ~doc:"Compile to an RM3 instruction stream for the PLiM computer [15]")
-    Term.(const run $ obs_term $ input_arg $ algorithm_arg $ effort_arg $ dump_arg)
+  subcommand "plim"
+    ~doc:"Compile to an RM3 instruction stream for the PLiM computer [15]"
+    Term.(const run $ input_arg $ algorithm_arg $ effort_arg $ dump_arg)
 
 (* ---------------- export ---------------- *)
 
 let export_cmd =
   let format_conv =
-    let parse = function
-      | ("dot" | "verilog" | "blif" | "bench" | "aag" | "aig") as s -> Ok s
-      | s -> Error (`Msg ("unknown export format " ^ s))
+    let parse s =
+      if List.mem s ("dot" :: "verilog" :: Io.Netlist.output_formats) then Ok s
+      else Error (`Msg ("unknown export format " ^ s))
     in
     Arg.conv (parse, Format.pp_print_string)
   in
@@ -729,8 +705,7 @@ let export_cmd =
       required & opt (some string) None
       & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Output file.")
   in
-  let run obs path alg effort fmt out =
-    with_obs ~sub:"export" obs @@ fun () ->
+  let run path alg effort fmt out () =
     ctx "input" (Obs.Json.String path);
     ctx "format" (Obs.Json.String fmt);
     let net = parse_netlist path in
@@ -739,25 +714,20 @@ let export_cmd =
       match fmt with
       | "dot" -> Io.Export.mig_to_dot mig
       | "verilog" -> Io.Export.mig_to_verilog ~module_name:"mig" mig
-      | "blif" -> Io.Blif.write_string ~model_name:"mig" (Core.Mig_to_network.export mig)
-      | "bench" -> Io.Bench_format.write_string (Core.Mig_to_network.export mig)
-      | "aag" ->
-          Io.Aiger.write_aig
-            (Aig_lib.Aig_of_network.convert (Core.Mig_to_network.export mig))
-      | "aig" ->
-          Io.Aiger.write_aig_binary
-            (Aig_lib.Aig_of_network.convert (Core.Mig_to_network.export mig))
-      | _ -> assert false
+      | format ->
+          Option.get
+            (Io.Netlist.write_string ~model_name:"mig" ~format
+               (Core.Mig_to_network.export mig))
     in
     Io.Export.write_file out contents;
     Format.printf "wrote %s (%s) after %s optimization@." out fmt
-      (Core.Mig_opt.algorithm_name alg)
+      (Core.Mig_opt.algorithm_name alg);
+    0
   in
-  Cmd.v
-    (Cmd.info "export"
-       ~doc:"Export the optimized MIG as DOT/Verilog/BLIF/bench/AIGER (aag or aig)")
+  subcommand "export"
+    ~doc:"Export the optimized MIG as DOT/Verilog/BLIF/bench/AIGER (aag or aig)"
     Term.(
-      const run $ obs_term $ input_arg $ algorithm_arg $ effort_arg $ format_arg
+      const run $ input_arg $ algorithm_arg $ effort_arg $ format_arg
       $ out_arg)
 
 (* ---------------- gen ---------------- *)
@@ -804,14 +774,13 @@ let gen_cmd =
       & info [ "o"; "output" ] ~docv:"FILE"
           ~doc:"Output netlist; the extension picks the format (.blif, .bench, .aag or .aig).")
   in
-  let run obs gates seed inputs outputs out =
+  let run gates seed inputs outputs out () =
     if gates < 1 then
       failwith (Printf.sprintf "--gates must be at least 1 (got %d)" gates);
     if inputs < 0 then
       failwith (Printf.sprintf "--inputs must be non-negative (got %d)" inputs);
     if outputs < 0 then
       failwith (Printf.sprintf "--outputs must be non-negative (got %d)" outputs);
-    with_obs ~sub:"gen" obs @@ fun () ->
     ctx "seed" (Obs.Json.String seed);
     ctx "gates" (Obs.Json.Int gates);
     let net =
@@ -824,31 +793,30 @@ let gen_cmd =
             Io.Gen.random_network ~name:seed ~inputs ~gates ~outputs ())
     in
     let contents =
-      match Filename.extension out with
-      | ".blif" -> Io.Blif.write_string ~model_name:seed net
-      | ".bench" -> Io.Bench_format.write_string net
-      | ".aag" -> Io.Aiger.write_network net
-      | ".aig" -> Io.Aiger.write_network_binary net
-      | ext ->
+      match
+        Io.Netlist.write_string ~model_name:seed
+          ~format:(Io.Netlist.format_of_path out) net
+      with
+      | Some text -> text
+      | None ->
           failwith
-            (Printf.sprintf
-               "%s: unsupported output extension %s (expected .blif, .bench, .aag or .aig)"
-               out ext)
+            (Printf.sprintf "%s: unsupported output extension %s (expected %s)" out
+               (Filename.extension out) Io.Netlist.expected_output)
     in
     write_text out contents;
     res "gates" (Obs.Json.Int (Logic.Network.num_gates net));
     res "inputs" (Obs.Json.Int (Logic.Network.num_inputs net));
     res "outputs" (Obs.Json.Int (Logic.Network.num_outputs net));
-    Format.printf "wrote %s (seed %s: %a)@." out seed Logic.Network.pp_stats net
+    Format.printf "wrote %s (seed %s: %a)@." out seed Logic.Network.pp_stats net;
+    0
   in
-  Cmd.v
-    (Cmd.info "gen"
-       ~doc:
-         "Generate a seeded synthetic netlist (deterministic in --seed), \
-          including the 10^4/10^5-gate large-N tiers used by the scale \
-          benchmarks")
+  subcommand "gen"
+    ~doc:
+      "Generate a seeded synthetic netlist (deterministic in --seed), \
+       including the 10^4/10^5-gate large-N tiers used by the scale \
+       benchmarks"
     Term.(
-      const run $ obs_term $ gates_arg $ seed_arg $ inputs_arg $ outputs_arg
+      const run $ gates_arg $ seed_arg $ inputs_arg $ outputs_arg
       $ out_arg)
 
 (* ---------------- faults ---------------- *)
@@ -874,7 +842,7 @@ let faults_cmd =
       & info [ "max-attempts" ] ~docv:"N"
           ~doc:"Verification rounds of the resilient executor's remap/retry loop.")
   in
-  let run obs path alg effort realization rate trials seed attempts =
+  let run path alg effort realization rate trials seed attempts () =
     (* One stuck-at campaign per rate, on ideal devices at sigma 0: the
        same engine as [montecarlo], so the curve is --jobs-independent. *)
     let rates = [ rate /. 3.0; rate; Float.min 1.0 (rate *. 3.0) ] in
@@ -885,7 +853,6 @@ let faults_cmd =
     if not (Float.is_finite rate && rate >= 0.0 && rate <= 1.0) then
       failwith (Printf.sprintf "--rate must be a probability in [0, 1] (got %g)" rate);
     Result.iter_error failwith Exp.Montecarlo.(validate (stuck_at config rate));
-    with_obs ~sub:"faults" obs @@ fun () ->
     ctx "input" (Obs.Json.String path);
     ctx "rate" (Obs.Json.Float rate);
     ctx "trials" (Obs.Json.Int trials);
@@ -971,16 +938,16 @@ let faults_cmd =
                   (fun a -> Printf.sprintf " | %s %d" a.Exp.Montecarlo.arm a.Exp.Montecarlo.cells)
                   arms));
         Format.printf "  rate %.4f%a@." rate Exp.Montecarlo.pp_arms arms)
-      rates
+      rates;
+    0
   in
-  Cmd.v
-    (Cmd.info "faults"
-       ~doc:
-         "Fault-tolerance experiment: repair a stuck-at defect by remapping, and \
-          compare Monte-Carlo yield of bare IMP/MAJ vs resilient vs TMR \
-          execution in stuck-at campaigns at rates R/3, R and 3R")
+  subcommand "faults"
+    ~doc:
+      "Fault-tolerance experiment: repair a stuck-at defect by remapping, and \
+       compare Monte-Carlo yield of bare IMP/MAJ vs resilient vs TMR \
+       execution in stuck-at campaigns at rates R/3, R and 3R"
     Term.(
-      const run $ obs_term $ input_arg $ algorithm_arg $ effort_arg
+      const run $ input_arg $ algorithm_arg $ effort_arg
       $ realization_arg $ rate_arg $ trials_arg $ seed_arg $ attempts_arg)
 
 (* ---------------- montecarlo ---------------- *)
@@ -1029,8 +996,8 @@ let montecarlo_cmd =
       & info [ "max-attempts" ] ~docv:"N"
           ~doc:"Verification rounds of the resilient controller's remap/retry loop.")
   in
-  let run obs path alg effort realization trials sigmas seed jobs json vectors
-      attempts =
+  let run path alg effort realization trials sigmas seed jobs json vectors
+      attempts () =
     let config =
       {
         default with
@@ -1045,8 +1012,7 @@ let montecarlo_cmd =
         max_attempts = attempts;
       }
     in
-    (match validate config with Ok () -> () | Error e -> failwith e);
-    with_obs ~sub:"montecarlo" obs @@ fun () ->
+    Result.iter_error failwith (validate config);
     ctx "input" (Obs.Json.String path);
     ctx "trials" (Obs.Json.Int config.trials);
     ctx "seed" (Obs.Json.Int config.seed);
@@ -1068,23 +1034,23 @@ let montecarlo_cmd =
           p.arms)
       campaign.points;
     Format.printf "%a@." pp campaign;
-    match json with
-    | None -> ()
-    | Some file ->
+    Option.iter
+      (fun file ->
         Obs.write_json file (to_json campaign);
-        Format.printf "wrote campaign %s@." file
+        Format.printf "wrote campaign %s@." file)
+      json;
+    0
   in
-  Cmd.v
-    (Cmd.info "montecarlo"
-       ~doc:
-         "Monte-Carlo yield campaign over statistical device variability: \
-          sample lognormal LRS/HRS spreads, sense noise and endurance drift \
-          per device, and measure functional yield vs sigma for bare IMP/MAJ \
-          execution, the resilient controller (plain and wear-aware \
-          remapping) and TMR, with Wilson 95% confidence intervals. \
-          Bit-reproducible for any --jobs at a fixed --seed.")
+  subcommand "montecarlo"
+    ~doc:
+      "Monte-Carlo yield campaign over statistical device variability: \
+       sample lognormal LRS/HRS spreads, sense noise and endurance drift \
+       per device, and measure functional yield vs sigma for bare IMP/MAJ \
+       execution, the resilient controller (plain and wear-aware \
+       remapping) and TMR, with Wilson 95% confidence intervals. \
+       Bit-reproducible for any --jobs at a fixed --seed."
     Term.(
-      const run $ obs_term $ input_arg $ algorithm_arg $ effort_arg
+      const run $ input_arg $ algorithm_arg $ effort_arg
       $ realization_arg $ trials_arg $ sigma_arg $ seed_arg $ jobs_arg $ json_arg
       $ vectors_arg $ attempts_arg)
 
@@ -1105,25 +1071,12 @@ let profile_cmd =
             "Optimize with a flow script instead of the named algorithm \
              (see $(b,migsyn flow --list-passes)).")
   in
-  let run obs path alg effort realization arch max_vectors flow_script =
-    (* profile always observes, with or without export flags *)
-    Obs.set_enabled true;
-    Obs.reset ();
-    with_obs ~sub:"profile" obs @@ fun () ->
+  let run path alg effort realization arch max_vectors flow_script () =
     ctx "input" (Obs.Json.String path);
     ctx "effort" (Obs.Json.Int effort);
-    let arch = parse_arch_or_fail ~sub:"profile" arch in
+    let arch = parse_arch arch in
     ctx "arch" (Obs.Json.String (Core.Rram_cost.arch_to_string arch));
-    let flow =
-      Option.map
-        (fun text ->
-          match Core.Mig_flows.parse text with
-          | Ok flow -> flow
-          | Error e ->
-              Format.eprintf "migsyn profile: error: %a@." Flow.Script.pp_error e;
-              exit 1)
-        flow_script
-    in
+    let flow = Option.map parse_flow flow_script in
     let net =
       Obs.with_span ~cat:"profile" "profile/parse" (fun () -> parse_netlist path)
     in
@@ -1142,11 +1095,7 @@ let profile_cmd =
     res "depth" (Obs.Json.Int depth);
     let compiled =
       Obs.with_span ~cat:"profile" "profile/compile" (fun () ->
-          try Rram.Compile_mig.compile ~arch realization optimized
-          with Invalid_argument msg ->
-            prerr_endline
-              ("migsyn profile: error: " ^ strip_compile_prefix msg);
-            exit 1)
+          compile_mig ~arch realization optimized)
     in
     let program = compiled.Rram.Compile_mig.program in
     let reference = Core.Mig_sim.eval optimized in
@@ -1176,59 +1125,54 @@ let profile_cmd =
       (if mismatches = 0 then "all match the MIG semantics"
        else Printf.sprintf "%d MISMATCHES" mismatches);
     Format.printf "%a@." Obs.pp_report ();
-    if mismatches > 0 then failwith "profiled program diverged from the MIG semantics"
+    if mismatches > 0 then failwith "profiled program diverged from the MIG semantics";
+    0
   in
-  Cmd.v
-    (Cmd.info "profile"
-       ~doc:
-         "Run the optimize + compile + execute pipeline with the observability \
-          layer on and print a timing/counter report. Combine with --trace and \
-          --metrics for machine-readable output.")
+  (* profile always observes, with or without export flags *)
+  subcommand "profile" ~observe:true
+    ~doc:
+      "Run the optimize + compile + execute pipeline with the observability \
+       layer on and print a timing/counter report. Combine with --trace and \
+       --metrics for machine-readable output."
     Term.(
-      const run $ obs_term $ input_arg $ algorithm_arg $ effort_arg
+      const run $ input_arg $ algorithm_arg $ effort_arg
       $ realization_arg $ arch_arg $ vectors_arg $ flow_arg)
 
 (* ---------------- bench ---------------- *)
 
+let benchmarks_arg =
+  Arg.(
+    value & pos_all string []
+    & info [] ~docv:"NAME"
+        ~doc:"Benchmark names (default: the whole Table II suite).")
+
+let find_benchmarks = function
+  | [] -> Io.Benchmarks.table2
+  | names ->
+      List.map
+        (fun n ->
+          match Io.Benchmarks.find n with
+          | Some e -> e
+          | None -> failwith ("unknown benchmark " ^ n))
+        names
+
 let bench_cmd =
-  let names_arg =
-    Arg.(value & pos_all string [] & info [] ~docv:"NAME" ~doc:"Benchmark names.")
-  in
-  let run obs effort jobs names =
-    with_obs ~sub:"bench" obs @@ fun () ->
+  let run effort jobs names () =
     ctx "effort" (Obs.Json.Int effort);
     ctx "jobs" (Obs.Json.Int (resolve_jobs jobs));
-    let entries =
-      match names with
-      | [] -> Io.Benchmarks.table2
-      | names ->
-          List.filter_map
-            (fun n ->
-              match Io.Benchmarks.find n with
-              | Some e -> Some e
-              | None ->
-                  Format.printf "unknown benchmark %s@." n;
-                  None)
-            names
-    in
+    let entries = find_benchmarks names in
     let rows =
       Par.map ~jobs:(resolve_jobs jobs) (Exp.Experiments.table2_row ~effort) entries
     in
-    Format.printf "%a@." Exp.Experiments.pp_table2 rows
+    Format.printf "%a@." Exp.Experiments.pp_table2 rows;
+    0
   in
-  Cmd.v
-    (Cmd.info "bench" ~doc:"Run the paper's Table II flow for named benchmarks")
-    Term.(const run $ obs_term $ effort_arg $ jobs_arg $ names_arg)
+  subcommand "bench" ~doc:"Run the paper's Table II flow for named benchmarks"
+    Term.(const run $ effort_arg $ jobs_arg $ benchmarks_arg)
 
 (* ---------------- crossbar ---------------- *)
 
 let crossbar_cmd =
-  let names_arg =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"NAME"
-          ~doc:"Benchmark names (default: the whole Table II suite).")
-  in
   let json_arg =
     Arg.(
       value & opt (some string) None
@@ -1237,24 +1181,11 @@ let crossbar_cmd =
             "Write the comparison as JSON (schema migsyn-crossbar/1, \
              consumable by $(b,migsyn report)).")
   in
-  let run obs effort jobs realization names json =
-    with_obs ~sub:"crossbar" obs @@ fun () ->
+  let run effort jobs realization names json () =
     ctx "effort" (Obs.Json.Int effort);
     let jobs = resolve_jobs jobs in
     ctx "jobs" (Obs.Json.Int jobs);
-    let entries =
-      match names with
-      | [] -> Io.Benchmarks.table2
-      | names ->
-          List.map
-            (fun n ->
-              match Io.Benchmarks.find n with
-              | Some e -> e
-              | None ->
-                  prerr_endline ("migsyn crossbar: error: unknown benchmark " ^ n);
-                  exit 1)
-            names
-    in
+    let entries = find_benchmarks names in
     let t = Exp.Crossbar.run ~effort ~realization ~jobs ~entries () in
     Format.printf "%a@." Exp.Crossbar.pp t;
     let unverified =
@@ -1272,25 +1203,25 @@ let crossbar_cmd =
     in
     res "benchmarks" (Obs.Json.Int (List.length t.Exp.Crossbar.rows));
     res "unverified" (Obs.Json.Int (List.length unverified));
-    (match json with
-    | Some file ->
+    Option.iter
+      (fun file ->
         Obs.write_json file (Exp.Crossbar.to_json t);
-        Format.printf "wrote %s@." file
-    | None -> ());
+        Format.printf "wrote %s@." file)
+      json;
     if unverified <> [] then
-      failwith ("crossbar programs failed verification: " ^ String.concat ", " unverified)
+      failwith ("crossbar programs failed verification: " ^ String.concat ", " unverified);
+    0
   in
-  Cmd.v
-    (Cmd.info "crossbar"
-       ~doc:
-         "Compare the unbounded-serial target against crossbar-constrained \
-          mapping on the paper's benchmarks: the fitted (minimum-latency) \
-          array plus half- and quarter-row geometries, every program \
-          re-verified on the device simulator and marked Pareto-optimal or \
-          dominated in the (devices, latency, utilization) space.")
+  subcommand "crossbar"
+    ~doc:
+      "Compare the unbounded-serial target against crossbar-constrained \
+       mapping on the paper's benchmarks: the fitted (minimum-latency) \
+       array plus half- and quarter-row geometries, every program \
+       re-verified on the device simulator and marked Pareto-optimal or \
+       dominated in the (devices, latency, utilization) space."
     Term.(
-      const run $ obs_term $ effort_arg $ jobs_arg $ realization_arg
-      $ names_arg $ json_arg)
+      const run $ effort_arg $ jobs_arg $ realization_arg $ benchmarks_arg
+      $ json_arg)
 
 (* ---------------- report ---------------- *)
 
@@ -1348,7 +1279,7 @@ let report_cmd =
       & info [ "json" ] ~docv:"FILE"
           ~doc:"Also write the report as JSON (schema migsyn-report/1).")
   in
-  let run obs baseline current threshold min_time ignores md json =
+  let run baseline current threshold min_time ignores md json () =
     if not (Float.is_finite threshold) || threshold < 0.0 then
       failwith
         (Printf.sprintf "--threshold must be finite and non-negative (got %g)"
@@ -1357,44 +1288,39 @@ let report_cmd =
       failwith
         (Printf.sprintf "--min-time must be finite and non-negative (got %g)"
            min_time);
-    let code =
-      with_obs ~sub:"report" obs @@ fun () ->
-      ctx "baseline" (Obs.Json.String baseline);
-      ctx "current" (Obs.Json.String current);
-      let report =
-        Exp.Report.compare ~threshold ~min_time ~ignore_metrics:ignores
-          ~baseline:(Exp.Report.load baseline) ~current:(Exp.Report.load current)
-          ()
-      in
-      print_string (Exp.Report.to_markdown report);
-      res "verdict"
-        (Obs.Json.String (if Exp.Report.regressed report then "regressed" else "ok"));
-      res "regressions"
-        (Obs.Json.Int (List.length report.Exp.Report.rp_regressions));
-      (match md with
-      | Some file ->
-          write_text file (Exp.Report.to_markdown report);
-          Format.printf "wrote report %s@." file
-      | None -> ());
-      (match json with
-      | Some file ->
-          Obs.write_json file (Exp.Report.to_json report);
-          Format.printf "wrote report %s@." file
-      | None -> ());
-      Exp.Report.exit_code report
+    ctx "baseline" (Obs.Json.String baseline);
+    ctx "current" (Obs.Json.String current);
+    let report =
+      Exp.Report.compare ~threshold ~min_time ~ignore_metrics:ignores
+        ~baseline:(Exp.Report.load baseline) ~current:(Exp.Report.load current)
+        ()
     in
-    if code <> 0 then exit code
+    print_string (Exp.Report.to_markdown report);
+    res "verdict"
+      (Obs.Json.String (if Exp.Report.regressed report then "regressed" else "ok"));
+    res "regressions"
+      (Obs.Json.Int (List.length report.Exp.Report.rp_regressions));
+    Option.iter
+      (fun file ->
+        write_text file (Exp.Report.to_markdown report);
+        Format.printf "wrote report %s@." file)
+      md;
+    Option.iter
+      (fun file ->
+        Obs.write_json file (Exp.Report.to_json report);
+        Format.printf "wrote report %s@." file)
+      json;
+    Exp.Report.exit_code report
   in
-  Cmd.v
-    (Cmd.info "report"
-       ~doc:
-         "Compare two run ledgers, run manifests or committed baseline \
-          documents row by row: deterministic metrics must match exactly, \
-          wall times may drift within --threshold. Prints a Markdown \
-          report and exits 2 on regression, 1 on usage errors, 0 \
-          otherwise.")
+  subcommand "report"
+    ~doc:
+      "Compare two run ledgers, run manifests or committed baseline \
+       documents row by row: deterministic metrics must match exactly, \
+       wall times may drift within --threshold. Prints a Markdown \
+       report and exits 2 on regression, 1 on usage errors, 0 \
+       otherwise."
     Term.(
-      const run $ obs_term $ baseline_arg $ current_arg $ threshold_arg
+      const run $ baseline_arg $ current_arg $ threshold_arg
       $ min_time_arg $ ignore_arg $ md_arg $ json_arg)
 
 (* ---------------- serve ---------------- *)
@@ -1434,78 +1360,73 @@ let serve_cmd =
             "Request lines beyond this many MiB are answered with an \
              $(b,oversized) error instead of being parsed.")
   in
-  let run obs socket jobs cache_mb max_request_mb =
-    try
-      with_obs ~sub:"serve" obs @@ fun () ->
-      if cache_mb < 1 then
+  let run socket jobs cache_mb max_request_mb () =
+    if cache_mb < 1 then
+      failwith
+        (Printf.sprintf "--cache-mb must be at least 1 (got %d)" cache_mb);
+    if max_request_mb < 1 then
+      failwith
+        (Printf.sprintf "--max-request-mb must be at least 1 (got %d)"
+           max_request_mb);
+    let jobs = resolve_jobs jobs in
+    ctx "socket" (Obs.Json.String socket);
+    ctx "jobs" (Obs.Json.Int jobs);
+    ctx "cache_mb" (Obs.Json.Int cache_mb);
+    let stop = ref false in
+    let on_signal _ = stop := true in
+    (try Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal)
+     with Invalid_argument _ | Sys_error _ -> ());
+    (try Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal)
+     with Invalid_argument _ | Sys_error _ -> ());
+    let cfg =
+      {
+        Serve.Server.socket_path = socket;
+        jobs;
+        cache_budget_bytes = cache_mb * 1024 * 1024;
+        max_request_bytes = max_request_mb * 1024 * 1024;
+        stop = (fun () -> !stop);
+        on_listening =
+          (fun () ->
+            Format.printf "migsyn serve: listening on %s (jobs=%d)@." socket
+              jobs;
+            (* tools waiting for readiness watch stdout *)
+            flush stdout);
+      }
+    in
+    let s =
+      try Serve.Server.run cfg
+      with Unix.Unix_error (err, fn, arg) ->
         failwith
-          (Printf.sprintf "--cache-mb must be at least 1 (got %d)" cache_mb);
-      if max_request_mb < 1 then
-        failwith
-          (Printf.sprintf "--max-request-mb must be at least 1 (got %d)"
-             max_request_mb);
-      let jobs = resolve_jobs jobs in
-      ctx "socket" (Obs.Json.String socket);
-      ctx "jobs" (Obs.Json.Int jobs);
-      ctx "cache_mb" (Obs.Json.Int cache_mb);
-      let stop = ref false in
-      let on_signal _ = stop := true in
-      (try Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal)
-       with Invalid_argument _ | Sys_error _ -> ());
-      (try Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal)
-       with Invalid_argument _ | Sys_error _ -> ());
-      let cfg =
-        {
-          Serve.Server.socket_path = socket;
-          jobs;
-          cache_budget_bytes = cache_mb * 1024 * 1024;
-          max_request_bytes = max_request_mb * 1024 * 1024;
-          stop = (fun () -> !stop);
-          on_listening =
-            (fun () ->
-              Format.printf "migsyn serve: listening on %s (jobs=%d)@." socket
-                jobs;
-              (* tools waiting for readiness watch stdout *)
-              flush stdout);
-        }
-      in
-      let s =
-        try Serve.Server.run cfg
-        with Unix.Unix_error (err, fn, arg) ->
-          failwith
-            (Printf.sprintf "%s: %s%s" fn (Unix.error_message err)
-               (if arg = "" then "" else " (" ^ arg ^ ")"))
-      in
-      let c = s.Serve.Server.cache in
-      Format.printf
-        "migsyn serve: shutting down: %d requests (%d ok, %d errors) in %d \
-         batches (max batch %d)@."
-        s.Serve.Server.requests s.Serve.Server.ok s.Serve.Server.errors
-        s.Serve.Server.batches s.Serve.Server.max_batch;
-      Format.printf
-        "migsyn serve: cache: %d hits, %d misses, %d coalesced, %d evictions, \
-         %d entries, %d bytes@."
-        c.Serve.Cache.hits c.Serve.Cache.misses c.Serve.Cache.coalesced
-        c.Serve.Cache.evictions c.Serve.Cache.entries c.Serve.Cache.bytes
-    with Failure msg ->
-      prerr_endline ("migsyn serve: error: " ^ msg);
-      exit 1
+          (Printf.sprintf "%s: %s%s" fn (Unix.error_message err)
+             (if arg = "" then "" else " (" ^ arg ^ ")"))
+    in
+    let c = s.Serve.Server.cache in
+    Format.printf
+      "migsyn serve: shutting down: %d requests (%d ok, %d errors) in %d \
+       batches (max batch %d)@."
+      s.Serve.Server.requests s.Serve.Server.ok s.Serve.Server.errors
+      s.Serve.Server.batches s.Serve.Server.max_batch;
+    Format.printf
+      "migsyn serve: cache: %d hits, %d misses, %d coalesced, %d evictions, \
+       %d entries, %d bytes@."
+      c.Serve.Cache.hits c.Serve.Cache.misses c.Serve.Cache.coalesced
+      c.Serve.Cache.evictions c.Serve.Cache.entries c.Serve.Cache.bytes;
+    0
   in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:
-         "Run the synthesis daemon: a Unix-domain-socket server speaking \
-          newline-delimited JSON (schema migsyn-serve/1, spec in \
-          docs/PROTOCOL.md). Requests carry a circuit in any of the five \
-          input formats plus a flow script or algorithm; responses carry \
-          the optimized network, the cost triple and the verification \
-          status. Results are cached by strash-canonical form, so repeated \
-          equivalent requests are answered from memory, bit-identical to a \
-          cold synthesis. Stop with SIGINT/SIGTERM or a shutdown request; \
-          both flush --ledger manifests with the final request and cache \
-          counters.")
+  subcommand "serve"
+    ~doc:
+      "Run the synthesis daemon: a Unix-domain-socket server speaking \
+       newline-delimited JSON (schema migsyn-serve/1, spec in \
+       docs/PROTOCOL.md). Requests carry a circuit in any of the five \
+       input formats plus a flow script or algorithm; responses carry \
+       the optimized network, the cost triple and the verification \
+       status. Results are cached by strash-canonical form, so repeated \
+       equivalent requests are answered from memory, bit-identical to a \
+       cold synthesis. Stop with SIGINT/SIGTERM or a shutdown request; \
+       both flush --ledger manifests with the final request and cache \
+       counters."
     Term.(
-      const run $ obs_term $ socket_arg $ jobs_serve_arg $ cache_mb_arg
+      const run $ socket_arg $ jobs_serve_arg $ cache_mb_arg
       $ max_request_mb_arg)
 
 (* ---------------- client ---------------- *)
@@ -1601,100 +1522,88 @@ let client_cmd =
       & info [ "no-verify" ]
           ~doc:"Ask the daemon to skip equivalence verification.")
   in
-  let run obs socket op netlist flows algorithm effort jobs cost arch
-      realization no_verify inline repeat stable id =
-    try
-      with_obs ~sub:"client" obs @@ fun () ->
-      if repeat < 1 then
-        failwith (Printf.sprintf "--repeat must be at least 1 (got %d)" repeat);
-      let request =
-        match op with
-        | `Ping -> { Serve.Protocol.id; op = Serve.Protocol.Ping }
-        | `Metrics -> { Serve.Protocol.id; op = Serve.Protocol.Metrics }
-        | `Shutdown -> { Serve.Protocol.id; op = Serve.Protocol.Shutdown }
-        | `Synth ->
-            let path =
-              match netlist with
-              | Some p -> p
-              | None -> failwith "synth requests need a NETLIST argument"
-            in
-            let circuit =
-              if inline then begin
-                let format =
-                  match Filename.extension path with
-                  | "" -> failwith (path ^ ": missing extension")
-                  | ext -> String.sub ext 1 (String.length ext - 1)
-                in
-                let ic = open_in_bin path in
-                let source =
-                  Fun.protect
-                    ~finally:(fun () -> close_in_noerr ic)
-                    (fun () -> really_input_string ic (in_channel_length ic))
-                in
-                Serve.Protocol.Inline { format; source }
-              end
-              else Serve.Protocol.File path
-            in
-            {
-              Serve.Protocol.id;
-              op =
-                Serve.Protocol.Synth
-                  {
-                    circuit;
-                    flows;
-                    algorithm;
-                    effort;
-                    jobs = (if jobs <= 0 then None else Some jobs);
-                    cost;
-                    arch;
-                    realization =
-                      (match realization with
-                      | Core.Rram_cost.Imp -> "imp"
-                      | Core.Rram_cost.Maj -> "maj");
-                    verify = not no_verify;
-                  };
-            }
+  let run socket op netlist flows algorithm effort jobs cost arch realization
+      no_verify inline repeat stable id () =
+    if repeat < 1 then
+      failwith (Printf.sprintf "--repeat must be at least 1 (got %d)" repeat);
+    let request =
+      match op with
+      | `Ping -> { Serve.Protocol.id; op = Serve.Protocol.Ping }
+      | `Metrics -> { Serve.Protocol.id; op = Serve.Protocol.Metrics }
+      | `Shutdown -> { Serve.Protocol.id; op = Serve.Protocol.Shutdown }
+      | `Synth ->
+          let path =
+            match netlist with
+            | Some p -> p
+            | None -> failwith "synth requests need a NETLIST argument"
+          in
+          let circuit =
+            if inline then begin
+              let format =
+                match Io.Netlist.format_of_path path with
+                | "" -> failwith (path ^ ": missing extension")
+                | format -> format
+              in
+              Serve.Protocol.Inline { format; source = read_file path }
+            end
+            else Serve.Protocol.File path
+          in
+          {
+            Serve.Protocol.id;
+            op =
+              Serve.Protocol.Synth
+                {
+                  circuit;
+                  flows;
+                  algorithm;
+                  effort;
+                  jobs = (if jobs <= 0 then None else Some jobs);
+                  cost;
+                  arch;
+                  realization =
+                    (match realization with
+                    | Core.Rram_cost.Imp -> "imp"
+                    | Core.Rram_cost.Maj -> "maj");
+                  verify = not no_verify;
+                };
+          }
+    in
+    let line = Serve.Protocol.encode_request request in
+    let conn =
+      try Serve.Client.connect socket
+      with Unix.Unix_error (err, fn, _) ->
+        failwith (socket ^ ": " ^ fn ^ ": " ^ Unix.error_message err)
+    in
+    let saw_error = ref false in
+    for _ = 1 to repeat do
+      Serve.Client.send_line conn line;
+      let response =
+        match Obs.Json.of_string (Serve.Client.recv_line conn) with
+        | json -> json
+        | exception Obs.Json.Parse_error msg ->
+            failwith ("invalid response from migsyn serve: " ^ msg)
       in
-      let line = Serve.Protocol.encode_request request in
-      let conn =
-        try Serve.Client.connect socket
-        with Unix.Unix_error (err, fn, _) ->
-          failwith (socket ^ ": " ^ fn ^ ": " ^ Unix.error_message err)
+      (match Obs.Json.member "status" response with
+      | Obs.Json.String "ok" -> ()
+      | _ -> saw_error := true);
+      let shown =
+        if stable then Serve.Protocol.strip_volatile response else response
       in
-      let saw_error = ref false in
-      for _ = 1 to repeat do
-        Serve.Client.send_line conn line;
-        let response =
-          match Obs.Json.of_string (Serve.Client.recv_line conn) with
-          | json -> json
-          | exception Obs.Json.Parse_error msg ->
-              failwith ("invalid response from migsyn serve: " ^ msg)
-        in
-        (match Obs.Json.member "status" response with
-        | Obs.Json.String "ok" -> ()
-        | _ -> saw_error := true);
-        let shown =
-          if stable then Serve.Protocol.strip_volatile response else response
-        in
-        print_endline (Obs.Json.to_string shown)
-      done;
-      Serve.Client.close conn;
-      if !saw_error then exit 1
-    with Failure msg ->
-      prerr_endline ("migsyn client: error: " ^ msg);
-      exit 1
+      print_endline (Obs.Json.to_string shown)
+    done;
+    Serve.Client.close conn;
+    if !saw_error then 1 else 0
   in
-  Cmd.v
-    (Cmd.info "client"
-       ~doc:
-         "Send one request to a running $(b,migsyn serve) daemon and print \
-          each response line (JSON, schema migsyn-serve/1). The test-harness \
-          side of the wire protocol: --repeat demonstrates cache hits, \
-          --stable strips the volatile envelope members so hot and cold \
-          responses byte-compare equal. Exits 1 if any response carries an \
-          error status.")
+  subcommand "client"
+    ~doc:
+      "Send one request to a running $(b,migsyn serve) daemon and print \
+       each response line (JSON, schema migsyn-serve/1). The test-harness \
+       side of the wire protocol: --repeat demonstrates cache hits, \
+       --stable strips the volatile envelope members so hot and cold \
+       responses byte-compare equal. Exits 1 if any response carries an \
+       error status."
     Term.(
-      const run $ obs_term $ socket_arg $ op_arg $ netlist_arg $ flow_args
+      const run $ socket_arg $ op_arg $ netlist_arg $ flow_args
       $ algorithm_str_arg $ effort_opt_arg $ jobs_req_arg $ cost_arg
       $ arch_arg $ realization_arg $ no_verify_arg $ inline_arg
       $ repeat_arg $ stable_arg $ id_arg)
@@ -1733,37 +1642,18 @@ let () =
      with `migsyn map: unknown option '--bogus'`. *)
   let err_buf = Buffer.create 256 in
   let err_fmt = Format.formatter_of_buffer err_buf in
-  let flush_err () =
-    Format.pp_print_flush err_fmt ();
-    let msg = Buffer.contents err_buf in
-    Buffer.clear err_buf;
-    if msg <> "" then begin
-      let sub_names = List.map Cmd.name subcommands in
-      let renamed =
-        if Array.length Sys.argv > 1 && List.mem Sys.argv.(1) sub_names then
-          let prefix = "migsyn: " in
-          let plen = String.length prefix in
-          if String.length msg >= plen && String.sub msg 0 plen = prefix then
-            Printf.sprintf "migsyn %s: %s" Sys.argv.(1)
-              (String.sub msg plen (String.length msg - plen))
-          else msg
-        else msg
-      in
-      prerr_string renamed;
-      flush stderr
-    end
-  in
-  (* Expected failures (bad netlists, verification mismatches) exit with a
-     one-line diagnostic instead of an OCaml backtrace. *)
-  match Cmd.eval ~catch:false ~err:err_fmt group with
-  | code ->
-      flush_err ();
-      exit code
-  | exception Failure msg ->
-      flush_err ();
-      prerr_endline ("migsyn: error: " ^ msg);
-      exit 1
-  | exception Sys_error msg ->
-      flush_err ();
-      prerr_endline ("migsyn: error: " ^ msg);
-      exit 1
+  (* Expected failures never reach here: {!run_sub} turns them into exit
+     code 1.  Anything else escapes with its backtrace. *)
+  let code = Cmd.eval' ~catch:false ~err:err_fmt group in
+  Format.pp_print_flush err_fmt ();
+  let msg = Buffer.contents err_buf and prefix = "migsyn: " in
+  (match Array.to_list Sys.argv with
+  | _ :: sub :: _
+    when List.mem sub (List.map Cmd.name subcommands)
+         && String.starts_with ~prefix msg ->
+      let plen = String.length prefix in
+      prerr_string
+        (Printf.sprintf "migsyn %s: %s" sub
+           (String.sub msg plen (String.length msg - plen)))
+  | _ -> prerr_string msg);
+  exit code

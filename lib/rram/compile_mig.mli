@@ -43,5 +43,6 @@ val compile :
     routes through {!Compile_crossbar}.
 
     @raise Invalid_argument when a crossbar geometry cannot host the
-    circuit (the CLI validates geometries up front; careful callers use
-    {!Compile_crossbar.compile} directly for a [result]-typed error). *)
+    circuit, carrying {!Compile_crossbar.compile}'s error text unchanged
+    (careful callers use that function directly for a [result]-typed
+    error). *)

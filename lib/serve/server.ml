@@ -64,15 +64,6 @@ let parse_file path =
       reject Protocol.Io_error "%s:%d: %s" path line msg
   | exception (Sys_error msg | Failure msg) -> reject Protocol.Io_error "%s" msg
 
-(* Compile_mig wraps crossbar mapping errors with its own prefix; that is
-   noise on the wire. *)
-let strip_compile_prefix msg =
-  let prefix = "Compile_mig.compile: " in
-  let plen = String.length prefix in
-  if String.length msg >= plen && String.sub msg 0 plen = prefix then
-    String.sub msg plen (String.length msg - plen)
-  else msg
-
 let contains_sub s sub =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
@@ -253,9 +244,7 @@ let execute job : outcome =
       Ok (payload, seconds)
     end
   with
-  | Invalid_argument msg ->
-      Error (Protocol.Synthesis_failed, strip_compile_prefix msg)
-  | Failure msg -> Error (Protocol.Synthesis_failed, msg)
+  | Invalid_argument msg | Failure msg -> Error (Protocol.Synthesis_failed, msg)
 
 (* ------------------------------------------------------------------ *)
 (* Connections and the select loop                                     *)

@@ -416,6 +416,22 @@ let export_tests =
         let back = Io.Blif.parse_string (Io.Blif.write_string (Core.Mig_to_network.export mig)) in
         check bool "blif export preserves function" true
           (Core.Mig_equiv.equivalent_network mig back));
+    test_case "netlist format table: each writer round-trips" `Quick (fun () ->
+        let net = Funcgen.full_adder () in
+        let mig = Core.Mig_of_network.convert net in
+        List.iter
+          (fun format ->
+            let text = Option.get (Io.Netlist.write_string ~format net) in
+            let back = Option.get (Io.Netlist.parse_string ~format text) in
+            check bool format true (Core.Mig_equiv.equivalent_network mig back))
+          Io.Netlist.output_formats;
+        check bool "no pla writer" true
+          (Io.Netlist.write_string ~format:"pla" net = None);
+        check string "expected" ".blif, .bench, .pla, .aag or .aig" Io.Netlist.expected;
+        check string "expected_output" ".blif, .bench, .aag or .aig"
+          Io.Netlist.expected_output;
+        check string "format_of_path" "aag" (Io.Netlist.format_of_path "dir.x/c.aag");
+        check string "no extension" "" (Io.Netlist.format_of_path "dir.x/c"));
   ]
 
 let () =
