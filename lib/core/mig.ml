@@ -460,5 +460,35 @@ let cleanup t =
   done;
   fresh
 
+(* Varint stream of the node store: node count, output count, one tagged
+   record per node in id order (input, dead gate, or live gate followed by
+   its fanin triple), then the output signals.  Every field is
+   length-determined, so equal strings mean equal stores; an input's index
+   is its rank among the input records. *)
+let fingerprint t =
+  let b = Buffer.create (4 * t.n + 16) in
+  let rec varint x =
+    if x < 0x80 then Buffer.add_char b (Char.unsafe_chr x)
+    else begin
+      Buffer.add_char b (Char.unsafe_chr (x land 0x7f lor 0x80));
+      varint (x lsr 7)
+    end
+  in
+  varint t.n;
+  varint t.npos;
+  for i = 1 to t.n - 1 do
+    let node = t.nodes.(i) in
+    match node.kind with
+    | Const | Pi _ -> varint 0
+    | Gate when node.dead -> varint 1
+    | Gate ->
+        varint 2;
+        Array.iter varint node.fanin
+  done;
+  for i = 0 to t.npos - 1 do
+    varint t.pout.(i)
+  done;
+  Buffer.contents b
+
 let pp_stats ppf t =
   Format.fprintf ppf "pis=%d pos=%d gates=%d" t.npis t.npos (size t)

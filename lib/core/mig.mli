@@ -115,6 +115,13 @@ val cleanup : t -> t
 (** Compacted copy containing only nodes reachable from the outputs, in
     topological order.  Primary inputs and outputs keep their indices. *)
 
+val fingerprint : t -> string
+(** An exact, compact encoding (varints) of the node store: every node's
+    kind and fanin triple in id order, and the outputs.  Two graphs built
+    by {!cleanup} are indistinguishable — same ids, fanout orders and
+    strash table — iff their fingerprints are equal, so the string can key
+    a table of visited states.  Compare the strings, never only a hash. *)
+
 val topo_order : t -> int list
 (** Live gate nodes reachable from the outputs, fanins before fanouts. *)
 

@@ -89,10 +89,12 @@ let try_distributivity_lr ?(through_compl = true) ?(fanout_limit = max_int) mig 
   let lv s = Level_cache.level cache mig s in
   let root_level = Level_cache.node_level cache mig g in
   let f = Mig.fanins mig g in
-  let attempt (p, other1, other2) =
-    if gate_edge_ok mig through_compl p && uses_at_most mig p fanout_limit then begin
+  let attempt (p, x, y) =
+    (* prefilter: inner1 alone puts new_level at least 2 + max(lv x, lv y) *)
+    if gate_edge_ok mig through_compl p && uses_at_most mig p fanout_limit
+       && 2 + max (lv x) (lv y) < root_level
+    then begin
       let fp = virtual_fanins mig p in
-      let x = other1 and y = other2 in
       let choices = pairs_with_third fp in
       List.exists
         (fun (u, v, z) ->
@@ -133,7 +135,11 @@ let try_associativity ?(strict = true) ?(through_compl = true) ?(fanout_limit = 
   in
   let f = Mig.fanins mig g in
   let attempt (p, a1, a2) =
-    if gate_edge_ok mig through_compl p && uses_at_most mig p fanout_limit then begin
+    (* prefilter: {u, x} = {a1, a2} feed new_inner, so new_level is at
+       least 2 + max(lv a1, lv a2), and [accepts] is monotone *)
+    if gate_edge_ok mig through_compl p && uses_at_most mig p fanout_limit
+       && accepts (2 + max (lv a1) (lv a2))
+    then begin
       let fp = virtual_fanins mig p in
       (* u must be shared between the root and the inner gate *)
       List.exists
@@ -175,7 +181,11 @@ let try_compl_assoc ?(require_gain = true) ?(through_compl = true) ?(fanout_limi
   let root_level = Level_cache.node_level cache mig g in
   let f = Mig.fanins mig g in
   let attempt (p, a1, a2) =
-    if gate_edge_ok mig through_compl p && uses_at_most mig p fanout_limit then begin
+    (* prefilter: x is a1 or a2 and feeds new_inner, so with a level
+       requirement new_level is at least 2 + min(lv a1, lv a2) *)
+    if gate_edge_ok mig through_compl p && uses_at_most mig p fanout_limit
+       && ((not require_gain) || 2 + min (lv a1) (lv a2) <= root_level)
+    then begin
       let fp = virtual_fanins mig p in
       List.exists
         (fun (u, x) ->

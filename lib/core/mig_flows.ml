@@ -2,6 +2,7 @@ let ops =
   {
     Flow.copy = Mig.cleanup;
     cleanup = Mig.cleanup;
+    fingerprint = Mig.fingerprint;
     measure =
       (fun mig ->
         let size, depth = Mig_passes.size_and_depth mig in
@@ -21,8 +22,8 @@ let registry : Mig.t Flow.registry = Flow.create_registry ()
 
 let inplace f ~cycle:_ mig = (mig, f mig)
 
-let pass name ~category ~doc ?(preserves = "function") run =
-  { Flow.name; category; doc; preserves; run }
+let pass name ~category ~doc ?(preserves = "function") ?(reads_cycle = false) run =
+  { Flow.name; category; doc; preserves; reads_cycle; run }
 
 let () =
   List.iter (Flow.register registry)
@@ -32,7 +33,7 @@ let () =
           "Ω.M + Ω.D right-to-left sweeps to a bounded fixpoint \
            (the node-count engine of Alg. 1)"
         (inplace Mig_passes.eliminate);
-      pass "reshape" ~category:"area" ~preserves:"function, depth"
+      pass "reshape" ~category:"area" ~preserves:"function, depth" ~reads_cycle:true
         ~doc:
           "Ω.A + Ψ.C level-preserving perturbation; the random \
            subset of moves is seeded by the enclosing cycle index"

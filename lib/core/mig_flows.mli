@@ -16,7 +16,8 @@ val registry : Mig.t Flow.registry
     [cut_rewrite]. *)
 
 val ops : Mig.t Flow.ops
-(** Cleanup/copy via {!Mig.cleanup}; the trajectory measure samples
+(** Cleanup/copy via {!Mig.cleanup}, orbit-exit keys via
+    {!Mig.fingerprint}; the trajectory measure samples
     [(size, depth, r_imp, s_imp, r_maj, s_maj)] exactly as {!Mig_opt}
     always recorded. *)
 

@@ -5,6 +5,7 @@ type 'g pass = {
   category : string;
   doc : string;
   preserves : string;
+  reads_cycle : bool;
   run : cycle:int -> 'g -> 'g * bool;
 }
 
@@ -34,7 +35,19 @@ type 'g ops = {
   copy : 'g -> 'g;
   cleanup : 'g -> 'g;
   measure : 'g -> (string * float) list;
+  fingerprint : 'g -> string;
 }
+
+(* Whether a cycle body computes the same thing on every cycle, i.e. is a
+   function of its input graph alone: no [Every] gate and no pass that reads
+   the cycle index.  A nested [Cycle] rebinds the index from 0, so it is a
+   function of its input too. *)
+let rec cycle_invariant = function
+  | Pass p -> not p.reads_cycle
+  | Seq fs -> List.for_all cycle_invariant fs
+  | Every _ -> false
+  | Cycle _ -> true
+  | Accept_if { body; _ } | Named { body; _ } -> cycle_invariant body
 
 (* ------------------------------------------------------------------ *)
 (* Engine                                                              *)
@@ -92,19 +105,47 @@ let changed_run ~ops ?(span_prefix = "flow") ?name flow g =
     | Cycle { effort; body } ->
         (* The paper's converge-or-stop outer loop, with the per-cycle
            cleanup and trajectory sampling previously hardcoded in
-           Mig_opt.drive. *)
-        let traj = Obs.series (span_prefix ^ "/" ^ name ^ "/trajectory") in
+           Mig_opt.drive.
+
+           Orbit exit: a cycle-invariant body maps each cleaned graph to the
+           next one deterministically, so once cleaned state [j] repeats
+           state [i] the sequence has period [j - i] and the state after
+           cycle [effort] is already known to be the one [(effort - j) mod
+           (j - i)] cycles ahead.  The loop jumps its index there and runs
+           only those cycles.  States are keyed by their exact fingerprint;
+           the table is local to this loop invocation. *)
+        let scope = span_prefix ^ "/" ^ name in
+        let traj = Obs.series (scope ^ "/trajectory") in
         record traj 0 g;
+        let seen = ref (if cycle_invariant body then Some (Hashtbl.create 64) else None) in
+        let next_index j g =
+          match !seen with
+          | None -> j
+          | Some states -> (
+              let key = ops.fingerprint g in
+              match Hashtbl.find_opt states key with
+              | None ->
+                  Hashtbl.add states key j;
+                  j
+              | Some i ->
+                  let target = effort - ((effort - j) mod (j - i)) in
+                  Obs.incr ~by:(target - j)
+                    (Obs.counter (scope ^ "/cycle.orbit_skipped"));
+                  seen := None;
+                  target)
+        in
         let rec loop n g any =
           if n >= effort then (g, any)
           else begin
             let g, changed =
-              Obs.with_span ~cat:span_prefix (span_prefix ^ "/" ^ name ^ "/cycle")
-                (fun () -> exec ~name ~cycle:n g body)
+              Obs.with_span ~cat:span_prefix (scope ^ "/cycle") (fun () ->
+                  exec ~name ~cycle:n g body)
             in
             let g = ops.cleanup g in
-            record traj (n + 1) g;
-            if changed then loop (n + 1) g true else (g, any)
+            (* a no-change cycle stops the loop before any orbit lookup *)
+            let n = if changed then next_index (n + 1) g else n + 1 in
+            record traj n g;
+            if changed then loop n g true else (g, any)
           end
         in
         loop 0 g false
@@ -263,7 +304,9 @@ module Script = struct
       st.pos <- st.pos + 1
     done;
     if st.pos = start then err start "expected a number %s" what;
-    (int_of_string (String.sub st.src start (st.pos - start)), start)
+    match int_of_string_opt (String.sub st.src start (st.pos - start)) with
+    | Some n -> (n, start)
+    | None -> err start "number too large"
 
   let keywords = [ "cycle"; "every"; "accept_if" ]
 

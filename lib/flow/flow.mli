@@ -18,7 +18,9 @@
     span per pass application ([<prefix>/pass/<name>]), one per named
     sub-flow ([<prefix>/<name>]), one per convergence cycle
     ([<prefix>/<name>/cycle]), a [<prefix>/<name>/trajectory] series with one
-    sample per cycle, and accept/rollback counters for every cost guard. *)
+    sample per executed cycle, a [<prefix>/<name>/cycle.orbit_skipped]
+    counter of cycles the orbit exit skipped, and accept/rollback counters
+    for every cost guard. *)
 
 (** {1 Passes} *)
 
@@ -27,6 +29,9 @@ type 'g pass = {
   category : string;  (** e.g. ["area"], ["depth"], ["boolean"] *)
   doc : string;  (** one-line description for [--list-passes] *)
   preserves : string;  (** what the pass keeps invariant, e.g. ["function"] *)
+  reads_cycle : bool;
+      (** whether [run] depends on its [cycle] argument; a {!Cycle} whose
+          body contains such a pass never takes the orbit exit *)
   run : cycle:int -> 'g -> 'g * bool;
       (** Apply once.  [cycle] is the index of the enclosing convergence
           cycle (0 outside one) — passes like the paper's reshape derive
@@ -60,7 +65,18 @@ type 'g t =
   | Cycle of { effort : int; body : 'g t }
       (** The paper's outer loop: run [body] up to [effort] times with a
           compacting cleanup and a trajectory sample after each iteration,
-          stopping early when an iteration reports no change. *)
+          stopping early when an iteration reports no change.
+
+          {e Orbit exit.}  When [body] is cycle-invariant — no {!Every} and
+          no pass with [reads_cycle] — each cleaned graph determines the
+          next, so the loop records every cleaned graph's
+          {!ops.fingerprint}.  When state [j] repeats an earlier state [i],
+          every later state is known: the loop skips ahead to cycle
+          [effort - ((effort - j) mod (j - i))] and runs only the remaining
+          cycles, so it returns exactly the graph cycle [effort] would
+          have.  Trajectory samples keep the equivalent cycle index (the
+          last sample of a capped loop is [effort]), and the skipped
+          cycles are counted in [<prefix>/<name>/cycle.orbit_skipped]. *)
   | Every of { period : int; body : 'g t }
       (** Run [body] only on cycles whose index is a multiple of [period]
           (Alg. 2 throttles Ψ.R to every third cycle). *)
@@ -80,6 +96,11 @@ type 'g ops = {
   measure : 'g -> (string * float) list;
       (** trajectory fields ([(size, depth, …)]); only called when
           observability is enabled *)
+  fingerprint : 'g -> string;
+      (** exact encoding of a graph for {!Cycle}'s orbit exit.  Contract: a
+          graph returned by [cleanup] is fully determined by its
+          fingerprint — two cleaned graphs with equal fingerprints behave
+          identically under every pass.  Compared by string equality. *)
 }
 
 val run : ops:'g ops -> ?span_prefix:string -> ?name:string -> 'g t -> 'g -> 'g

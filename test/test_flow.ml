@@ -18,10 +18,11 @@ let toy_ops =
     Flow.copy = (fun t -> { v = t.v; trace = t.trace });
     cleanup = (fun t -> t);
     measure = (fun _ -> []);
+    fingerprint = (fun t -> Marshal.to_string (t.v, t.trace) []);
   }
 
-let toy_pass name run =
-  { Flow.name; category = "toy"; doc = ""; preserves = ""; run }
+let toy_pass ?(reads_cycle = false) name run =
+  { Flow.name; category = "toy"; doc = ""; preserves = ""; reads_cycle; run }
 
 let log_pass name changed =
   toy_pass name (fun ~cycle:_ t ->
@@ -66,7 +67,7 @@ let engine_tests =
         let t = { v = 0; trace = [] } in
         let tick = toy_pass "tick" (fun ~cycle:_ t -> (t, true)) in
         let record =
-          toy_pass "record" (fun ~cycle t ->
+          toy_pass ~reads_cycle:true "record" (fun ~cycle t ->
               t.trace <- string_of_int cycle :: t.trace;
               (t, false))
         in
@@ -113,6 +114,115 @@ let engine_tests =
         let r = Flow.run ~ops:copying_ops (Cycle { effort = 4; body = Pass inc }) t in
         check int "input untouched" 0 t.v;
         check int "result advanced" 4 r.v);
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Orbit exit: a toy state that walks a pre-period of [mu] states into  *)
+(* a cycle of [lambda] states, so every repeat is known in advance.     *)
+(* ------------------------------------------------------------------ *)
+
+let rho_step ~mu ~lambda v = if v < mu then v + 1 else mu + ((v - mu + 1) mod lambda)
+
+(* A pass that advances the rho walk, always reporting a change, and
+   counts its executions in [runs]. *)
+let rho_pass ?reads_cycle ~mu ~lambda runs =
+  toy_pass ?reads_cycle "rho" (fun ~cycle:_ t ->
+      incr runs;
+      t.v <- rho_step ~mu ~lambda t.v;
+      (t, true))
+
+let rho_run ?reads_cycle ~mu ~lambda ~effort body_of =
+  let runs = ref 0 in
+  let body = body_of (rho_pass ?reads_cycle ~mu ~lambda runs) in
+  let r = Flow.run ~ops:toy_ops (Cycle { effort; body }) { v = 0; trace = [] } in
+  (r.v, !runs)
+
+let with_obs f =
+  Obs.reset ();
+  Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_enabled false;
+      Obs.reset ())
+    f
+
+let orbit_props =
+  let gen =
+    QCheck.Gen.(
+      int_range 0 6 >>= fun mu ->
+      int_range 1 6 >>= fun lambda ->
+      int_range 1 (mu + (3 * lambda) + 3) >|= fun effort -> (mu, lambda, effort))
+  in
+  [
+    QCheck.Test.make ~name:"orbit exit ends on the state of a plain run" ~count:300
+      (QCheck.make ~print:QCheck.Print.(triple int int int) gen)
+      (fun (mu, lambda, effort) ->
+        let v, runs = rho_run ~mu ~lambda ~effort (fun p -> Flow.Pass p) in
+        let plain = ref 0 in
+        for _ = 1 to effort do
+          plain := rho_step ~mu ~lambda !plain
+        done;
+        (* Cleaned states are recorded from cycle 1 on, so the first repeat
+           is state [max mu 1 + lambda]; from there only the remainder of
+           the period is run. *)
+        let j = max mu 1 + lambda in
+        let expected_runs = if effort >= j then j + ((effort - j) mod lambda) else effort in
+        if v <> !plain then
+          QCheck.Test.fail_reportf "final state %d, plain run %d" v !plain;
+        if runs <> expected_runs then
+          QCheck.Test.fail_reportf "%d body runs, expected %d" runs expected_runs;
+        true);
+  ]
+
+let orbit_tests =
+  let open Alcotest in
+  [
+    test_case "every(N) in the body disables the exit" `Quick (fun () ->
+        let _, runs =
+          rho_run ~mu:2 ~lambda:3 ~effort:40 (fun p ->
+              let noop = toy_pass "noop" (fun ~cycle:_ t -> (t, false)) in
+              Flow.Seq [ Pass p; Every { period = 2; body = Pass noop } ])
+        in
+        check int "every cycle ran" 40 runs);
+    test_case "a pass reading the cycle disables the exit" `Quick (fun () ->
+        let _, runs =
+          rho_run ~reads_cycle:true ~mu:2 ~lambda:3 ~effort:40 (fun p -> Flow.Pass p)
+        in
+        check int "every cycle ran" 40 runs);
+    test_case "a nested cycle keeps the exit" `Quick (fun () ->
+        let _, runs =
+          rho_run ~mu:2 ~lambda:3 ~effort:40 (fun p ->
+              Flow.Cycle { effort = 1; body = Pass p })
+        in
+        check bool "fewer body runs than the effort" true (runs < 40));
+    test_case "changed=false still stops first" `Quick (fun () ->
+        (* state 2 repeats state 1, but the cycle that produced it reported
+           no change: the loop converges there instead of skipping ahead *)
+        with_obs (fun () ->
+            let runs = ref 0 in
+            let cap =
+              toy_pass "cap" (fun ~cycle:_ t ->
+                  incr runs;
+                  let v = min (t.v + 1) 1 in
+                  let changed = v <> t.v in
+                  t.v <- v;
+                  (t, changed))
+            in
+            let r =
+              Flow.run ~ops:toy_ops ~name:"cap" (Cycle { effort = 10; body = Pass cap })
+                { v = 0; trace = [] }
+            in
+            check int "converged state" 1 r.v;
+            check int "two body runs" 2 !runs;
+            check int "nothing skipped" 0
+              (Obs.count (Obs.counter "flow/cap/cycle.orbit_skipped"));
+            check int "one sample per executed cycle" 3
+              (List.length (Obs.samples (Obs.series "flow/cap/trajectory")))));
+    test_case "the toy fingerprint sees the whole state" `Quick (fun () ->
+        let fp v trace = toy_ops.Flow.fingerprint { v; trace } in
+        check bool "v" false (fp 1 [] = fp 2 []);
+        check bool "trace" false (fp 1 [ "a" ] = fp 1 [ "b" ]);
+        check bool "equal states" true (fp 1 [ "a" ] = fp 1 [ "a" ]));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -192,6 +302,10 @@ let parser_tests =
         check_err "eliminate}" ~pos:9 ~msg:"expected ';' between steps, found '}'";
         check_err "cycle(0){eliminate}" ~pos:6 ~msg:"cycle count must be positive";
         check_err "cycle(x){eliminate}" ~pos:6 ~msg:"expected a number of cycles";
+        check_err "cycle(99999999999999999999){eliminate}" ~pos:6
+          ~msg:"number too large";
+        check_err "cycle(2){every( 4611686018427387904){psi_r}}" ~pos:16
+          ~msg:"number too large";
         check_err "eliminate reshape" ~pos:10
           ~msg:"expected ';' between steps, found 'r'");
     test_case "the CLI error line format" `Quick (fun () ->
@@ -243,6 +357,20 @@ let registry_props =
 let registry_tests =
   let open Alcotest in
   [
+    test_case "only reshape reads the cycle index" `Quick (fun () ->
+        (* The orbit exit trusts the flag: a pass that does not set it must
+           compute the same graph whatever cycle it runs in. *)
+        let mig = Core.Mig.cleanup (Core.Mig_of_network.convert (Funcgen.rd 5 3)) in
+        List.iter
+          (fun (p : Core.Mig.t Flow.pass) ->
+            check bool (p.Flow.name ^ " flag") (p.Flow.name = "reshape") p.Flow.reads_cycle;
+            let at cycle =
+              Core.Mig.fingerprint
+                (Core.Mig.cleanup (fst (p.Flow.run ~cycle (Core.Mig.cleanup mig))))
+            in
+            if not p.Flow.reads_cycle then
+              check string (p.Flow.name ^ " ignores the cycle") (at 0) (at 7))
+          (Flow.passes Core.Mig_flows.registry));
     test_case "pass metadata is complete" `Quick (fun () ->
         let ps = Flow.passes Core.Mig_flows.registry in
         check bool "has the paper's vocabulary" true (List.length ps >= 13);
@@ -406,6 +534,67 @@ let golden_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Structural golden: exact output circuits of the paper's suite        *)
+(* ------------------------------------------------------------------ *)
+
+(* One line per Table II circuit x paper algorithm x effort (40, the
+   paper's; 10, the daemon's): the MD5 of the .bench export of the
+   optimized MIG.  Pins node-for-node structure, not just quality, so an
+   engine speedup must reproduce every circuit byte for byte. *)
+let structure_digests () =
+  let path =
+    if Sys.file_exists "structure_digests.txt" then "structure_digests.txt"
+    else "test/structure_digests.txt"
+  in
+  In_channel.with_open_text path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+  |> List.map (fun l ->
+         match String.split_on_char ' ' l with
+         | [ circuit; alg; effort; md5 ] -> ((circuit, alg, int_of_string effort), md5)
+         | _ -> Alcotest.failf "malformed digest line %S" l)
+
+let structure_tests =
+  let open Alcotest in
+  [
+    test_case "Table II outputs are byte-identical to the pinned digests" `Slow
+      (fun () ->
+        let expected = structure_digests () in
+        check int "25 circuits x 5 algorithms x 2 efforts" 250 (List.length expected);
+        let nets = Hashtbl.create 32 in
+        List.iter
+          (fun ((circuit, alg, effort), md5) ->
+            let mig =
+              match Hashtbl.find_opt nets circuit with
+              | Some m -> m
+              | None ->
+                  let e = Option.get (Io.Benchmarks.find circuit) in
+                  let m = Core.Mig_of_network.convert (e.Io.Benchmarks.build ()) in
+                  Hashtbl.add nets circuit m;
+                  m
+            in
+            let script = Option.get (Core.Mig_flows.canonical_script ~effort alg) in
+            let out = Core.Mig_flows.run (Core.Mig_flows.parse_exn script) mig in
+            let text = Io.Bench_format.write_string (Core.Mig_to_network.export out) in
+            check string
+              (Printf.sprintf "%s/%s@%d" circuit alg effort)
+              md5
+              (Digest.to_hex (Digest.string text)))
+          expected);
+    test_case "Alg. 3 on a Table II circuit takes the orbit exit" `Quick (fun () ->
+        with_obs (fun () ->
+            let e = Option.get (Io.Benchmarks.find "t481") in
+            let mig = Core.Mig_of_network.convert (e.Io.Benchmarks.build ()) in
+            ignore (Core.Mig_opt.rram_costs Core.Rram_cost.Maj mig);
+            check bool "cycles skipped" true
+              (Obs.count (Obs.counter "mig.opt/rram-costs-maj/cycle.orbit_skipped") > 0);
+            let traj = Obs.samples (Obs.series "mig.opt/rram-costs-maj/trajectory") in
+            let last = List.nth traj (List.length traj - 1) in
+            check (float 0.) "last sample is cycle 40" 40. (List.assoc "cycle" last);
+            check bool "fewer samples than cycles" true (List.length traj < 41)));
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Experiment threading                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -449,10 +638,13 @@ let () =
   Alcotest.run "flow"
     [
       ("engine", engine_tests);
+      ("orbit", orbit_tests);
+      ("orbit-props", List.map QCheck_alcotest.to_alcotest orbit_props);
       ("script", parser_tests);
       ("registry", registry_tests);
       ("registry-props", List.map QCheck_alcotest.to_alcotest registry_props);
       ("guards", guard_tests);
       ("golden", golden_tests);
+      ("structure", structure_tests);
       ("experiments", experiment_tests);
     ]

@@ -49,6 +49,42 @@ let full_adder_mig () =
 let store_tests =
   let open Alcotest in
   [
+    test_case "fingerprint separates every fanin and output" `Quick (fun () ->
+        (* one gate M(a, b, c) with per-fanin and output polarities *)
+        let fp ?(pos = [ false ]) (ca, cb, cc) =
+          let mig = Core.Mig.create () in
+          let lit c s = if c then Core.Mig.not_ s else s in
+          let a = Core.Mig.add_pi mig in
+          let b = Core.Mig.add_pi mig in
+          let c = Core.Mig.add_pi mig in
+          let g = Core.Mig.maj mig (lit ca a) (lit cb b) (lit cc c) in
+          List.iter (fun c -> ignore (Core.Mig.add_po mig (lit c g))) pos;
+          Core.Mig.fingerprint mig
+        in
+        let base = fp (false, false, false) in
+        check string "deterministic" base (fp (false, false, false));
+        List.iter
+          (fun (what, other) -> check bool what false (base = other))
+          [
+            ("first fanin", fp (true, false, false));
+            ("second fanin", fp (false, true, false));
+            ("third fanin", fp (false, false, true));
+            ("output polarity", fp ~pos:[ true ] (false, false, false));
+            ("output count", fp ~pos:[ false; false ] (false, false, false));
+          ]);
+    test_case "fingerprint keys cleaned graphs" `Quick (fun () ->
+        let fps =
+          List.map
+            (fun seed ->
+              let m = mig_of_seed seed in
+              let fp = Core.Mig.fingerprint (Core.Mig.cleanup m) in
+              check string "independent cleanups agree" fp
+                (Core.Mig.fingerprint (Core.Mig.cleanup m));
+              fp)
+            [ 1; 2; 3; 4; 5 ]
+        in
+        check int "distinct graphs, distinct keys" 5
+          (List.length (List.sort_uniq compare fps)));
     test_case "constants" `Quick (fun () ->
         check int "const1 = not const0" Core.Mig.const1 (Core.Mig.not_ Core.Mig.const0));
     test_case "majority rule M(x,x,z) = x" `Quick (fun () ->

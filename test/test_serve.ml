@@ -484,6 +484,21 @@ let e2e_tests =
                   (encode (synth_op ~flows:[ "cycle(oops" ] inline_blif))
               in
               check string "bad flow script" "bad_request" (error_code bad_flow);
+              let overflow =
+                Serve.Client.rpc c
+                  (encode
+                     (synth_op
+                        ~flows:[ "cycle(99999999999999999999){eliminate}" ]
+                        inline_blif))
+              in
+              check string "overflowing cycle count" "bad_request"
+                (error_code overflow);
+              check string "overflow message carries the byte position"
+                "flow script1: at byte 6: number too large"
+                (member_str "message" (Json.member "error" overflow));
+              let pong = Serve.Client.rpc c (encode P.Ping) in
+              check string "serving after the overflow" "ok"
+                (member_str "status" pong);
               let bad_alg =
                 Serve.Client.rpc c
                   (encode (synth_op ~algorithm:"quantum" inline_blif))
@@ -505,7 +520,7 @@ let e2e_tests =
               check string "still serving" "ok" (member_str "status" pong);
               Serve.Client.close c)
         in
-        check bool "errors were counted" true (summary.Serve.Server.errors >= 6));
+        check bool "errors were counted" true (summary.Serve.Server.errors >= 7));
     test_case "oversized request lines answer oversized" `Quick (fun () ->
         let (), _ =
           with_server ~max_request_bytes:4096 (fun path ->
