@@ -70,11 +70,12 @@ let counterexample ?(rounds = 64) ?(seed = 0xE0A) a b =
   else begin
     let n = Mig.num_pis a in
     let patterns = with_corners (random_patterns ~seed ~rounds n) n in
+    let sim_a = Mig_sim.simulate a and sim_b = Mig_sim.simulate b in
     let found = ref None in
     List.iter
       (fun ins ->
         if !found = None then begin
-          let oa = Mig_sim.simulate a ins and ob = Mig_sim.simulate b ins in
+          let oa = sim_a ins and ob = sim_b ins in
           Array.iteri
             (fun o va ->
               if !found = None && not (Bitvec.equal va ob.(o)) then begin

@@ -1,23 +1,40 @@
 open Logic
 
-let simulate mig ins =
-  if Array.length ins <> Mig.num_pis mig then invalid_arg "Mig_sim.simulate: input count";
-  let width = if Array.length ins = 0 then 1 else Bitvec.width ins.(0) in
-  let zero = Bitvec.create width in
-  let values = Array.make (Mig.num_nodes mig) zero in
-  for i = 0 to Mig.num_pis mig - 1 do
-    values.(Mig.node_of (Mig.pi mig i)) <- ins.(i)
-  done;
-  let value_of s =
-    let v = values.(Mig.node_of s) in
-    if Mig.is_compl s then Bitvec.bnot v else v
-  in
-  List.iter
-    (fun g ->
-      let f = Mig.fanins mig g in
-      values.(g) <- Bitvec.maj3 (value_of f.(0)) (value_of f.(1)) (value_of f.(2)))
-    (Mig.topo_order mig);
-  Array.map value_of (Mig.pos mig)
+(* The topological order is computed on the closure's first call and kept,
+   so repeated rounds on one graph walk it once.  The cache is an option
+   ref, not a [Lazy.t]: two domains racing on it both compute the same
+   list, where a lazy value forced from two domains at once raises
+   [Lazy.Undefined]. *)
+let simulate mig =
+  let order = ref None in
+  fun ins ->
+    if Array.length ins <> Mig.num_pis mig then
+      invalid_arg "Mig_sim.simulate: input count";
+    let order =
+      match !order with
+      | Some o -> o
+      | None ->
+          let o = Mig.topo_order mig in
+          order := Some o;
+          o
+    in
+    let width = if Array.length ins = 0 then 1 else Bitvec.width ins.(0) in
+    let zero = Bitvec.create width in
+    let values = Array.make (Mig.num_nodes mig) zero in
+    for i = 0 to Mig.num_pis mig - 1 do
+      values.(Mig.node_of (Mig.pi mig i)) <- ins.(i)
+    done;
+    let value_of s =
+      let v = values.(Mig.node_of s) in
+      if Mig.is_compl s then Bitvec.bnot v else v
+    in
+    List.iter
+      (fun g ->
+        let f = Mig.fanins mig g in
+        values.(g) <-
+          Bitvec.maj3 (value_of f.(0)) (value_of f.(1)) (value_of f.(2)))
+      order;
+    Array.map value_of (Mig.pos mig)
 
 let eval mig a =
   let ins =

@@ -5,7 +5,13 @@
     rewrite and every compiled RRAM program is checked against. *)
 
 val simulate : Mig.t -> Logic.Bitvec.t array -> Logic.Bitvec.t array
-(** One pattern set per primary input (equal widths); one per output. *)
+(** One pattern set per primary input (equal widths); one per output.
+
+    A partial application [simulate mig] computes [mig]'s topological
+    order on its first call and reuses it on every later call, so many
+    rounds over one graph pay for the order once.  The closure therefore
+    fixes the graph's topology at that first call: after adding nodes or
+    rewiring fanins, apply [simulate] to the graph again. *)
 
 val eval : Mig.t -> bool array -> bool array
 (** Single input vector. *)

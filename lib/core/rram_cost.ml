@@ -12,7 +12,16 @@ let validate_arch = function
         Error (Printf.sprintf "crossbar needs at least one row (got %d)" rows)
       else if columns < 1 then
         Error (Printf.sprintf "crossbar needs at least one column (got %d)" columns)
+      else if rows > max_int / columns then
+        Error
+          (Printf.sprintf
+             "crossbar %dx%d is too large: rows x columns exceeds %d devices"
+             rows columns max_int)
       else Ok ()
+
+(* ceil (a / b) for a >= 0 and b >= 1, without the overflow of
+   (a + b - 1) / b near max_int *)
+let ceil_div a b = if a = 0 then 0 else 1 + ((a - 1) / b)
 
 let arch_to_string = function
   | Unbounded_serial -> "serial"
@@ -96,7 +105,7 @@ let triple_of_levels ~arch realization (lv : Mig_levels.t) =
           if i < Array.length lv.compl_per_level then lv.compl_per_level.(i)
           else 0
         in
-        let waves = max 1 ((ni + rows - 1) / rows) in
+        let waves = max 1 (ceil_div ni rows) in
         latency := !latency + (waves * k_s) + (if ci > 0 then waves else 0);
         demand := max !demand ((k_r * min ni rows) + ci)
       done;
@@ -108,7 +117,7 @@ let triple_of_levels ~arch realization (lv : Mig_levels.t) =
         else 0
       in
       if c_read > 0 then begin
-        latency := !latency + ((c_read + rows - 1) / rows);
+        latency := !latency + ceil_div c_read rows;
         demand := max !demand c_read
       end;
       let capacity = rows * columns in

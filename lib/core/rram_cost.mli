@@ -32,7 +32,8 @@ val steps_per_level : realization -> int
 type arch = Unbounded_serial | Crossbar of { rows : int; columns : int }
 
 val validate_arch : arch -> (unit, string) result
-(** Crossbar geometry must have at least one row and one column. *)
+(** Crossbar geometry must have at least one row and one column, and its
+    device count [rows × columns] must fit in an [int]. *)
 
 val parse_arch : string -> (arch, string) result
 (** ["serial"] (or ["unbounded"]), or ["RxC"] with positive integers, e.g.

@@ -20,28 +20,45 @@ let invert_micro realization ~src ~dst =
 
 (* Greedy row-disjoint batching: split a list of (row, pulse) pairs into the
    fewest steps such that no step fires two pulses on one row, preserving
-   emission order inside each step. *)
+   emission order inside each step.  First-fit puts the k-th pulse of a row
+   (from 0) in batch k, so an item's batch is the number of earlier items
+   on its row. *)
 let batch_by_row items =
-  let batches = ref [] in
-  List.iter
-    (fun (row, micro) ->
-      let rec go = function
-        | [] ->
-            let rows_tbl = Hashtbl.create 7 in
-            Hashtbl.replace rows_tbl row ();
-            batches := !batches @ [ (rows_tbl, ref [ micro ]) ]
-        | (rows_tbl, micros) :: rest ->
-            if Hashtbl.mem rows_tbl row then go rest
-            else begin
-              Hashtbl.replace rows_tbl row ();
-              micros := micro :: !micros
-            end
-      in
-      go !batches)
-    items;
-  List.map (fun (_, micros) -> List.rev !micros) !batches
+  let seen = Hashtbl.create 17 in
+  let tagged =
+    List.rev_map
+      (fun (row, micro) ->
+        let k = Option.value ~default:0 (Hashtbl.find_opt seen row) in
+        Hashtbl.replace seen row (k + 1);
+        (k, micro))
+      items
+  in
+  let batches = Array.make (Hashtbl.fold (fun _ k m -> max k m) seen 0) [] in
+  List.iter (fun (k, micro) -> batches.(k) <- micro :: batches.(k)) tagged;
+  Array.to_list batches
 
-type row_state = { mutable next_col : int; mutable free_cols : int list }
+(* Per-row allocation state.  [used] and [inv] hold the last wave that
+   claimed the row for a gate or for a MAJ complement inversion, so the
+   per-wave marks reset without a sweep. *)
+type row_state = {
+  mutable next_col : int;  (* lowest column never handed out *)
+  mutable free_cols : int list;  (* released columns, ascending *)
+  mutable nfree : int;  (* length of [free_cols] *)
+  mutable regs : int array;  (* column -> register, -1 before first use *)
+  mutable used : int;
+  mutable inv : int;
+  mutable readout_inv : bool;  (* hosts a readout-inversion device *)
+}
+
+(* [a] with room for index [i]; new slots hold [fill]. *)
+let grow a i fill =
+  let len = Array.length a in
+  if i < len then a
+  else begin
+    let b = Array.make (max (i + 1) (2 * len)) fill in
+    Array.blit a 0 b 0 len;
+    b
+  end
 
 type po_plan =
   | Direct of Isa.operand
@@ -53,54 +70,57 @@ type po_plan =
    lowest-index row satisfying the predicate, site choice the lowest free
    column, so re-running with the measured geometry reproduces the program
    bit for bit (every capacity check that passed under unbounded columns
-   passes under the measured maximum).  Raises [Too_small]. *)
+   passes under the measured maximum).  Per-row state grows with the rows
+   actually opened, never with [rows].  Raises [Too_small]. *)
 let run_waves ~rows ~columns realization mig lv =
   let depth = lv.L.depth in
   let num_inputs = M.num_pis mig in
   let k_s = RC.steps_per_level realization in
   let npulse = k_s - 1 in
   (* ---- site allocation: one register per physical (row, column) site ---- *)
-  let row_states : (int, row_state) Hashtbl.t = Hashtbl.create 97 in
+  let row_states = ref [||] in
   let opened = ref 0 in
-  let state r =
-    match Hashtbl.find_opt row_states r with
-    | Some s -> s
-    | None ->
-        let s = { next_col = 0; free_cols = [] } in
-        Hashtbl.replace row_states r s;
-        if r >= !opened then opened := r + 1;
-        s
-  in
+  let state r = !row_states.(r) in
   let has_capacity s need =
     let fresh = columns - s.next_col in
-    fresh >= need || fresh + List.length s.free_cols >= need
+    fresh >= need || fresh + s.nfree >= need
   in
-  let reg_of_site = Hashtbl.create 997 in
-  let site_of_reg = Hashtbl.create 997 in
+  let reg_row = ref [||] and reg_col = ref [||] in
+  (* the wave in which a register became a MAJ gate's result *)
+  let result_wave = ref [||] in
   let next_reg = ref 0 in
-  let reg_at (r, c) =
-    match Hashtbl.find_opt reg_of_site (r, c) with
-    | Some reg -> reg
-    | None ->
-        let reg = !next_reg in
-        incr next_reg;
-        Hashtbl.replace reg_of_site (r, c) reg;
-        Hashtbl.replace site_of_reg reg (r, c);
-        reg
+  let reg_at r c =
+    let s = state r in
+    s.regs <- grow s.regs c (-1);
+    let reg = s.regs.(c) in
+    if reg >= 0 then reg
+    else begin
+      let reg = !next_reg in
+      incr next_reg;
+      s.regs.(c) <- reg;
+      reg_row := grow !reg_row reg 0;
+      reg_col := grow !reg_col reg 0;
+      result_wave := grow !result_wave reg 0;
+      !reg_row.(reg) <- r;
+      !reg_col.(reg) <- c;
+      reg
+    end
   in
   let take r =
     let s = state r in
     match s.free_cols with
     | c :: rest ->
         s.free_cols <- rest;
-        (r, c)
+        s.nfree <- s.nfree - 1;
+        c
     | [] ->
         if s.next_col >= columns then
           raise (Too_small (Printf.sprintf "row %d overflows %d columns" r columns));
         let c = s.next_col in
         s.next_col <- c + 1;
-        (r, c)
+        c
   in
+  let alloc r = reg_at r (take r) in
   let rec insert_sorted c = function
     | [] -> [ c ]
     | x :: rest as l -> if c < x then c :: l else x :: insert_sorted c rest
@@ -110,21 +130,55 @@ let run_waves ~rows ~columns realization mig lv =
   let pending = ref [] in
   let release_pending () =
     List.iter
-      (fun (r, c) ->
-        let s = state r in
-        s.free_cols <- insert_sorted c s.free_cols)
-      (List.rev !pending);
+      (fun reg ->
+        let s = state !reg_row.(reg) in
+        s.free_cols <- insert_sorted !reg_col.(reg) s.free_cols;
+        s.nfree <- s.nfree + 1)
+      !pending;
     pending := []
   in
-  (* First row (lowest index) satisfying [ok]; opens at most one fresh row. *)
-  let scan_rows ok =
+  (* First row (lowest index) satisfying [ok]; opens at most one fresh row.
+     Each predicate scans through its own [cursor], reset whenever rows can
+     start passing it again (at a wave boundary, when freed sites return).
+     In between, a row that fails keeps failing — capacity only shrinks and
+     the used/inversion marks only grow — so resuming at the cursor finds
+     the same row as a scan from row 0, in O(rows) per cursor per wave. *)
+  let scan_rows cursor ok =
     let rec go r =
-      if r >= rows then None
-      else if r >= !opened then if ok r then Some r else None
-      else if ok r then Some r
-      else go (r + 1)
+      if r >= rows then begin
+        cursor := r;
+        None
+      end
+      else begin
+        let fresh = r >= !opened in
+        if fresh then begin
+          let s =
+            {
+              next_col = 0;
+              free_cols = [];
+              nfree = 0;
+              regs = [||];
+              used = 0;
+              inv = 0;
+              readout_inv = false;
+            }
+          in
+          row_states := grow !row_states r s;
+          !row_states.(r) <- s;
+          opened := r + 1
+        end;
+        if ok r then begin
+          cursor := r;
+          Some r
+        end
+        else if fresh then begin
+          cursor := r + 1;
+          None
+        end
+        else go (r + 1)
+      end
     in
-    go 0
+    go !cursor
   in
   (* ---- levels, liveness ---- *)
   let by_level = Array.make (depth + 1) [] in
@@ -134,53 +188,48 @@ let run_waves ~rows ~columns realization mig lv =
       by_level.(l) <- g :: by_level.(l))
     lv.L.order;
   Array.iteri (fun i gs -> by_level.(i) <- List.rev gs) by_level;
-  let refcount = Hashtbl.create 997 in
-  let bump n =
-    Hashtbl.replace refcount n
-      (1 + Option.value ~default:0 (Hashtbl.find_opt refcount n))
-  in
+  let nodes = M.num_nodes mig in
+  let refcount = Array.make nodes 0 in
   List.iter
     (fun g ->
       Array.iter
         (fun s ->
           let n = M.node_of s in
-          match M.kind mig n with M.Gate -> bump n | _ -> ())
+          match M.kind mig n with
+          | M.Gate -> refcount.(n) <- refcount.(n) + 1
+          | _ -> ())
         (M.fanins mig g))
     lv.L.order;
-  let pinned = Hashtbl.create 17 in
+  let pinned = Array.make nodes false in
   Array.iter
     (fun s ->
       let n = M.node_of s in
-      match M.kind mig n with M.Gate -> Hashtbl.replace pinned n () | _ -> ())
+      match M.kind mig n with M.Gate -> pinned.(n) <- true | _ -> ())
     (M.pos mig);
-  let result_reg = Hashtbl.create 997 in
-  let result_site = Hashtbl.create 997 in
+  let result_reg = Array.make nodes (-1) in
   let consumed n =
-    match Hashtbl.find_opt refcount n with
-    | None -> ()
-    | Some k ->
-        let k = k - 1 in
-        Hashtbl.replace refcount n k;
-        if k = 0 && not (Hashtbl.mem pinned n) then
-          pending := Hashtbl.find result_site n :: !pending
+    refcount.(n) <- refcount.(n) - 1;
+    if refcount.(n) = 0 && not pinned.(n) then
+      pending := result_reg.(n) :: !pending
   in
   (* ---- readout plan ---- *)
-  (* Rows already hosting a readout-inversion device; later inversions (and
-     IMP producers of complemented outputs) prefer other rows so the final
-     inversion step stays a single row-disjoint batch. *)
-  let readout_inv_rows = Hashtbl.create 17 in
   let start_presets = ref [] in
   let inv_plans = ref [] in
   let po_memo = Hashtbl.create 17 in
-  let compl_po_imp = Hashtbl.create 17 in
+  let compl_po_imp = Array.make nodes None in
+  (* Rows already hosting a readout-inversion device are marked; later
+     inversions (and IMP producers of complemented outputs) prefer other
+     rows so the final inversion step stays a single row-disjoint batch.
+     One cursor pair per demand (1 or 2 devices): no site is freed before
+     the waves. *)
+  let readout_cursors = Array.init 3 (fun _ -> (ref 0, ref 0)) in
   let pick_inv_row need =
+    let spread, any = readout_cursors.(need) in
     let cap r = has_capacity (state r) need in
-    match
-      scan_rows (fun r -> (not (Hashtbl.mem readout_inv_rows r)) && cap r)
-    with
+    match scan_rows spread (fun r -> (not (state r).readout_inv) && cap r) with
     | Some r -> r
     | None -> (
-        match scan_rows cap with
+        match scan_rows any cap with
         | Some r -> r
         | None ->
             raise (Too_small "no row left for a readout inversion device"))
@@ -201,9 +250,9 @@ let run_waves ~rows ~columns realization mig lv =
                     (* staging copy of the input plus its inversion device,
                        paired on one row so the IMP readout pulse is legal *)
                     let row = pick_inv_row 2 in
-                    Hashtbl.replace readout_inv_rows row ();
-                    let h = reg_at (take row) in
-                    let inv = reg_at (take row) in
+                    (state row).readout_inv <- true;
+                    let h = alloc row in
+                    let inv = alloc row in
                     start_presets :=
                       Isa.Load (h, Isa.Input i) :: Isa.Reset inv :: !start_presets;
                     let plan = Inv_of_reg { h; inv; row } in
@@ -219,8 +268,8 @@ let run_waves ~rows ~columns realization mig lv =
                         (* electrode-read source: the inversion device can sit
                            on any row, reserved up front *)
                         let row = pick_inv_row 1 in
-                        Hashtbl.replace readout_inv_rows row ();
-                        let inv = reg_at (take row) in
+                        (state row).readout_inv <- true;
+                        let inv = alloc row in
                         invr := Some inv;
                         rowr := Some row;
                         start_presets := Isa.Reset inv :: !start_presets
@@ -228,7 +277,7 @@ let run_waves ~rows ~columns realization mig lv =
                         (* the IMP pulse needs src and dst on one row: the
                            device is reserved on the producer's row when the
                            producer is placed *)
-                        Hashtbl.replace compl_po_imp n (invr, rowr));
+                        compl_po_imp.(n) <- Some (invr, rowr));
                     let plan = Inv_of_gate { n; inv = invr; row = rowr } in
                     inv_plans := plan :: !inv_plans;
                     plan
@@ -253,19 +302,22 @@ let run_waves ~rows ~columns realization mig lv =
     Array.iteri
       (fun i s -> need := !need + operand_row_need i s)
       (M.fanins mig g);
-    (match Hashtbl.find_opt compl_po_imp g with
+    (match compl_po_imp.(g) with
     | Some (invr, _) when !invr = None -> incr need
     | _ -> ());
     !need
   in
+  (* every operand needs at most 2 devices, plus the readout reservation *)
+  let max_need = scratch + (3 * 2) + 1 in
   (* ---- emission ---- *)
   let steps_rev = ref [] in
   let push_step step = if step <> [] then steps_rev := step :: !steps_rev in
   let first_load_extra = ref (List.rev !start_presets) in
   let waves = ref 0 in
+  let spread_cursor = ref 0 and any_cursor = ref 0 in
   let emit_wave placed =
+    let wave = !waves in
     let load = ref [] in
-    let wave_inv_rows = Hashtbl.create 17 in
     let maj_inv = ref [] in
     let imp_compl = Array.make 3 [] in
     let gate_steps = Array.make npulse [] in
@@ -281,22 +333,19 @@ let run_waves ~rows ~columns realization mig lv =
             let s = f.(2) in
             if M.is_compl s then
               match M.kind mig (M.node_of s) with
-              | M.Pi _ | M.Gate -> Hashtbl.replace wave_inv_rows row ()
+              | M.Pi _ | M.Gate -> (state row).inv <- wave
               | M.Const -> ())
           placed
     | RC.Imp -> ());
+    spread_cursor := 0;
+    any_cursor := 0;
     List.iter
       (fun (g, row) ->
-        let alloc_here () =
-          let site = take row in
-          (site, reg_at site)
-        in
-        let temp site reg = wave_temps := (site, reg) :: !wave_temps in
-        let alloc_temp () =
-          let site, reg = alloc_here () in
-          temp site reg;
+        let temp reg =
+          wave_temps := reg :: !wave_temps;
           reg
         in
+        let alloc_temp () = temp (alloc row) in
         (* a MAJ inversion reads its source through the electrodes, so its
            device spreads to any row with a free site — preferring rows
            without another inversion this wave keeps the complement phase a
@@ -305,20 +354,17 @@ let run_waves ~rows ~columns realization mig lv =
           let cap r = has_capacity (state r) 1 in
           let pick =
             match
-              scan_rows (fun r -> (not (Hashtbl.mem wave_inv_rows r)) && cap r)
+              scan_rows spread_cursor (fun r -> (state r).inv <> wave && cap r)
             with
             | Some r -> Some r
-            | None -> scan_rows cap
+            | None -> scan_rows any_cursor cap
           in
           match pick with
           | None ->
               raise (Too_small "no free device left for a complement inversion")
           | Some r ->
-              Hashtbl.replace wave_inv_rows r ();
-              let site = take r in
-              let reg = reg_at site in
-              temp site reg;
-              (reg, r)
+              (state r).inv <- wave;
+              (temp (alloc r), r)
         in
         let operand_reg pos s =
           let n = M.node_of s and c = M.is_compl s in
@@ -347,7 +393,7 @@ let run_waves ~rows ~columns realization mig lv =
                     let h = alloc_temp () in
                     let inv, inv_row =
                       if pos = 2 then begin
-                        Hashtbl.replace wave_inv_rows row ();
+                        (state row).inv <- wave;
                         (alloc_temp (), row)
                       end
                       else alloc_inv_spread ()
@@ -359,7 +405,7 @@ let run_waves ~rows ~columns realization mig lv =
                     inv
               end
           | M.Gate -> (
-              let src = Hashtbl.find result_reg n in
+              let src = result_reg.(n) in
               let r =
                 if not c then begin
                   let r = alloc_temp () in
@@ -380,7 +426,7 @@ let run_waves ~rows ~columns realization mig lv =
                   | RC.Maj ->
                       let inv, inv_row =
                         if pos = 2 then begin
-                          Hashtbl.replace wave_inv_rows row ();
+                          (state row).inv <- wave;
                           (alloc_temp (), row)
                         end
                         else alloc_inv_spread ()
@@ -401,7 +447,7 @@ let run_waves ~rows ~columns realization mig lv =
         let z = operand_reg 2 f.(2) in
         (match realization with
         | RC.Imp ->
-            let a_site, a = alloc_here () in
+            let a = alloc row in
             let c = alloc_temp () in
             let d = alloc_temp () in
             load := Isa.Reset a :: Isa.Reset c :: Isa.Reset d :: !load;
@@ -415,8 +461,7 @@ let run_waves ~rows ~columns realization mig lv =
             add_gate_micro 6 (Isa.Reset a);
             add_gate_micro 7 (Isa.Imp { src = c; dst = a });
             add_gate_micro 8 (Isa.Imp { src = d; dst = a });
-            Hashtbl.replace result_reg g a;
-            Hashtbl.replace result_site g a_site
+            result_reg.(g) <- a
         | RC.Maj ->
             let a = alloc_temp () in
             load := Isa.Reset a :: !load;
@@ -425,25 +470,22 @@ let run_waves ~rows ~columns realization mig lv =
               (Isa.Maj_pulse { p = Isa.Const true; q = Isa.Reg y; dst = a });
             add_gate_micro 1
               (Isa.Maj_pulse { p = Isa.Reg x; q = Isa.Reg a; dst = z });
-            Hashtbl.replace result_reg g z;
-            Hashtbl.replace result_site g (Hashtbl.find site_of_reg z);
-            (* z doubles as the result: exclude it from the temps *)
-            wave_temps := List.filter (fun (_, r) -> r <> z) !wave_temps);
+            result_reg.(g) <- z;
+            (* z doubles as the result: it leaves the temps at the end of the
+               wave (no site is handed out twice in one wave) *)
+            !result_wave.(z) <- wave);
         (* reserve the readout-inversion device for a complemented output of
            this gate on its own row, preset alongside this wave's loads *)
-        (match Hashtbl.find_opt compl_po_imp g with
+        (match compl_po_imp.(g) with
         | Some (invr, rowr) when !invr = None ->
-            let _, inv = alloc_here () in
+            let inv = alloc row in
             invr := Some inv;
             rowr := Some row;
-            Hashtbl.replace readout_inv_rows row ();
+            (state row).readout_inv <- true;
             load := Isa.Reset inv :: !load
         | _ -> ());
-        match Hashtbl.find_opt refcount g with
-        | Some k when k > 0 -> ()
-        | _ ->
-            if not (Hashtbl.mem pinned g) then
-              pending := Hashtbl.find result_site g :: !pending)
+        if refcount.(g) <= 0 && not pinned.(g) then
+          pending := result_reg.(g) :: !pending)
       placed;
     let extra = !first_load_extra in
     first_load_extra := [];
@@ -452,14 +494,22 @@ let run_waves ~rows ~columns realization mig lv =
     | RC.Imp -> Array.iter (fun l -> push_step (List.rev l)) imp_compl
     | RC.Maj -> List.iter push_step (batch_by_row (List.rev !maj_inv)));
     Array.iter (fun st -> push_step (List.rev st)) gate_steps;
-    List.iter (fun (site, _) -> pending := site :: !pending) !wave_temps
+    List.iter
+      (fun reg -> if !result_wave.(reg) <> wave then pending := reg :: !pending)
+      !wave_temps
   in
+  (* placement cursors per demand: a row's capacity is fixed while a wave
+     is being placed, and its used mark only gets set *)
+  let any_cursors = Array.init (max_need + 1) (fun _ -> ref 0) in
+  let spare_cursors = Array.init (max_need + 1) (fun _ -> ref 0) in
   for l = 1 to depth do
     let remaining = ref by_level.(l) in
     while !remaining <> [] do
       release_pending ();
       incr waves;
-      let used_rows = Hashtbl.create 17 in
+      let wave = !waves in
+      Array.iter (fun c -> c := 0) any_cursors;
+      Array.iter (fun c -> c := 0) spare_cursors;
       let placed = ref [] and deferred = ref [] in
       List.iter
         (fun g ->
@@ -472,26 +522,27 @@ let run_waves ~rows ~columns realization mig lv =
                      only %d columns"
                     g need columns));
           let prefer_unused_by_inv =
-            match Hashtbl.find_opt compl_po_imp g with
+            match compl_po_imp.(g) with
             | Some (invr, _) -> !invr = None
             | None -> false
           in
           let ok r =
-            (not (Hashtbl.mem used_rows r)) && has_capacity (state r) need
+            let s = state r in
+            s.used <> wave && has_capacity s need
           in
           let pick =
             if prefer_unused_by_inv then
               match
-                scan_rows (fun r ->
-                    ok r && not (Hashtbl.mem readout_inv_rows r))
+                scan_rows spare_cursors.(need) (fun r ->
+                    ok r && not (state r).readout_inv)
               with
               | Some r -> Some r
-              | None -> scan_rows ok
-            else scan_rows ok
+              | None -> scan_rows any_cursors.(need) ok
+            else scan_rows any_cursors.(need) ok
           in
           match pick with
           | Some r ->
-              Hashtbl.replace used_rows r ();
+              (state r).used <- wave;
               placed := (g, r) :: !placed
           | None -> deferred := g :: !deferred)
         !remaining;
@@ -523,10 +574,10 @@ let run_waves ~rows ~columns realization mig lv =
         | Inv_of_reg { h; inv; row } ->
             Some (row, invert_micro realization ~src:h ~dst:inv)
         | Inv_of_gate { n; inv; row } ->
-            let src = Hashtbl.find result_reg n in
             Some
               ( Option.get !row,
-                invert_micro realization ~src ~dst:(Option.get !inv) )
+                invert_micro realization ~src:result_reg.(n)
+                  ~dst:(Option.get !inv) )
         | Direct _ | Gate_result _ -> None)
       (List.rev !inv_plans)
   in
@@ -535,7 +586,7 @@ let run_waves ~rows ~columns realization mig lv =
     Array.map
       (function
         | Direct o -> o
-        | Gate_result n -> Isa.Reg (Hashtbl.find result_reg n)
+        | Gate_result n -> Isa.Reg result_reg.(n)
         | Inv_of_reg { inv; _ } -> Isa.Reg inv
         | Inv_of_gate { inv; _ } -> Isa.Reg (Option.get !inv))
       po_plans
@@ -550,19 +601,13 @@ let run_waves ~rows ~columns realization mig lv =
   in
   let n = max 1 !next_reg in
   let row_of = Array.make n 0 and column_of = Array.make n 0 in
-  for r = 0 to !next_reg - 1 do
-    let row, col = Hashtbl.find site_of_reg r in
-    row_of.(r) <- row;
-    column_of.(r) <- col
+  Array.blit !reg_row 0 row_of 0 !next_reg;
+  Array.blit !reg_col 0 column_of 0 !next_reg;
+  let max_col = ref 0 in
+  for r = 0 to !opened - 1 do
+    max_col := max !max_col (state r).next_col
   done;
-  let max_col =
-    let m = ref 0 in
-    for r = 0 to !opened - 1 do
-      m := max !m (state r).next_col
-    done;
-    !m
-  in
-  (program, row_of, column_of, !waves, max_col)
+  (program, row_of, column_of, !waves, !max_col)
 
 let fit_rows realization mig lv =
   let depth = lv.L.depth in

@@ -28,7 +28,11 @@
     [ceil(width / rows)] sequential waves, each wave claiming one row per
     gate (lowest-index first-fit — the schedule is deterministic).  Sites
     freed by liveness become reusable at the next wave boundary, never
-    inside the wave that freed them.  Readout-inversion devices for
+    inside the wave that freed them.  Between boundaries a row that
+    cannot host a request keeps failing, so each kind of request resumes
+    its first-fit scan where the previous one stopped: scheduling costs
+    O(gates + rows) per wave, and memory grows with the rows the schedule
+    opens, not with the geometry's row count.  Readout-inversion devices for
     complemented outputs are reserved on distinct rows (for IMP, on the
     producing gate's row) with their FALSE presets riding along with load
     steps, so the final inversion is a single row-disjoint batch on a

@@ -26,6 +26,7 @@ case_() {
 
 case_ map c17.bench --arch 2x2
 case_ map c17.bench --arch 0x8
+case_ map c17.bench --arch 8x4611686018427387903
 case_ flow c17.bench -s pushup
 case_ flow c17.bench -s push_up --arch 1x1
 case_ flow c17.bench -s 'cycle(99999999999999999999){eliminate}'

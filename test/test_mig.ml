@@ -490,6 +490,60 @@ let equiv_tests =
             let oa = Core.Mig_sim.eval a vec and ob = Core.Mig_sim.eval b vec in
             check bool "distinguishes" true (oa <> ob)
         | None -> Alcotest.fail "expected counterexample");
+    test_case "a reused simulate closure matches fresh ones" `Quick (fun () ->
+        let mig = mig_of_seed ~pis:8 ~gates:200 ~pos:6 11 in
+        let sim = Core.Mig_sim.simulate mig in
+        let rng = Prng.create 5 in
+        for _ = 1 to 4 do
+          let ins =
+            Array.init 8 (fun _ ->
+                let bv = Bitvec.create 64 in
+                Bitvec.randomize rng bv;
+                bv)
+          in
+          check bool "bit-equal outputs" true
+            (Array.for_all2 Bitvec.equal (sim ins) (Core.Mig_sim.simulate mig ins))
+        done);
+    test_case "verdicts on the suite and on seeded wrong rewrites" `Slow
+      (fun () ->
+        (* each Table II circuit against its optimized MIG, and against a
+           copy whose seeded gate collapses onto its first fanin; the
+           transcript of every verdict and counterexample is pinned *)
+        let bits v =
+          String.concat ""
+            (Array.to_list (Array.map (fun b -> if b then "1" else "0") v))
+        in
+        let transcript = Buffer.create 4096 in
+        List.iter
+          (fun (e : Io.Benchmarks.entry) ->
+            let name = e.Io.Benchmarks.name in
+            let net = e.Io.Benchmarks.build () in
+            let mig = Core.Mig_of_network.convert net in
+            let opt = Core.Mig_opt.steps ~effort:2 mig in
+            check bool (name ^ " optimized") true (Core.Mig_equiv.equivalent opt mig);
+            check bool (name ^ " optimized vs network") true
+              (Core.Mig_equiv.equivalent_network opt net);
+            check bool (name ^ " no counterexample") true
+              (Core.Mig_equiv.counterexample opt mig = None);
+            let wrong = Core.Mig.cleanup opt in
+            let gates = Array.of_list (Core.Mig.topo_order wrong) in
+            let g = Prng.pick (Prng.of_string name) gates in
+            Core.Mig.substitute wrong g (Core.Mig.fanins wrong g).(0);
+            let eq = Core.Mig_equiv.equivalent wrong mig in
+            let eq_net = Core.Mig_equiv.equivalent_network wrong net in
+            let cex = Core.Mig_equiv.counterexample wrong mig in
+            check bool (name ^ " both checks agree") eq eq_net;
+            (match cex with
+            | Some v ->
+                check bool (name ^ " flagged") false eq;
+                check bool (name ^ " counterexample distinguishes") true
+                  (Core.Mig_sim.eval wrong v <> Core.Mig_sim.eval mig v)
+            | None -> ());
+            Printf.bprintf transcript "%s %b %b %s\n" name eq eq_net
+              (match cex with Some v -> bits v | None -> "-"))
+          Io.Benchmarks.table2;
+        check string "verdict transcript" "88b50c8898df36d8b73a0887ef2fe39f"
+          (Digest.to_hex (Digest.string (Buffer.contents transcript))));
   ]
 
 (* ------------------------------------------------------------------ *)

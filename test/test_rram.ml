@@ -439,6 +439,30 @@ let crossbar_constrained_check mig =
               (r.Rram.Compile_crossbar.waves >= fitted.Rram.Compile_crossbar.waves)
       end
 
+(* The rows of a wave's gates in emission order, one list per wave, read off
+   the program: a MAJ wave ends with the step of Z <- M(x, A, z) pulses (the
+   only pulses whose first operand is a register), an IMP wave holds one
+   step of nothing but the A <- FALSE resets (load steps always carry a
+   Load), and each of those lands on its gate's row. *)
+let wave_rows realization (c : Rram.Compile_crossbar.t) =
+  let row_of = c.Rram.Compile_crossbar.placement.Rram.Placement.row_of in
+  List.filter_map
+    (fun step ->
+      let dsts =
+        List.map
+          (fun m ->
+            match (realization, m) with
+            | Core.Rram_cost.Maj, Rram.Isa.Maj_pulse { p = Rram.Isa.Reg _; dst; _ }
+            | Core.Rram_cost.Imp, Rram.Isa.Reset dst ->
+                Some row_of.(dst)
+            | _ -> None)
+          step
+      in
+      if step <> [] && List.for_all Option.is_some dsts then
+        Some (List.map Option.get dsts)
+      else None)
+    c.Rram.Compile_crossbar.program.Rram.Program.steps
+
 let crossbar_tests =
   let open Alcotest in
   let of_net net = Core.Mig_of_network.convert net in
@@ -489,6 +513,39 @@ let crossbar_tests =
         ignore (Core.Mig.add_po mig (Core.Mig.not_ a));
         ignore (Core.Mig.add_po mig g);
         crossbar_check mig);
+    test_case "a 2^40-row array compiles like the fitted one" `Quick (fun () ->
+        (* per-row state grows with the rows the schedule opens, so a huge
+           row budget costs nothing and changes nothing *)
+        let c17 =
+          Io.Bench_format.parse_file
+            (if Sys.file_exists "examples/c17.bench" then "examples/c17.bench"
+             else "../examples/c17.bench")
+        in
+        List.iter
+          (fun net ->
+            let mig = of_net net in
+            List.iter
+              (fun realization ->
+                let columns =
+                  match Rram.Compile_crossbar.fit realization mig with
+                  | Core.Rram_cost.Crossbar { columns; _ } -> columns
+                  | Core.Rram_cost.Unbounded_serial -> fail "expected a crossbar"
+                in
+                let compile arch =
+                  match Rram.Compile_crossbar.compile ~arch realization mig with
+                  | Ok c ->
+                      ( c.Rram.Compile_crossbar.program,
+                        c.Rram.Compile_crossbar.placement.Rram.Placement.row_of,
+                        c.Rram.Compile_crossbar.placement.Rram.Placement.column_of,
+                        c.Rram.Compile_crossbar.waves )
+                  | Error e -> fail e
+                in
+                check bool "same program, placement and waves" true
+                  (compile (Rram.Compile_crossbar.fit realization mig)
+                  = compile
+                      (Core.Rram_cost.Crossbar { rows = 1 lsl 40; columns })))
+              [ Core.Rram_cost.Imp; Core.Rram_cost.Maj ])
+          [ c17; Funcgen.ripple_adder 4 ]);
     test_case "row budget forces extra waves" `Quick (fun () ->
         crossbar_constrained_check (of_net (Funcgen.ripple_adder 4));
         crossbar_constrained_check (of_net (Funcgen.rd 5 3)));
@@ -565,6 +622,44 @@ let crossbar_props =
         let mig = random_mig seed in
         crossbar_check mig;
         true);
+    QCheck.Test.make
+      ~name:"random MIGs: lowest-index first-fit rows when no row is full"
+      ~count:40
+      (QCheck.make QCheck.Gen.(int_bound 100000))
+      (fun seed ->
+        (* With columns to spare every unused row can host any gate, so
+           first-fit puts a wave's k gates on rows 0 .. k-1 in order.  IMP
+           producers of complemented outputs prefer rows without a readout
+           device, so IMP is checked only on MIGs without them. *)
+        let mig = random_mig seed in
+        let compl_gate_po =
+          Array.exists
+            (fun s ->
+              Core.Mig.is_compl s
+              && Core.Mig.kind mig (Core.Mig.node_of s) = Core.Mig.Gate)
+            (Core.Mig.pos mig)
+        in
+        List.for_all
+          (fun realization ->
+            match Rram.Compile_crossbar.fit realization mig with
+            | Core.Rram_cost.Unbounded_serial -> false
+            | Core.Rram_cost.Crossbar { rows = fitted; _ } ->
+                List.for_all
+                  (fun rows ->
+                    let arch = Core.Rram_cost.Crossbar { rows; columns = 1 lsl 20 } in
+                    match Rram.Compile_crossbar.compile ~arch realization mig with
+                    | Error e -> QCheck.Test.fail_report e
+                    | Ok c ->
+                        let waves = wave_rows realization c in
+                        List.length waves = c.Rram.Compile_crossbar.waves
+                        && List.for_all
+                             (fun gate_rows ->
+                               List.length gate_rows <= rows
+                               && gate_rows = List.init (List.length gate_rows) Fun.id)
+                             waves)
+                  (List.sort_uniq compare [ fitted; max 1 (fitted / 2); 1 ]))
+          (if compl_gate_po then [ Core.Rram_cost.Maj ]
+           else [ Core.Rram_cost.Imp; Core.Rram_cost.Maj ]));
     QCheck.Test.make ~name:"random MIGs: halved row budget stays equivalent"
       ~count:40
       (QCheck.make QCheck.Gen.(int_bound 100000))
@@ -572,6 +667,102 @@ let crossbar_props =
         let mig = random_mig seed in
         crossbar_constrained_check mig;
         true);
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Crossbar golden: exact programs on fitted and constrained arrays     *)
+(* ------------------------------------------------------------------ *)
+
+(* One line per circuit x realization x geometry: the MD5 of the compiled
+   program's listing, placement and wave count (or of the error text), so a
+   scheduler speedup must reproduce every program byte for byte. *)
+let crossbar_digest arch realization mig =
+  match Rram.Compile_crossbar.compile ~arch realization mig with
+  | Error e -> ("error", Digest.to_hex (Digest.string e))
+  | Ok c ->
+      let b = Buffer.create 65536 in
+      let ppf = Format.formatter_of_buffer b in
+      Format.fprintf ppf "%a@." Rram.Program.pp c.Rram.Compile_crossbar.program;
+      let p = c.Rram.Compile_crossbar.placement in
+      Array.iter (fun r -> Printf.bprintf b "%d " r) p.Rram.Placement.row_of;
+      Buffer.add_char b '\n';
+      Array.iter (fun r -> Printf.bprintf b "%d " r) p.Rram.Placement.column_of;
+      Printf.bprintf b "\nwaves %d\n" c.Rram.Compile_crossbar.waves;
+      ("ok", Digest.to_hex (Digest.string (Buffer.contents b)))
+
+(* fitted, fit ~rows:(rows / d) for each divisor, and (when [narrow]) the
+   fitted rows with one column fewer *)
+let crossbar_cells name mig realization ~divisors ~narrow =
+  let rows, columns =
+    match Rram.Compile_crossbar.fit realization mig with
+    | Core.Rram_cost.Crossbar { rows; columns } -> (rows, columns)
+    | Core.Rram_cost.Unbounded_serial -> Alcotest.fail "fit returned serial"
+  in
+  let tag = match realization with Core.Rram_cost.Imp -> "imp" | Core.Rram_cost.Maj -> "maj" in
+  let line label arch =
+    let status, md5 = crossbar_digest arch realization mig in
+    Printf.sprintf "%s %s %s %s %s %s" name tag label
+      (Core.Rram_cost.arch_to_string arch) status md5
+  in
+  (line "fitted" (Core.Rram_cost.Crossbar { rows; columns })
+  :: List.map
+       (fun d ->
+         let label = Printf.sprintf "rows/%d" d in
+         match Rram.Compile_crossbar.fit ~rows:(rows / d) realization mig with
+         | arch -> line label arch
+         | exception Rram.Compile_crossbar.Too_small e ->
+             Printf.sprintf "%s %s %s - raise %s" name tag label
+               (Digest.to_hex (Digest.string e)))
+       divisors)
+  @
+  if narrow then
+    [ line "columns-1" (Core.Rram_cost.Crossbar { rows; columns = columns - 1 }) ]
+  else []
+
+let crossbar_digest_tests =
+  let open Alcotest in
+  [
+    test_case "crossbar programs are byte-identical to the pinned digests" `Slow
+      (fun () ->
+        let path =
+          if Sys.file_exists "crossbar_digests.txt" then "crossbar_digests.txt"
+          else "test/crossbar_digests.txt"
+        in
+        let expected =
+          In_channel.with_open_text path In_channel.input_all
+          |> String.split_on_char '\n'
+          |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+        in
+        let realizations = [ Core.Rram_cost.Imp; Core.Rram_cost.Maj ] in
+        let suite =
+          List.concat_map
+            (fun (e : Io.Benchmarks.entry) ->
+              let mig =
+                Core.Mig_opt.steps ~effort:2
+                  (Core.Mig_of_network.convert (e.Io.Benchmarks.build ()))
+              in
+              List.concat_map
+                (fun r ->
+                  crossbar_cells e.Io.Benchmarks.name mig r ~divisors:[ 2; 4 ]
+                    ~narrow:true)
+                realizations)
+            Io.Benchmarks.table2
+        in
+        let name = "scale-s3-g10000" in
+        let mig =
+          Core.Mig_flows.run
+            (Core.Mig_flows.parse_exn
+               (Option.get (Core.Mig_flows.canonical_script ~effort:2 "area")))
+            (Core.Mig_of_network.convert
+               (Io.Gen.scale_network ~name ~gates:10_000 ()))
+        in
+        let scale =
+          List.concat_map
+            (fun r -> crossbar_cells name mig r ~divisors:[ 2 ] ~narrow:false)
+            realizations
+        in
+        check int "25 circuits x 2 x 4 + scale 2 x 2" 204 (List.length expected);
+        List.iter2 (check string "cell") expected (suite @ scale));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -1189,6 +1380,7 @@ let () =
       ("placement", placement_tests);
       ("crossbar", crossbar_tests);
       ("crossbar-props", List.map QCheck_alcotest.to_alcotest crossbar_props);
+      ("crossbar-digests", crossbar_digest_tests);
       ("fault-semantics", fault_semantics_tests);
       ("tmr", tmr_tests);
       ("interp-trace", interp_trace_tests);

@@ -504,6 +504,18 @@ let e2e_tests =
                   (encode (synth_op ~algorithm:"quantum" inline_blif))
               in
               check string "unknown algorithm" "bad_request" (error_code bad_alg);
+              let huge_xbar =
+                Serve.Client.rpc c
+                  (encode
+                     (synth_op ~algorithm:"steps" ~arch:"8x4611686018427387903"
+                        ~cost:"xbar_devices_maj" inline_blif))
+              in
+              check string "overflowing crossbar" "bad_request"
+                (error_code huge_xbar);
+              check string "overflow message names the geometry"
+                "crossbar 8x4611686018427387903 is too large: rows x columns \
+                 exceeds 4611686018427387903 devices"
+                (member_str "message" (Json.member "error" huge_xbar));
               let bad_file =
                 Serve.Client.rpc c
                   (encode (synth_op ~flows:[ "push_up" ] (P.File "no/such.blif")))
@@ -520,7 +532,7 @@ let e2e_tests =
               check string "still serving" "ok" (member_str "status" pong);
               Serve.Client.close c)
         in
-        check bool "errors were counted" true (summary.Serve.Server.errors >= 7));
+        check bool "errors were counted" true (summary.Serve.Server.errors >= 8));
     test_case "oversized request lines answer oversized" `Quick (fun () ->
         let (), _ =
           with_server ~max_request_bytes:4096 (fun path ->
