@@ -180,21 +180,22 @@ let levels t =
 
 let simulate t ins =
   if Array.length ins <> t.npis then invalid_arg "Aig.simulate: input count";
-  let width = if Array.length ins = 0 then 1 else Bitvec.width ins.(0) in
-  let values = Array.make t.n (Bitvec.create width) in
-  for i = 0 to t.npis - 1 do
-    values.(t.pis.(i)) <- ins.(i)
-  done;
-  let value_of s =
-    let v = values.(node_of s) in
-    if is_compl s then Bitvec.bnot v else v
-  in
-  List.iter
-    (fun n ->
-      let node = t.nodes.(n) in
-      values.(n) <- Bitvec.band (value_of node.f0) (value_of node.f1))
-    (topo_order t);
-  Array.map value_of (pos t)
+  let width = Word_store.input_width "Aig.simulate" ins in
+  let st = Word_store.create ~slots:t.n ~width in
+  let outs = Array.init t.npos (fun _ -> Bitvec.create width) in
+  Word_store.iter_blocks st (fun () ->
+      for i = 0 to t.npis - 1 do
+        Word_store.load st t.pis.(i) ins.(i)
+      done;
+      for k = 0 to t.nord - 1 do
+        let n = t.order.(k) in
+        Word_store.copy st n t.nodes.(n).f0;
+        Word_store.and_ st n t.nodes.(n).f1
+      done;
+      for o = 0 to t.npos - 1 do
+        Word_store.store st t.pout.(o) outs.(o)
+      done);
+  outs
 
 let eval t a =
   let ins =

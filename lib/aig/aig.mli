@@ -50,6 +50,10 @@ val levels : t -> int array * int
 (** Per-node levels and the depth over outputs. *)
 
 val simulate : t -> Logic.Bitvec.t array -> Logic.Bitvec.t array
+(** One pattern set per primary input, one per output, on the
+    {!Logic.Word_store} kernel.  All inputs must have the same width;
+    otherwise raises [Invalid_argument "Aig.simulate: input width"]. *)
+
 val eval : t -> bool array -> bool array
 val truth_tables : t -> Logic.Truth_table.t array
 

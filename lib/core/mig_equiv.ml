@@ -2,41 +2,21 @@ open Logic
 
 let exact_limit = 14
 
-let random_patterns ~seed ~rounds n =
+(* All rounds packed into one pattern per input: word [r] of input [i] is
+   draw [r·n + i] of the generator, so the vectors are those of [rounds]
+   64-bit rounds drawn round-major.  Round 0 carries the corners: lane 0
+   is the all-zero vector, lane 1 the all-one vector. *)
+let random_inputs ~seed ~rounds n =
+  if rounds < 0 then invalid_arg "Mig_equiv: negative rounds";
   let rng = Prng.create seed in
-  List.init rounds (fun _ ->
-      Array.init n (fun _ ->
-          let bv = Bitvec.create 64 in
-          Bitvec.randomize rng bv;
-          bv))
-
-(* Include the all-zero / all-one corner vectors in the first round. *)
-let with_corners patterns n =
-  match patterns with
-  | [] -> []
-  | first :: rest ->
-      let adjusted =
-        Array.mapi
-          (fun _ bv ->
-            let bv = Bitvec.copy bv in
-            Bitvec.set bv 0 false;
-            Bitvec.set bv 1 true;
-            bv)
-          first
-      in
-      ignore n;
-      adjusted :: rest
-
-let check_outputs equal_outputs sim_a sim_b patterns =
-  List.for_all
-    (fun ins ->
-      let oa = sim_a ins and ob = sim_b ins in
-      equal_outputs oa ob)
-    patterns
-
-let equal_bv_arrays a b =
-  Array.length a = Array.length b
-  && Array.for_all2 (fun x y -> Bitvec.equal x y) a b
+  let ins = Array.init n (fun _ -> Bitvec.create (64 * rounds)) in
+  for r = 0 to rounds - 1 do
+    for i = 0 to n - 1 do
+      let w = Prng.next64 rng in
+      Bitvec.set_word ins.(i) r (if r = 0 then Int64.logor (Int64.logand w (-2L)) 2L else w)
+    done
+  done;
+  ins
 
 let generic_equivalent ?(rounds = 64) ?(seed = 0xE0A) ~n_a ~n_b ~m_a ~m_b ~sim_a ~sim_b ~tt_a ~tt_b () =
   n_a = n_b && m_a = m_b
@@ -45,8 +25,8 @@ let generic_equivalent ?(rounds = 64) ?(seed = 0xE0A) ~n_a ~n_b ~m_a ~m_b ~sim_a
     let ta = tt_a () and tb = tt_b () in
     Array.for_all2 Truth_table.equal ta tb
   else
-    let patterns = with_corners (random_patterns ~seed ~rounds n_a) n_a in
-    check_outputs equal_bv_arrays sim_a sim_b patterns
+    let ins = random_inputs ~seed ~rounds n_a in
+    Array.for_all2 Bitvec.equal (sim_a ins) (sim_b ins)
 
 let equivalent ?rounds ?seed a b =
   generic_equivalent ?rounds ?seed ~n_a:(Mig.num_pis a) ~n_b:(Mig.num_pis b)
@@ -65,30 +45,30 @@ let equivalent_network ?rounds ?seed mig net =
     ~tt_b:(fun () -> Network.truth_tables net)
     ()
 
+(* Words in round order, then outputs in order, then the lowest lane: the
+   first difference a round-by-round check would meet. *)
 let counterexample ?(rounds = 64) ?(seed = 0xE0A) a b =
   if Mig.num_pis a <> Mig.num_pis b || Mig.num_pos a <> Mig.num_pos b then Some [||]
   else begin
     let n = Mig.num_pis a in
-    let patterns = with_corners (random_patterns ~seed ~rounds n) n in
-    let sim_a = Mig_sim.simulate a and sim_b = Mig_sim.simulate b in
-    let found = ref None in
-    List.iter
-      (fun ins ->
-        if !found = None then begin
-          let oa = sim_a ins and ob = sim_b ins in
-          Array.iteri
-            (fun o va ->
-              if !found = None && not (Bitvec.equal va ob.(o)) then begin
-                let diff = Bitvec.bxor va ob.(o) in
-                let bit = ref (-1) in
-                for i = 0 to Bitvec.width diff - 1 do
-                  if !bit < 0 && Bitvec.get diff i then bit := i
-                done;
-                let vec = Array.init n (fun i -> Bitvec.get ins.(i) !bit) in
-                found := Some vec
-              end)
-            oa
-        end)
-      patterns;
-    !found
+    let ins = random_inputs ~seed ~rounds n in
+    let oa = Mig_sim.simulate a ins and ob = Mig_sim.simulate b ins in
+    (* Without inputs every round is the same empty vector, in word 0. *)
+    let words = if n = 0 then min rounds 1 else rounds in
+    let rec scan r o =
+      if r >= words then None
+      else if o >= Array.length oa then scan (r + 1) 0
+      else
+        let d = Int64.logxor (Bitvec.word oa.(o) r) (Bitvec.word ob.(o) r) in
+        if d = 0L then scan r (o + 1)
+        else begin
+          let bit = ref 0 in
+          while Int64.logand (Int64.shift_right_logical d !bit) 1L = 0L do
+            incr bit
+          done;
+          let lane = (64 * r) + !bit in
+          Some (Array.init n (fun i -> Bitvec.get ins.(i) lane))
+        end
+    in
+    scan 0 0
   end

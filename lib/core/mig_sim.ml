@@ -1,40 +1,41 @@
 open Logic
 
-(* The topological order is computed on the closure's first call and kept,
-   so repeated rounds on one graph walk it once.  The cache is an option
-   ref, not a [Lazy.t]: two domains racing on it both compute the same
-   list, where a lazy value forced from two domains at once raises
-   [Lazy.Undefined]. *)
+(* The gates in topological order and their fanin signals, three per gate,
+   are computed on the closure's first call and kept, so repeated calls on
+   one graph walk it once.  The cache is an option ref, not a [Lazy.t]: two
+   domains racing on it both compute the same arrays, where a lazy value
+   forced from two domains at once raises [Lazy.Undefined].  The word store
+   is per call, so a shared closure holds no mutable scratch. *)
 let simulate mig =
-  let order = ref None in
+  let cache = ref None in
   fun ins ->
     if Array.length ins <> Mig.num_pis mig then
       invalid_arg "Mig_sim.simulate: input count";
-    let order =
-      match !order with
-      | Some o -> o
+    let width = Word_store.input_width "Mig_sim.simulate" ins in
+    let order, fans =
+      match !cache with
+      | Some c -> c
       | None ->
-          let o = Mig.topo_order mig in
-          order := Some o;
-          o
+          let order = Array.of_list (Mig.topo_order mig) in
+          let fans = Array.make (3 * Array.length order) 0 in
+          Array.iteri (fun k g -> Array.blit (Mig.fanins mig g) 0 fans (3 * k) 3) order;
+          cache := Some (order, fans);
+          (order, fans)
     in
-    let width = if Array.length ins = 0 then 1 else Bitvec.width ins.(0) in
-    let zero = Bitvec.create width in
-    let values = Array.make (Mig.num_nodes mig) zero in
-    for i = 0 to Mig.num_pis mig - 1 do
-      values.(Mig.node_of (Mig.pi mig i)) <- ins.(i)
-    done;
-    let value_of s =
-      let v = values.(Mig.node_of s) in
-      if Mig.is_compl s then Bitvec.bnot v else v
-    in
-    List.iter
-      (fun g ->
-        let f = Mig.fanins mig g in
-        values.(g) <-
-          Bitvec.maj3 (value_of f.(0)) (value_of f.(1)) (value_of f.(2)))
-      order;
-    Array.map value_of (Mig.pos mig)
+    let st = Word_store.create ~slots:(Mig.num_nodes mig) ~width in
+    let pos = Mig.pos mig in
+    let outs = Array.map (fun _ -> Bitvec.create width) pos in
+    Word_store.iter_blocks st (fun () ->
+        for i = 0 to Array.length ins - 1 do
+          Word_store.load st (Mig.node_of (Mig.pi mig i)) ins.(i)
+        done;
+        for k = 0 to Array.length order - 1 do
+          Word_store.maj st order.(k) fans.(3 * k) fans.((3 * k) + 1) fans.((3 * k) + 2)
+        done;
+        for o = 0 to Array.length pos - 1 do
+          Word_store.store st pos.(o) outs.(o)
+        done);
+    outs
 
 let eval mig a =
   let ins =

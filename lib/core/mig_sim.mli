@@ -5,13 +5,22 @@
     rewrite and every compiled RRAM program is checked against. *)
 
 val simulate : Mig.t -> Logic.Bitvec.t array -> Logic.Bitvec.t array
-(** One pattern set per primary input (equal widths); one per output.
+(** One pattern set per primary input; one per output, of the inputs'
+    width (1 when there are no inputs).
+
+    Every input must have the same width: unequal widths raise
+    [Invalid_argument "Mig_sim.simulate: input width"], and a wrong input
+    count raises [Invalid_argument "Mig_sim.simulate: input count"].
+    Each call runs on one {!Logic.Word_store} allocated for it and walks
+    the gates once per 512 lanes, so one wide call costs far less than
+    many narrow ones.
 
     A partial application [simulate mig] computes [mig]'s topological
-    order on its first call and reuses it on every later call, so many
-    rounds over one graph pay for the order once.  The closure therefore
-    fixes the graph's topology at that first call: after adding nodes or
-    rewiring fanins, apply [simulate] to the graph again. *)
+    order and the gates' fanin signals on its first call and reuses them
+    on every later call.  The closure therefore fixes the graph's
+    topology at that first call: after adding nodes or rewiring fanins,
+    apply [simulate] to the graph again.  It holds no scratch state, so
+    domains may share it. *)
 
 val eval : Mig.t -> bool array -> bool array
 (** Single input vector. *)

@@ -36,11 +36,6 @@ let fill t b =
   Array.fill t.words 0 (Array.length t.words) (if b then Int64.minus_one else 0L);
   normalize t
 
-let ones w =
-  let t = create w in
-  fill t true;
-  t
-
 let map2 f a b =
   assert (a.width = b.width);
   let r = create a.width in

@@ -20,9 +20,6 @@ val set : t -> int -> bool -> unit
 val fill : t -> bool -> unit
 (** Set every bit to the given value. *)
 
-val ones : int -> t
-(** All-one vector of the given width. *)
-
 val band : t -> t -> t
 val bor : t -> t -> t
 val bxor : t -> t -> t

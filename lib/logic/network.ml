@@ -119,54 +119,70 @@ let input_id t i =
 
 let find_input t name = Hashtbl.find_opt t.names name
 
-let fold_reduce f init = function
-  | [||] -> init
-  | arr ->
-      let acc = ref arr.(0) in
-      for i = 1 to Array.length arr - 1 do
-        acc := f !acc arr.(i)
-      done;
-      !acc
-
+(* Table covers are flattened to literal arrays once per call, so the walk
+   of each block allocates nothing. *)
 let simulate t ins =
   if Array.length ins <> t.input_count then invalid_arg "Network.simulate: input count";
-  let width = if Array.length ins = 0 then 1 else Bitvec.width ins.(0) in
-  let values = Array.make t.n (Bitvec.create width) in
-  for i = 0 to t.n - 1 do
-    let node = t.nodes.(i) in
-    let v j = values.(node.fanins.(j)) in
-    let all = Array.map (fun f -> values.(f)) node.fanins in
-    values.(i) <-
-      (match node.kind with
-      | Const b -> if b then Bitvec.ones width else Bitvec.create width
-      | Input k -> ins.(k)
-      | And -> fold_reduce Bitvec.band (Bitvec.ones width) all
-      | Or -> fold_reduce Bitvec.bor (Bitvec.create width) all
-      | Xor -> fold_reduce Bitvec.bxor (Bitvec.create width) all
-      | Nand -> Bitvec.bnot (fold_reduce Bitvec.band (Bitvec.ones width) all)
-      | Nor -> Bitvec.bnot (fold_reduce Bitvec.bor (Bitvec.create width) all)
-      | Xnor -> Bitvec.bnot (fold_reduce Bitvec.bxor (Bitvec.create width) all)
-      | Not -> Bitvec.bnot (v 0)
-      | Buf -> v 0
-      | Maj -> Bitvec.maj3 (v 0) (v 1) (v 2)
-      | Mux -> Bitvec.mux (v 0) (v 1) (v 2)
-      | Table sop ->
-          (* Evaluate the cover cube by cube over the fanin patterns. *)
-          let acc = ref (Bitvec.create width) in
-          List.iter
-            (fun cube ->
-              let term = ref (Bitvec.ones width) in
-              List.iter
-                (fun (var, pos) ->
-                  let pat = all.(var) in
-                  term := Bitvec.band !term (if pos then pat else Bitvec.bnot pat))
-                (Cube.literals cube);
-              acc := Bitvec.bor !acc !term)
-            (Sop.cubes sop);
-          !acc)
-  done;
-  (* outputs_rev is in reverse declaration order, so rev_map restores it. *)
-  Array.of_list (List.rev_map (fun (_, id) -> values.(id)) t.outputs_rev)
+  let width = Word_store.input_width "Network.simulate" ins in
+  (* Slot [t.n] is the scratch term of a Table cover. *)
+  let st = Word_store.create ~slots:(t.n + 1) ~width in
+  let term = t.n in
+  let covers =
+    Array.init t.n (fun i ->
+        let node = t.nodes.(i) in
+        match node.kind with
+        | Table sop ->
+            Array.of_list
+              (List.map
+                 (fun cube ->
+                   Array.of_list
+                     (List.map
+                        (fun (var, pos) -> (node.fanins.(var) lsl 1) lor if pos then 0 else 1)
+                        (Cube.literals cube)))
+                 (Sop.cubes sop))
+        | _ -> [||])
+  in
+  let outs = Array.of_list (List.rev_map (fun (_, id) -> (id, Bitvec.create width)) t.outputs_rev) in
+  let reduce op i f =
+    Word_store.copy st i (f.(0) lsl 1);
+    for j = 1 to Array.length f - 1 do
+      op st i (f.(j) lsl 1)
+    done
+  in
+  let negate i = Word_store.copy st i ((i lsl 1) lor 1) in
+  Word_store.iter_blocks st (fun () ->
+      for i = 0 to t.n - 1 do
+        let f = t.nodes.(i).fanins in
+        match t.nodes.(i).kind with
+        | Const b -> Word_store.fill st i b
+        | Input k -> Word_store.load st i ins.(k)
+        | And -> reduce Word_store.and_ i f
+        | Or -> reduce Word_store.or_ i f
+        | Xor -> reduce Word_store.xor_ i f
+        | Nand -> reduce Word_store.and_ i f; negate i
+        | Nor -> reduce Word_store.or_ i f; negate i
+        | Xnor -> reduce Word_store.xor_ i f; negate i
+        | Not -> Word_store.copy st i ((f.(0) lsl 1) lor 1)
+        | Buf -> Word_store.copy st i (f.(0) lsl 1)
+        | Maj -> Word_store.maj st i (f.(0) lsl 1) (f.(1) lsl 1) (f.(2) lsl 1)
+        | Mux -> Word_store.mux st i (f.(0) lsl 1) (f.(1) lsl 1) (f.(2) lsl 1)
+        | Table _ ->
+            let cover = covers.(i) in
+            Word_store.fill st i false;
+            for c = 0 to Array.length cover - 1 do
+              let cube = cover.(c) in
+              Word_store.fill st term true;
+              for l = 0 to Array.length cube - 1 do
+                Word_store.and_ st term cube.(l)
+              done;
+              Word_store.or_ st i (term lsl 1)
+            done
+      done;
+      for o = 0 to Array.length outs - 1 do
+        let id, bv = outs.(o) in
+        Word_store.store st (id lsl 1) bv
+      done);
+  Array.map snd outs
 
 let truth_tables t =
   let n = t.input_count in

@@ -63,8 +63,15 @@ val find_input : t -> string -> id option
 
 val simulate : t -> Bitvec.t array -> Bitvec.t array
 (** [simulate t ins] evaluates the network on one pattern set per input
-    (all widths equal) and returns one pattern set per output, in output
-    declaration order. *)
+    and returns one pattern set per output, in output declaration order,
+    each of the inputs' width (1 when there are no inputs).
+
+    Every input must have the same width: unequal widths raise
+    [Invalid_argument "Network.simulate: input width"], and a wrong input
+    count raises [Invalid_argument "Network.simulate: input count"].  The
+    call runs on one {!Word_store} allocated for it, walking the nodes
+    once per 512 lanes; the outputs are fresh vectors, never the inputs
+    themselves. *)
 
 val truth_tables : t -> Truth_table.t array
 (** Exact output functions; only valid for ≤ {!Truth_table.max_vars}

@@ -348,7 +348,118 @@ let network_tests =
         Alcotest.(check int) "in range neg" (-9) (eval_signed (-9));
         Alcotest.(check int) "saturate high" 15 (eval_signed 100);
         Alcotest.(check int) "saturate low" (-16) (eval_signed (-200)));
+    test_case "unequal input widths are rejected" `Quick (fun () ->
+        let net = Funcgen.full_adder () in
+        let ins = [| Bitvec.create 64; Bitvec.create 65; Bitvec.create 64 |] in
+        check_raises "width" (Invalid_argument "Network.simulate: input width") (fun () ->
+            ignore (Network.simulate net ins)));
   ]
+
+(* Per-vector reference semantics of every node kind, written against the
+   node array alone: it shares no code with [Network.simulate] (nor with
+   [Network.eval], which goes through it). *)
+let eval_network_ref net v =
+  let value = Array.make (Network.num_nodes net) false in
+  for i = 0 to Network.num_nodes net - 1 do
+    let f = Array.map (fun j -> value.(j)) (Network.fanins net i) in
+    let ones = Array.fold_left (fun c b -> if b then c + 1 else c) 0 f in
+    let all = ones = Array.length f and any = ones > 0 and odd = ones land 1 = 1 in
+    value.(i) <-
+      (match Network.kind net i with
+      | Network.Const b -> b
+      | Input k -> v.(k)
+      | And -> all
+      | Or -> any
+      | Xor -> odd
+      | Nand -> not all
+      | Nor -> not any
+      | Xnor -> not odd
+      | Not -> not f.(0)
+      | Buf -> f.(0)
+      | Maj -> ones >= 2
+      | Mux -> if f.(0) then f.(1) else f.(2)
+      | Table sop ->
+          List.exists
+            (fun cube -> List.for_all (fun (var, pos) -> f.(var) = pos) (Cube.literals cube))
+            (Sop.cubes sop))
+  done;
+  Array.of_list (List.map (fun (_, id) -> value.(id)) (Network.outputs net))
+
+(* A random network over every node kind: n-ary gates of arity 1 to 5,
+   constants, buffers and Table covers with empty, universal and random
+   cubes; outputs on random nodes, always including a constant and an
+   input. *)
+let random_network rng =
+  let net = Network.create () in
+  let inputs = 1 + Prng.int rng 6 in
+  for i = 0 to inputs - 1 do
+    ignore (Network.add_input net (Printf.sprintf "i%d" i))
+  done;
+  let c = Network.const net (Prng.bool rng) in
+  let pick () = Prng.int rng (Network.num_nodes net) in
+  let fanins k = Array.init k (fun _ -> pick ()) in
+  for _ = 1 to 10 + Prng.int rng 30 do
+    let nary = 1 + Prng.int rng 5 in
+    ignore
+      (match Prng.int rng 13 with
+      | 0 -> Network.const net (Prng.bool rng)
+      | 1 -> Network.gate net Network.And (fanins nary)
+      | 2 -> Network.gate net Network.Or (fanins nary)
+      | 3 -> Network.gate net Network.Xor (fanins nary)
+      | 4 -> Network.gate net Network.Nand (fanins nary)
+      | 5 -> Network.gate net Network.Nor (fanins nary)
+      | 6 -> Network.gate net Network.Xnor (fanins nary)
+      | 7 -> Network.gate net Network.Not (fanins 1)
+      | 8 -> Network.gate net Network.Buf (fanins 1)
+      | 9 -> Network.gate net Network.Maj (fanins 3)
+      | 10 -> Network.gate net Network.Mux (fanins 3)
+      | _ ->
+          let vars = Prng.int rng 5 in
+          let cube () =
+            let c = ref (Cube.create vars) in
+            for v = 0 to vars - 1 do
+              c := Cube.set !c v (Prng.pick rng [| Cube.Pos; Cube.Neg; Cube.DC |])
+            done;
+            !c
+          in
+          let cubes = List.init (Prng.int rng 4) (fun _ -> cube ()) in
+          let cubes = if Prng.int rng 4 = 0 then Cube.create vars :: cubes else cubes in
+          Network.gate net (Network.Table (Sop.of_cubes vars cubes)) (fanins vars))
+  done;
+  Network.add_output net "const" c;
+  Network.add_output net "input" (Network.input_id net 0);
+  for o = 0 to Prng.int rng 5 do
+    Network.add_output net (Printf.sprintf "o%d" o) (pick ())
+  done;
+  net
+
+let sim_widths = [ 1; 63; 64; 65; 511; 512; 513; 4097 ]
+
+(* Every lane of every output against the reference, and bit-for-bit equal
+   to the pattern rebuilt from those lanes (so padding bits stay zero). *)
+let network_sim_props =
+  List.map
+    (fun width ->
+      QCheck.Test.make ~count:30
+        ~name:(Printf.sprintf "width %d: lanes match the per-vector reference" width)
+        QCheck.small_nat
+        (fun seed ->
+          let rng = Prng.create seed in
+          let net = random_network rng in
+          let ins =
+            Array.init (Network.num_inputs net) (fun _ ->
+                let bv = Bitvec.create width in
+                Bitvec.randomize rng bv;
+                bv)
+          in
+          let outs = Network.simulate net ins in
+          let want = Array.map (fun _ -> Bitvec.create width) outs in
+          for lane = 0 to width - 1 do
+            let r = eval_network_ref net (Array.map (fun bv -> Bitvec.get bv lane) ins) in
+            Array.iteri (fun o b -> Bitvec.set want.(o) lane b) r
+          done;
+          Array.for_all2 Bitvec.equal outs want))
+    sim_widths
 
 let prng_tests =
   let open Alcotest in
@@ -378,5 +489,6 @@ let () =
       ("cube-sop", cube_sop_tests);
       ("sop-props", List.map QCheck_alcotest.to_alcotest sop_props);
       ("network", network_tests);
+      ("network-sim-props", List.map QCheck_alcotest.to_alcotest network_sim_props);
       ("prng", prng_tests);
     ]

@@ -544,6 +544,133 @@ let equiv_tests =
           Io.Benchmarks.table2;
         check string "verdict transcript" "88b50c8898df36d8b73a0887ef2fe39f"
           (Digest.to_hex (Digest.string (Buffer.contents transcript))));
+    test_case "unequal input widths are rejected" `Quick (fun () ->
+        let mig = full_adder_mig () in
+        let ins = [| Bitvec.create 512; Bitvec.create 512; Bitvec.create 513 |] in
+        check_raises "width" (Invalid_argument "Mig_sim.simulate: input width") (fun () ->
+            ignore (Core.Mig_sim.simulate mig ins)));
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Simulation and equivalence against a per-vector reference           *)
+(* ------------------------------------------------------------------ *)
+
+(* One vector through the graph in topological order, from the node store
+   alone: it shares no code with [Mig_sim.simulate] (nor with
+   [Mig_sim.eval], which goes through it). *)
+let eval_mig_ref mig v =
+  let value = Array.make (Core.Mig.num_nodes mig) false in
+  Array.iteri (fun i b -> value.(Core.Mig.node_of (Core.Mig.pi mig i)) <- b) v;
+  let lit s = value.(Core.Mig.node_of s) <> Core.Mig.is_compl s in
+  List.iter
+    (fun g ->
+      let f = Core.Mig.fanins mig g in
+      let ones = List.length (List.filter lit [ f.(0); f.(1); f.(2) ]) in
+      value.(g) <- ones >= 2)
+    (Core.Mig.topo_order mig);
+  Array.map lit (Core.Mig.pos mig)
+
+let sim_widths = [ 1; 63; 64; 65; 511; 512; 513; 4097 ]
+
+(* Random graphs carry complemented fanins and outputs; four extra outputs
+   are driven by constant 0, constant 1, an input and its complement. *)
+let mig_sim_props =
+  List.map
+    (fun width ->
+      QCheck.Test.make ~count:30
+        ~name:(Printf.sprintf "width %d: lanes match the per-vector reference" width)
+        QCheck.small_nat
+        (fun seed ->
+          let rng = Prng.create seed in
+          let mig = random_mig rng ~pis:(1 + Prng.int rng 6) ~gates:(5 + Prng.int rng 40) ~pos:3 in
+          let x = Core.Mig.pi mig 0 in
+          List.iter
+            (fun s -> ignore (Core.Mig.add_po mig s))
+            [ Core.Mig.const0; Core.Mig.const1; x; Core.Mig.not_ x ];
+          let ins =
+            Array.init (Core.Mig.num_pis mig) (fun _ ->
+                let bv = Bitvec.create width in
+                Bitvec.randomize rng bv;
+                bv)
+          in
+          let outs = Core.Mig_sim.simulate mig ins in
+          let want = Array.map (fun _ -> Bitvec.create width) outs in
+          for lane = 0 to width - 1 do
+            let r = eval_mig_ref mig (Array.map (fun bv -> Bitvec.get bv lane) ins) in
+            Array.iteri (fun o b -> Bitvec.set want.(o) lane b) r
+          done;
+          Array.for_all2 Bitvec.equal outs want))
+    sim_widths
+
+(* The random check's contract, replayed one vector at a time: [rounds]
+   rounds of 64 vectors, the word of round [r] and input [i] being draw
+   [r·n + i] of [Prng.create seed], with lane 0 / lane 1 of round 0 forced
+   to the all-zero / all-one vector.  The first difference is found in
+   round order, then output order, then lowest lane. *)
+let counterexample_ref ~seed ~rounds a b =
+  let n = Core.Mig.num_pis a in
+  let rng = Prng.create seed in
+  let found = ref None in
+  for r = 0 to rounds - 1 do
+    let words = Array.init n (fun _ -> Prng.next64 rng) in
+    if !found = None then begin
+      let vec lane =
+        Array.init n (fun i ->
+            if r = 0 && lane < 2 then lane = 1
+            else Int64.logand (Int64.shift_right_logical words.(i) lane) 1L = 1L)
+      in
+      let va = Array.init 64 (fun lane -> eval_mig_ref a (vec lane)) in
+      let vb = Array.init 64 (fun lane -> eval_mig_ref b (vec lane)) in
+      for o = 0 to Core.Mig.num_pos a - 1 do
+        for lane = 0 to 63 do
+          if !found = None && va.(lane).(o) <> vb.(lane).(o) then found := Some (vec lane)
+        done
+      done
+    end
+  done;
+  !found
+
+(* Pairs above the exact limit: a graph against its cleaned copy, against
+   a copy whose seeded gate collapses onto its first fanin (which may or may
+   not change the function), or against a copy whose seeded output is
+   flipped by an AND of 6 to 9 distinct inputs of mixed polarity, which misses
+   both corner vectors, so the first difference often lands past round 0
+   and on a later output. *)
+let equiv_props =
+  [
+    QCheck.Test.make ~count:60 ~name:"random check = per-vector reference above 14 inputs"
+      QCheck.(pair small_nat (int_bound 2))
+      (fun (seed, variant) ->
+        let rng = Prng.create seed in
+        let pis = Core.Mig_equiv.exact_limit + 1 + Prng.int rng 6 in
+        let a = random_mig rng ~pis ~gates:(20 + Prng.int rng 40) ~pos:(1 + Prng.int rng 4) in
+        let b = Core.Mig.cleanup a in
+        let gates = Array.of_list (Core.Mig.topo_order b) in
+        if variant = 1 && gates <> [||] then begin
+          let g = Prng.pick rng gates in
+          Core.Mig.substitute b g (Core.Mig.fanins b g).(0)
+        end;
+        if variant = 2 then begin
+          let order = Array.init pis Fun.id in
+          Prng.shuffle rng order;
+          let term = ref Core.Mig.const1 in
+          for k = 0 to 5 + Prng.int rng 4 do
+            let x = Core.Mig.pi b order.(k) in
+            let x = if k = 0 || (k > 1 && Prng.bool rng) then x else Core.Mig.not_ x in
+            term := Core.Mig.and_ b !term x
+          done;
+          let o = Prng.int rng (Core.Mig.num_pos b) in
+          Core.Mig.set_po b o (Core.Mig.xor_ b (Core.Mig.po b o) !term)
+        end;
+        (* half the cases run on the default seed, half on the case's own *)
+        let cex, eq, seed =
+          if Prng.bool rng then
+            (Core.Mig_equiv.counterexample a b, Core.Mig_equiv.equivalent a b, 0xE0A)
+          else
+            (Core.Mig_equiv.counterexample ~seed a b, Core.Mig_equiv.equivalent ~seed a b, seed)
+        in
+        let want = counterexample_ref ~seed ~rounds:64 a b in
+        cex = want && eq = (want = None));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -818,6 +945,8 @@ let () =
       ("optimizers", optimizer_tests);
       ("conversion", conversion_tests);
       ("equiv", equiv_tests);
+      ("sim-props", List.map QCheck_alcotest.to_alcotest mig_sim_props);
+      ("equiv-props", List.map QCheck_alcotest.to_alcotest equiv_props);
       ("integrity-props", List.map QCheck_alcotest.to_alcotest integrity_props);
       ("schedule", schedule_tests);
       ("schedule-props", List.map QCheck_alcotest.to_alcotest schedule_props);
