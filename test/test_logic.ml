@@ -441,7 +441,7 @@ let network_sim_props =
   List.map
     (fun width ->
       QCheck.Test.make ~count:30
-        ~name:(Printf.sprintf "width %d: lanes match the per-vector reference" width)
+        ~name:(Printf.sprintf "width %d: lanes = reference" width)
         QCheck.small_nat
         (fun seed ->
           let rng = Prng.create seed in
@@ -489,6 +489,6 @@ let () =
       ("cube-sop", cube_sop_tests);
       ("sop-props", List.map QCheck_alcotest.to_alcotest sop_props);
       ("network", network_tests);
-      ("network-sim-props", List.map QCheck_alcotest.to_alcotest network_sim_props);
+      ("netsim-props", List.map QCheck_alcotest.to_alcotest network_sim_props);
       ("prng", prng_tests);
     ]

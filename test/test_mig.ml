@@ -578,7 +578,7 @@ let mig_sim_props =
   List.map
     (fun width ->
       QCheck.Test.make ~count:30
-        ~name:(Printf.sprintf "width %d: lanes match the per-vector reference" width)
+        ~name:(Printf.sprintf "width %d: lanes = reference" width)
         QCheck.small_nat
         (fun seed ->
           let rng = Prng.create seed in
@@ -638,7 +638,7 @@ let counterexample_ref ~seed ~rounds a b =
    and on a later output. *)
 let equiv_props =
   [
-    QCheck.Test.make ~count:60 ~name:"random check = per-vector reference above 14 inputs"
+    QCheck.Test.make ~count:60 ~name:"random check = replay, 15+ inputs"
       QCheck.(pair small_nat (int_bound 2))
       (fun (seed, variant) ->
         let rng = Prng.create seed in
