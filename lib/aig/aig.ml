@@ -12,7 +12,7 @@ type t = {
   mutable npis : int;
   mutable pout : signal array;
   mutable npos : int;
-  strash : (int * int, int) Hashtbl.t;
+  strash : Triple_table.t;  (* keyed on (f0, f1, 0) *)
   (* The graph is append-only, so the PO-reachable region only grows and the
      topological order of already-reached nodes never changes: [order] is a
      postorder buffer extended at [add_po], [reached] the visited marks, and
@@ -41,7 +41,7 @@ let create () =
       npis = 0;
       pout = Array.make 8 0;
       npos = 0;
-      strash = Hashtbl.create 997;
+      strash = Triple_table.create 64;
       reached = Array.make 64 false;
       order = Array.make 64 0;
       nord = 0;
@@ -72,19 +72,20 @@ let add_pi t =
   t.npis <- t.npis + 1;
   signal_of id false
 
-let and_ t a b =
-  let a, b = if a <= b then (a, b) else (b, a) in
+let and_ t x y =
+  let a = if x <= y then x else y and b = if x <= y then y else x in
   if a = const0 then const0
   else if a = const1 then b
   else if a = b then a
   else if a lxor b = 1 then const0
   else
-    match Hashtbl.find_opt t.strash (a, b) with
-    | Some n -> signal_of n false
-    | None ->
-        let id = push t { kind = And; f0 = a; f1 = b } in
-        Hashtbl.replace t.strash (a, b) id;
-        signal_of id false
+    let n = Triple_table.find t.strash a b 0 in
+    if n >= 0 then signal_of n false
+    else begin
+      let id = push t { kind = And; f0 = a; f1 = b } in
+      Triple_table.replace t.strash a b 0 id;
+      signal_of id false
+    end
 
 let or_ t a b = not_ (and_ t (not_ a) (not_ b))
 let xor_ t a b = or_ t (and_ t a (not_ b)) (and_ t (not_ a) b)

@@ -43,7 +43,7 @@ type t = {
   mutable npis : int;
   mutable pout : signal array;
   mutable npos : int;
-  strash : (int * int * int, int) Hashtbl.t;
+  strash : Logic.Triple_table.t;
   mutable porefs : int array;
   mutable ngates : int;
   mutable listener : (event -> unit) option;
@@ -75,7 +75,7 @@ let create () =
       npis = 0;
       pout = Array.make 8 0;
       npos = 0;
-      strash = Hashtbl.create 997;
+      strash = Logic.Triple_table.create 64;
       porefs = Array.make 64 0;
       ngates = 0;
       listener = None;
@@ -118,22 +118,24 @@ let add_pi t =
   t.npis <- t.npis + 1;
   signal_of id false
 
-let sort3 a b c =
-  let a, b = if a <= b then (a, b) else (b, a) in
-  let b, c = if b <= c then (b, c) else (c, b) in
-  let a, b = if a <= b then (a, b) else (b, a) in
-  (a, b, c)
+(* The sorted fanin triple, one component at a time so that sorting
+   allocates nothing. *)
+let[@inline] imin (x : int) y = if x <= y then x else y
+let[@inline] imax (x : int) y = if x <= y then y else x
+let[@inline] lo3 a b c = imin (imin a b) c
+let[@inline] mid3 a b c = imax (imin a b) (imin (imax a b) c)
+let[@inline] hi3 a b c = imax (imax a b) c
 
 (* Ω.M on a sorted triple: either the triple simplifies to a signal, or it is
-   a genuine gate over three distinct nodes.  Complementary signals of the
-   same node are adjacent integers, so checking the two adjacent pairs
-   suffices. *)
-let simplify3 a b c =
-  if a = b then Some a
-  else if b = c then Some b
-  else if a lxor b = 1 then Some c
-  else if b lxor c = 1 then Some a
-  else None
+   a genuine gate over three distinct nodes ([-1]).  Complementary signals
+   of the same node are adjacent integers, so checking the two adjacent
+   pairs suffices. *)
+let[@inline] simplify3 a b c =
+  if a = b then a
+  else if b = c then b
+  else if a lxor b = 1 then c
+  else if b lxor c = 1 then a
+  else -1
 
 (* Squeeze the tombstones out of [n]'s fanout array in place, preserving the
    order of the live entries, and re-aim the survivors' back-pointers (each
@@ -186,40 +188,46 @@ let remove_fanout t n f slot =
     node.nlive <- node.nlive - 1
   end
 
+(* The live gate strashed under a sorted triple, or [-1]. *)
+let find_gate t a b c =
+  let n = Logic.Triple_table.find t.strash a b c in
+  if n >= 0 && not t.nodes.(n).dead then n else -1
+
 let lookup t a b c =
-  let a, b, c = sort3 a b c in
-  match simplify3 a b c with
-  | Some s -> Some s
-  | None -> (
-      match Hashtbl.find_opt t.strash (a, b, c) with
-      | Some n when not t.nodes.(n).dead -> Some (signal_of n false)
-      | _ -> None)
+  let a = lo3 a b c and b = mid3 a b c and c = hi3 a b c in
+  let s = simplify3 a b c in
+  if s >= 0 then Some s
+  else
+    let n = find_gate t a b c in
+    if n >= 0 then Some (signal_of n false) else None
 
 (* Ω.M fires eagerly on node creation (see the module doc of Mig_algebra);
    counting it here covers every construction and rewrite path. *)
 let c_omega_m_hit = Obs.counter "mig.rule/omega_m.hits"
 
 let maj t a b c =
-  let a, b, c = sort3 a b c in
-  match simplify3 a b c with
-  | Some s ->
-      Obs.incr c_omega_m_hit;
-      s
-  | None -> (
-      match Hashtbl.find_opt t.strash (a, b, c) with
-      | Some n when not t.nodes.(n).dead -> signal_of n false
-      | _ ->
-          let node = fresh_node Gate in
-          node.fanin <- [| a; b; c |];
-          node.fo_slot <- Array.make 3 0;
-          let id = push_node t node in
-          Hashtbl.replace t.strash (a, b, c) id;
-          add_fanout t (node_of a) id 0;
-          add_fanout t (node_of b) id 1;
-          add_fanout t (node_of c) id 2;
-          t.ngates <- t.ngates + 1;
-          emit t (Gate_added id);
-          signal_of id false)
+  let a = lo3 a b c and b = mid3 a b c and c = hi3 a b c in
+  let s = simplify3 a b c in
+  if s >= 0 then begin
+    Obs.incr c_omega_m_hit;
+    s
+  end
+  else
+    let n = find_gate t a b c in
+    if n >= 0 then signal_of n false
+    else begin
+      let node = fresh_node Gate in
+      node.fanin <- [| a; b; c |];
+      node.fo_slot <- Array.make 3 0;
+      let id = push_node t node in
+      Logic.Triple_table.replace t.strash a b c id;
+      add_fanout t (node_of a) id 0;
+      add_fanout t (node_of b) id 1;
+      add_fanout t (node_of c) id 2;
+      t.ngates <- t.ngates + 1;
+      emit t (Gate_added id);
+      signal_of id false
+    end
 
 let and_ t a b = maj t a b const0
 let or_ t a b = maj t a b const1
@@ -284,14 +292,10 @@ let fanout_iter t n f =
 let is_dead t n = t.nodes.(n).dead
 let po_refs t n = t.porefs.(n)
 
-let strash_key t n =
-  let f = t.nodes.(n).fanin in
-  (f.(0), f.(1), f.(2))
-
 let unregister t n =
-  match Hashtbl.find_opt t.strash (strash_key t n) with
-  | Some m when m = n -> Hashtbl.remove t.strash (strash_key t n)
-  | _ -> ()
+  let f = t.nodes.(n).fanin in
+  if Logic.Triple_table.find t.strash f.(0) f.(1) f.(2) = n then
+    Logic.Triple_table.remove t.strash f.(0) f.(1) f.(2)
 
 (* Kill a gate node: drop its strash entry and detach it from its fanins'
    fanout lists.  The fanout list of [n] itself is the caller's business.
@@ -302,13 +306,16 @@ let kill t n =
   let node = t.nodes.(n) in
   if node.kind = Gate && not node.dead then begin
     unregister t n;
-    Array.iteri
-      (fun i s -> remove_fanout t (node_of s) n node.fo_slot.(i))
-      node.fanin;
+    for i = 0 to 2 do
+      remove_fanout t (node_of node.fanin.(i)) n node.fo_slot.(i)
+    done;
     node.dead <- true;
     t.ngates <- t.ngates - 1;
     emit t (Gate_killed n)
   end
+
+(* Fanin [g] with node [n] replaced by signal [s], keeping [g]'s polarity. *)
+let[@inline] rewire n s g = if node_of g = n then s lxor (g land 1) else g
 
 let rec substitute t n s =
   let node = t.nodes.(n) in
@@ -349,26 +356,28 @@ let rec substitute t n s =
    cases cascade into a further substitution of [f] itself. *)
 and refanin t f n s =
   let fnode = t.nodes.(f) in
-  let updated =
-    Array.map (fun g -> if node_of g = n then s lxor (g land 1) else g) fnode.fanin
-  in
-  let a, b, c = sort3 updated.(0) updated.(1) updated.(2) in
-  match simplify3 a b c with
-  | Some r -> substitute t f r
-  | None -> (
-      match Hashtbl.find_opt t.strash (a, b, c) with
-      | Some g when g <> f && not t.nodes.(g).dead -> substitute t f (signal_of g false)
-      | _ ->
-          unregister t f;
-          Array.iteri
-            (fun i g ->
-              if node_of g <> n then remove_fanout t (node_of g) f fnode.fo_slot.(i))
-            fnode.fanin;
-          let old_fanins = fnode.fanin in
-          fnode.fanin <- [| a; b; c |];
-          Hashtbl.replace t.strash (a, b, c) f;
-          Array.iteri (fun i g -> add_fanout t (node_of g) f i) fnode.fanin;
-          emit t (Refanin { node = f; old_fanins }))
+  let old_fanins = fnode.fanin in
+  let u0 = rewire n s old_fanins.(0) and u1 = rewire n s old_fanins.(1) in
+  let u2 = rewire n s old_fanins.(2) in
+  let a = lo3 u0 u1 u2 and b = mid3 u0 u1 u2 and c = hi3 u0 u1 u2 in
+  let r = simplify3 a b c in
+  if r >= 0 then substitute t f r
+  else
+    let g = find_gate t a b c in
+    if g >= 0 && g <> f then substitute t f (signal_of g false)
+    else begin
+      unregister t f;
+      for i = 0 to 2 do
+        let g = old_fanins.(i) in
+        if node_of g <> n then remove_fanout t (node_of g) f fnode.fo_slot.(i)
+      done;
+      fnode.fanin <- [| a; b; c |];
+      Logic.Triple_table.replace t.strash a b c f;
+      add_fanout t (node_of a) f 0;
+      add_fanout t (node_of b) f 1;
+      add_fanout t (node_of c) f 2;
+      emit t (Refanin { node = f; old_fanins })
+    end
 
 (* Iterative post-order DFS from the outputs over the reusable scratch; calls
    [f] on each reachable live gate, fanins first.  Identical visit order to
@@ -446,17 +455,16 @@ let cleanup t =
   for i = 0 to t.npis - 1 do
     map.(t.pis.(i)) <- node_of (add_pi fresh)
   done;
+  let[@inline] copy s = signal_of map.(node_of s) (is_compl s) in
   iter_topo_gen t ~rev_fanins:true (fun n ->
-      let node = t.nodes.(n) in
-      let f s = signal_of map.(node_of s) (is_compl s) in
-      let s = maj fresh (f node.fanin.(0)) (f node.fanin.(1)) (f node.fanin.(2)) in
+      let f = t.nodes.(n).fanin in
+      let s = maj fresh (copy f.(0)) (copy f.(1)) (copy f.(2)) in
       (* A live gate triple cannot simplify, and strashing in the fresh graph
          only merges identical gates, so the copy is a positive signal. *)
       assert (not (is_compl s));
       map.(n) <- node_of s);
   for i = 0 to t.npos - 1 do
-    let s = t.pout.(i) in
-    ignore (add_po fresh (signal_of map.(node_of s) (is_compl s)))
+    ignore (add_po fresh (copy t.pout.(i)))
   done;
   fresh
 

@@ -9,7 +9,7 @@ let check mig =
       if Mig.kind mig g = Mig.Gate && Mig.is_dead mig g then
         error "output %d driven by dead node %d" i g)
     (Mig.pos mig);
-  let seen_triples = Hashtbl.create 997 in
+  let seen_triples = Logic.Triple_table.create (Mig.num_gates mig) in
   for g = 0 to n - 1 do
     if Mig.kind mig g = Mig.Gate && not (Mig.is_dead mig g) then begin
       let f = Mig.fanins mig g in
@@ -29,10 +29,9 @@ let check mig =
               error "gate %d has dead fanin %d" g h)
           f;
         (* strash: no two live gates with the same triple *)
-        let key = (f.(0), f.(1), f.(2)) in
-        (match Hashtbl.find_opt seen_triples key with
-        | Some other -> error "gates %d and %d share fanin triple" other g
-        | None -> Hashtbl.replace seen_triples key g);
+        let other = Logic.Triple_table.find seen_triples f.(0) f.(1) f.(2) in
+        if other >= 0 then error "gates %d and %d share fanin triple" other g
+        else Logic.Triple_table.replace seen_triples f.(0) f.(1) f.(2) g;
         (* strash lookup must return this gate *)
         (match Mig.lookup mig f.(0) f.(1) f.(2) with
         | Some s when Mig.node_of s = g -> ()

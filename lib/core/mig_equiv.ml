@@ -45,30 +45,43 @@ let equivalent_network ?rounds ?seed mig net =
     ~tt_b:(fun () -> Network.truth_tables net)
     ()
 
-(* Words in round order, then outputs in order, then the lowest lane: the
+(* Exactly: the lowest minterm on which some output differs.  Randomly:
+   words in round order, then outputs in order, then the lowest lane, the
    first difference a round-by-round check would meet. *)
 let counterexample ?(rounds = 64) ?(seed = 0xE0A) a b =
   if Mig.num_pis a <> Mig.num_pis b || Mig.num_pos a <> Mig.num_pos b then Some [||]
   else begin
     let n = Mig.num_pis a in
-    let ins = random_inputs ~seed ~rounds n in
-    let oa = Mig_sim.simulate a ins and ob = Mig_sim.simulate b ins in
-    (* Without inputs every round is the same empty vector, in word 0. *)
-    let words = if n = 0 then min rounds 1 else rounds in
-    let rec scan r o =
-      if r >= words then None
-      else if o >= Array.length oa then scan (r + 1) 0
-      else
-        let d = Int64.logxor (Bitvec.word oa.(o) r) (Bitvec.word ob.(o) r) in
-        if d = 0L then scan r (o + 1)
-        else begin
-          let bit = ref 0 in
-          while Int64.logand (Int64.shift_right_logical d !bit) 1L = 0L do
-            incr bit
-          done;
-          let lane = (64 * r) + !bit in
-          Some (Array.init n (fun i -> Bitvec.get ins.(i) lane))
-        end
-    in
-    scan 0 0
+    if n <= exact_limit then begin
+      let ta = Mig_sim.truth_tables a and tb = Mig_sim.truth_tables b in
+      let differs m =
+        Array.exists2 (fun x y -> Truth_table.get x m <> Truth_table.get y m) ta tb
+      in
+      let rec scan m =
+        if m >= 1 lsl n then None
+        else if differs m then Some (Array.init n (fun i -> (m lsr i) land 1 = 1))
+        else scan (m + 1)
+      in
+      scan 0
+    end
+    else begin
+      let ins = random_inputs ~seed ~rounds n in
+      let oa = Mig_sim.simulate a ins and ob = Mig_sim.simulate b ins in
+      let rec scan r o =
+        if r >= rounds then None
+        else if o >= Array.length oa then scan (r + 1) 0
+        else
+          let d = Int64.logxor (Bitvec.word oa.(o) r) (Bitvec.word ob.(o) r) in
+          if d = 0L then scan r (o + 1)
+          else begin
+            let bit = ref 0 in
+            while Int64.logand (Int64.shift_right_logical d !bit) 1L = 0L do
+              incr bit
+            done;
+            let lane = (64 * r) + !bit in
+            Some (Array.init n (fun i -> Bitvec.get ins.(i) lane))
+          end
+      in
+      scan 0 0
+    end
   end

@@ -26,8 +26,12 @@ val equivalent_network : ?rounds:int -> ?seed:int -> Mig.t -> Logic.Network.t ->
 (** Check a MIG against the network it was derived from. *)
 
 val counterexample : ?rounds:int -> ?seed:int -> Mig.t -> Mig.t -> bool array option
-(** A distinguishing input vector, if one is found among the random
-    vectors (used whatever the input count).  The search takes rounds in
-    order, then outputs in order, then the lowest differing lane: the
-    vector is the first difference a round-by-round check would meet.
-    [Some [||]] when the input or output counts differ. *)
+(** A distinguishing input vector, decided the way {!equivalent} decides,
+    so [counterexample a b = None] exactly when [equivalent a b] holds (at
+    the same [rounds] and [seed]).  At ≤ {!exact_limit} inputs it is the
+    lowest minterm (input [i] = bit [i] of the index) on which some
+    output's truth table differs.  Above that, the search takes the random
+    vectors' rounds in order, then outputs in order, then the lowest
+    differing lane: the vector is the first difference a round-by-round
+    check would meet.  [Some [||]] when the input or output counts
+    differ. *)

@@ -188,18 +188,17 @@ let size_and_depth mig =
    Returns the untouched input when the graph is already canonical, so
    enclosing [cycle] blocks converge. *)
 let strash mig =
-  let seen = Hashtbl.create 997 in
+  let seen = Triple_table.create (Mig.num_gates mig) in
   let merges = ref 0 in
   Mig.foreach_gate mig (fun g ->
       if not (Mig.is_dead mig g) then begin
         let f = Mig.fanins mig g in
-        let key = (f.(0), f.(1), f.(2)) in
-        match Hashtbl.find_opt seen key with
-        | Some first when first <> g && not (Mig.is_dead mig first) ->
-            incr merges;
-            Mig.substitute mig g (Mig.signal_of first false)
-        | Some _ -> ()
-        | None -> Hashtbl.add seen key g
+        let first = Triple_table.find seen f.(0) f.(1) f.(2) in
+        if first < 0 then Triple_table.replace seen f.(0) f.(1) f.(2) g
+        else if first <> g && not (Mig.is_dead mig first) then begin
+          incr merges;
+          Mig.substitute mig g (Mig.signal_of first false)
+        end
       end);
   let reachable = Mig.size mig in
   let dead_ids = Mig.num_nodes mig - 1 - Mig.num_pis mig - reachable in

@@ -2,31 +2,25 @@ open Logic
 
 let export mig =
   let net = Network.create () in
-  let map = Hashtbl.create 97 in
-  Hashtbl.replace map 0 (Network.const net false);
+  (* Network node of each MIG node, and of its shared inverter: one NOT
+     gate per complemented node occurrence. *)
+  let map = Array.make (Mig.num_nodes mig) (-1) in
+  let inverters = Array.make (Mig.num_nodes mig) (-1) in
+  map.(0) <- Network.const net false;
   for i = 0 to Mig.num_pis mig - 1 do
-    Hashtbl.replace map
-      (Mig.node_of (Mig.pi mig i))
-      (Network.add_input net (Printf.sprintf "x%d" i))
+    map.(Mig.node_of (Mig.pi mig i)) <- Network.add_input net (Printf.sprintf "x%d" i)
   done;
-  (* Share inverters: one NOT gate per complemented node occurrence. *)
-  let inverters = Hashtbl.create 97 in
   let value s =
-    let id = Hashtbl.find map (Mig.node_of s) in
-    if not (Mig.is_compl s) then id
-    else
-      match Hashtbl.find_opt inverters id with
-      | Some inv -> inv
-      | None ->
-          let inv = Network.not_ net id in
-          Hashtbl.replace inverters id inv;
-          inv
+    let n = Mig.node_of s in
+    if not (Mig.is_compl s) then map.(n)
+    else begin
+      if inverters.(n) < 0 then inverters.(n) <- Network.not_ net map.(n);
+      inverters.(n)
+    end
   in
-  List.iter
-    (fun g ->
+  Mig.iter_topo mig (fun g ->
       let f = Mig.fanins mig g in
-      Hashtbl.replace map g (Network.maj net (value f.(0)) (value f.(1)) (value f.(2))))
-    (Mig.topo_order mig);
+      map.(g) <- Network.maj net (value f.(0)) (value f.(1)) (value f.(2)));
   Array.iteri
     (fun i s -> Network.add_output net (Printf.sprintf "y%d" i) (value s))
     (Mig.pos mig);

@@ -13,20 +13,18 @@ let fail line msg = raise (Parse_error (line, msg))
    an [aag] file and its binary twin build bit-identical networks (same
    node-creation order, same lazily shared negation nodes). *)
 let build_network ~fail net node_of_var ~m ~output_lits ~and_defs =
-  let negations = Hashtbl.create 97 in
+  (* Network node of each variable's negation, made on first use. *)
+  let negations = Array.make (m + 1) (-1) in
   let literal lit =
     let v = lit / 2 in
     if v > m then fail "literal out of range";
     let base = node_of_var.(v) in
     if base < 0 then fail (Printf.sprintf "undefined variable %d" v);
     if lit land 1 = 0 then base
-    else
-      match Hashtbl.find_opt negations lit with
-      | Some id -> id
-      | None ->
-          let id = Network.not_ net base in
-          Hashtbl.replace negations lit id;
-          id
+    else begin
+      if negations.(v) < 0 then negations.(v) <- Network.not_ net base;
+      negations.(v)
+    end
   in
   (* AIGER files are topologically sorted (lhs > rhs), so one pass works. *)
   Array.iter
@@ -188,20 +186,26 @@ let parse_binary_file path = parse_binary_string (read_file path)
 let number_vars aig =
   let open Aig_lib in
   let order = Aig.topo_order aig in
-  let var_of = Hashtbl.create 997 in
-  Hashtbl.replace var_of 0 0;
+  let pi k = Aig.node_of (Aig.pi aig k) in
+  let top = ref 0 in
+  for k = 0 to Aig.num_pis aig - 1 do
+    top := max !top (pi k)
+  done;
+  List.iter (fun n -> top := max !top n) order;
+  let var_of = Array.make (!top + 1) (-1) in
+  var_of.(0) <- 0;
   let next = ref 1 in
   for k = 0 to Aig.num_pis aig - 1 do
-    Hashtbl.replace var_of (Aig.node_of (Aig.pi aig k)) !next;
+    var_of.(pi k) <- !next;
     incr next
   done;
   List.iter
     (fun n ->
-      Hashtbl.replace var_of n !next;
+      var_of.(n) <- !next;
       incr next)
     order;
   let lit s =
-    let v = Hashtbl.find var_of (Aig.node_of s) in
+    let v = var_of.(Aig.node_of s) in
     (2 * v) + if Aig.is_compl s then 1 else 0
   in
   (order, var_of, lit, !next - 1)
@@ -225,7 +229,7 @@ let write_aig aig =
       let f0, f1 = Aig.fanins aig n in
       let a = lit f0 and b = lit f1 in
       Buffer.add_string buf
-        (Printf.sprintf "%d %d %d\n" (2 * Hashtbl.find var_of n) (max a b) (min a b)))
+        (Printf.sprintf "%d %d %d\n" (2 * var_of.(n)) (max a b) (min a b)))
     order;
   Buffer.contents buf
 
@@ -249,7 +253,7 @@ let write_aig_binary aig =
     (fun n ->
       let f0, f1 = Aig.fanins aig n in
       let a = lit f0 and b = lit f1 in
-      let lhs = 2 * Hashtbl.find var_of n in
+      let lhs = 2 * var_of.(n) in
       let rhs0 = max a b and rhs1 = min a b in
       encode_delta buf (lhs - rhs0);
       encode_delta buf (rhs0 - rhs1))

@@ -124,35 +124,52 @@ type kind = K_load | K_reset | K_imp | K_maj
 
 let run_lanes (program : Program.t) =
   let nr = program.Program.num_regs and ni = program.Program.num_inputs in
+  let steps = program.Program.steps in
+  let reg r =
+    if r < 0 || r >= nr then invalid_arg "Interp.run_lanes: register out of range";
+    r
+  in
   let slot = function
-    | Isa.Reg r ->
-        if r < 0 || r >= nr then invalid_arg "Interp.run_lanes: register out of range";
-        r
+    | Isa.Reg r -> reg r
     | Isa.Input i ->
         if i < 0 || i >= ni then invalid_arg "Interp.run_lanes: input out of range";
         nr + i
     | Isa.Const b -> nr + ni + Bool.to_int b
   in
-  let micros = Array.of_list (List.concat program.Program.steps) in
-  let nsteps = List.length program.Program.steps in
+  let nsteps = List.length steps in
   let step_start = Array.make (nsteps + 1) 0 in
-  List.iteri
-    (fun s step -> step_start.(s + 1) <- step_start.(s) + List.length step)
-    program.Program.steps;
-  let zero = slot (Isa.Const false) in
-  let decoded =
-    Array.map
-      (function
-        | Isa.Load (_, o) -> (K_load, slot o, zero)
-        | Isa.Reset _ -> (K_reset, zero, zero)
-        | Isa.Imp { src; _ } -> (K_imp, slot (Isa.Reg src), zero)
-        | Isa.Maj_pulse { p; q; _ } -> (K_maj, slot p, slot q))
-      micros
-  in
-  let kind = Array.map (fun (c, _, _) -> c) decoded in
-  let src_a = Array.map (fun (_, a, _) -> a) decoded in
-  let src_b = Array.map (fun (_, _, b) -> b) decoded in
-  let dst = Array.map (fun m -> slot (Isa.Reg (Isa.micro_dst m))) micros in
+  List.iteri (fun s step -> step_start.(s + 1) <- step_start.(s) + List.length step) steps;
+  let total = step_start.(nsteps) in
+  let zero = nr + ni in
+  let kind = Array.make total K_reset in
+  let src_a = Array.make total zero and src_b = Array.make total zero in
+  let dst = Array.make total 0 in
+  (* Every source operand is checked before any destination, and a pulse's
+     [q] before its [p], so a malformed program always raises the same
+     error. *)
+  let k = ref 0 in
+  List.iter
+    (List.iter (fun m ->
+         (match m with
+         | Isa.Load (_, o) ->
+             kind.(!k) <- K_load;
+             src_a.(!k) <- slot o
+         | Isa.Reset _ -> ()
+         | Isa.Imp { src; _ } ->
+             kind.(!k) <- K_imp;
+             src_a.(!k) <- reg src
+         | Isa.Maj_pulse { p; q; _ } ->
+             kind.(!k) <- K_maj;
+             src_b.(!k) <- slot q;
+             src_a.(!k) <- slot p);
+         incr k))
+    steps;
+  k := 0;
+  List.iter
+    (List.iter (fun m ->
+         dst.(!k) <- reg (Isa.micro_dst m);
+         incr k))
+    steps;
   let pulses c = Array.fold_left (fun n k -> if k = c then n + 1 else n) 0 kind in
   let loads = pulses K_load and resets = pulses K_reset in
   let imps = pulses K_imp and majs = pulses K_maj in

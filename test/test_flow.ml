@@ -592,6 +592,37 @@ let structure_tests =
             let last = List.nth traj (List.length traj - 1) in
             check (float 0.) "last sample is cycle 40" 40. (List.assoc "cycle" last);
             check bool "fewer samples than cycles" true (List.length traj < 41)));
+    test_case "scale circuits: node ids and the AIGER write are pinned" `Slow
+      (fun () ->
+        (* The seeded 10^4 and 3x10^4-gate tiers as the scale benchmark
+           builds them (through a binary AIGER round trip): the MD5 of the
+           node store after conversion and after the area flow at effort 2
+           pins every node id, and the MD5 of the binary AIGER of the
+           export pins the write path, which the .bench digests above do
+           not reach. *)
+        let md5 s = Digest.to_hex (Digest.string s) in
+        List.iter
+          (fun (gates, converted, optimized, written) ->
+            let name = Printf.sprintf "scale-s3-g%d" gates in
+            let net = Io.Gen.scale_network ~name ~gates () in
+            let net = Io.Aiger.parse_binary_string (Io.Aiger.write_network_binary net) in
+            let mig = Core.Mig_of_network.convert net in
+            check string (name ^ " converted") converted (md5 (Core.Mig.fingerprint mig));
+            let script = Option.get (Core.Mig_flows.canonical_script ~effort:2 "area") in
+            let out = Core.Mig_flows.run (Core.Mig_flows.parse_exn script) mig in
+            check string (name ^ " optimized") optimized (md5 (Core.Mig.fingerprint out));
+            check string (name ^ " written") written
+              (md5 (Io.Aiger.write_network_binary (Core.Mig_to_network.export out))))
+          [
+            ( 10_000,
+              "c58cbf3c42e1c9a3c10eaadceb305c72",
+              "c63f039c6d56852ef1a70fdd0203dad1",
+              "63d338f0f9171a99a0b5ee3ea9eac52a" );
+            ( 30_000,
+              "9dc22edde7573bfbb302798277e99f89",
+              "f437f9815f65dbc16dfcbc91cdeb08a6",
+              "aa486579777ddae29d461038bf2ff82e" );
+          ]);
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -480,6 +480,53 @@ let prng_tests =
         done);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Triple_table against Hashtbl                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Keys from a 5x5x5 domain (negative components included) and long
+   operation sequences from an empty table: probes collide, removals leave
+   tombstones that later insertions reuse, and the arrays are rebuilt both
+   larger and at the same size. *)
+let triple_props =
+  [
+    QCheck.Test.make ~count:200 ~name:"Triple_table = Hashtbl model"
+      QCheck.(pair small_nat (int_range 1 600))
+      (fun (seed, ops) ->
+        let rng = Prng.create seed in
+        let t = Triple_table.create 0 and model = Hashtbl.create 16 in
+        let key () = (Prng.int rng 5 - 2, Prng.int rng 5 - 2, Prng.int rng 5 - 2) in
+        let agrees (a, b, c) =
+          Triple_table.find t a b c
+          = Option.value ~default:(-1) (Hashtbl.find_opt model (a, b, c))
+        in
+        (* insertions outnumber removals in some cases, not in others *)
+        let inserts = 2 + Prng.int rng 5 in
+        let ok = ref true in
+        for _ = 1 to ops do
+          let ((a, b, c) as k) = key () in
+          let r = Prng.int rng 8 in
+          if r < inserts then begin
+            let v = Prng.int rng 1000 in
+            Triple_table.replace t a b c v;
+            Hashtbl.replace model k v
+          end
+          else if r < 7 then begin
+            Triple_table.remove t a b c;
+            Hashtbl.remove model k
+          end;
+          if not (agrees k && Triple_table.length t = Hashtbl.length model) then ok := false
+        done;
+        for a = -2 to 2 do
+          for b = -2 to 2 do
+            for c = -2 to 2 do
+              if not (agrees (a, b, c)) then ok := false
+            done
+          done
+        done;
+        !ok);
+  ]
+
 let () =
   Alcotest.run "logic"
     [
@@ -491,4 +538,5 @@ let () =
       ("network", network_tests);
       ("netsim-props", List.map QCheck_alcotest.to_alcotest network_sim_props);
       ("prng", prng_tests);
+      ("triple-props", List.map QCheck_alcotest.to_alcotest triple_props);
     ]

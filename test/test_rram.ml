@@ -1258,6 +1258,33 @@ let lanes_tests =
           (fun () -> ignore (run ~lanes:(Sys.int_size + 1) (Array.make 5 0)));
         check_raises "input count" (Invalid_argument "Interp.run_lanes: input count")
           (fun () -> ignore (run ~lanes:1 (Array.make 4 0))));
+    test_case "malformed programs: sources fail before destinations" `Quick
+      (fun () ->
+        (* one register, one input line; each program has two faults, and
+           the error named is the one found first: every source operand
+           (a pulse's q before its p) before any destination, destinations
+           before outputs *)
+        let program steps outputs =
+          { Rram.Program.num_inputs = 1; num_regs = 1; steps; outputs }
+        in
+        let raises msg prog =
+          check_raises msg (Invalid_argument ("Interp.run_lanes: " ^ msg)) (fun () ->
+              ignore (Rram.Interp.run_lanes prog : lanes:int -> int array -> int array))
+        in
+        raises "input out of range"
+          (program
+             [ [ Rram.Isa.Reset 3 ]; [ Rram.Isa.Load (0, Rram.Isa.Input 2) ] ]
+             [| Rram.Isa.Reg 0 |]);
+        raises "input out of range"
+          (program
+             [ [ Rram.Isa.Maj_pulse { p = Rram.Isa.Reg 4; q = Rram.Isa.Input 1; dst = 0 } ] ]
+             [| Rram.Isa.Reg 0 |]);
+        raises "register out of range"
+          (program
+             [ [ Rram.Isa.Maj_pulse { p = Rram.Isa.Input 1; q = Rram.Isa.Reg 4; dst = 0 } ] ]
+             [| Rram.Isa.Reg 0 |]);
+        raises "register out of range"
+          (program [ [ Rram.Isa.Imp { src = 0; dst = 2 } ] ] [| Rram.Isa.Input 5 |]));
     test_case "counters and histograms count vectors" `Quick (fun () ->
         (* 63 vectors through the kernel record exactly what 63 runs of
            Interp.run record; only the span count differs. *)
