@@ -434,6 +434,282 @@ let export_tests =
         check string "no extension" "" (Io.Netlist.format_of_path "dir.x/c"));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Reader pins: node ids, fingerprints and every (line, message) of    *)
+(* the .bench and BLIF readers                                         *)
+(* ------------------------------------------------------------------ *)
+
+let md5 s = Digest.to_hex (Digest.string s)
+
+let local_file name =
+  if Sys.file_exists name then name else Filename.concat "test" name
+
+let example_file name =
+  let up = Filename.concat "../examples" name in
+  if Sys.file_exists up then up else Filename.concat "examples" name
+
+(* [reader_digests.txt] rows: source, format, md5 of the reparsed
+   network's write_string, md5 of its MIG fingerprint. *)
+let reader_digest_rows () =
+  In_channel.with_open_bin (local_file "reader_digests.txt") In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+  |> List.map (fun l ->
+         match String.split_on_char ' ' l with
+         | [ source; format; written; fingerprint ] -> (source, format, written, fingerprint)
+         | _ -> failwith ("reader_digests.txt: bad row " ^ l))
+
+let reparse_digests format text =
+  let net, written =
+    match format with
+    | "bench" ->
+        let net = Io.Bench_format.parse_string text in
+        (net, Io.Bench_format.write_string net)
+    | _ ->
+        let net = Io.Blif.parse_string text in
+        (net, Io.Blif.write_string net)
+  in
+  (md5 written, md5 (Core.Mig.fingerprint (Core.Mig_of_network.convert net)))
+
+(* What a reader makes of [text]: ["ok <md5>"] (of write_string, and for
+   the sequential entry points the register profile too) or
+   ["<line>: <message>"] of its Parse_error. *)
+let reader_outcome reader text =
+  let seq write s =
+    Printf.sprintf "pis=%d pos=%d init=%s %s" (Seq.num_pis s) (Seq.num_pos s)
+      (String.concat ""
+         (List.map (fun b -> if b then "1" else "0") (Array.to_list (Seq.initial_state s))))
+      (md5 (write (Seq.combinational s)))
+  in
+  match
+    match reader with
+    | "bench" -> md5 (Io.Bench_format.write_string (Io.Bench_format.parse_string text))
+    | "blif" -> md5 (Io.Blif.write_string (Io.Blif.parse_string text))
+    | "bench-seq" ->
+        seq Io.Bench_format.write_string (Io.Bench_format.parse_sequential_string text)
+    | _ -> seq (fun n -> Io.Blif.write_string n) (Io.Blif.parse_sequential_string text)
+  with
+  | s -> "ok " ^ s
+  | exception (Io.Bench_format.Parse_error (l, m) | Io.Blif.Parse_error (l, m)) ->
+      Printf.sprintf "%d: %s" l m
+
+(* Every existing error message, CRLF endings, lowercase keywords,
+   comments, blank lines, continuations, DFFs, latches and redefined
+   targets (the last definition wins). *)
+let reader_transcript =
+  [
+    ("bench", "INPUT(a)\nOUTPUT(y)\ny = FROB(a)\n",
+     "3: unknown gate FROB");
+    ("bench", "INPUT(a)\nOUTPUT(y)\ny = AND(a, z)\nz = NOT(y)\n",
+     "3: combinational cycle at y");
+    ("bench", "INPUT(a)\nOUTPUT(y)\njust some words\n",
+     "3: expected assignment");
+    ("bench", "INPUT(a\n",
+     "1: expected (...)");
+    ("bench", "OUTPUT)y(\n",
+     "1: expected assignment");
+    ("bench", "INPUT(a)\nOUTPUT(y)\ny = AND(a\n",
+     "3: unbalanced parentheses");
+    ("bench", "INPUT(a)\nOUTPUT(y)\ny = DFF(a, a)\n",
+     "3: DFF takes one operand");
+    ("bench", "INPUT(a)\nOUTPUT(y)\ny = DFF()\n",
+     "3: DFF takes one operand");
+    ("bench", "INPUT(a)\nOUTPUT(y)\ny = AND(a, ghost)\n",
+     "0: undefined signal ghost");
+    ("bench", "OUTPUT(y)\ny = FROB(ghost)\n",
+     "0: undefined signal ghost");
+    ("bench", "INPUT(a)\nOUTPUT(y)\ny = (a)\n",
+     "3: unknown gate ");
+    ("bench", "INPUT (a)\n",
+     "1: expected assignment");
+    ("bench", "INPUT(a)\nOUTPUT(y)\ny = AND(a, # b)\n",
+     "3: unbalanced parentheses");
+    ("bench", "INPUT(a)\nOUTPUT(y)\n= AND(a)\n",
+     "0: undefined signal y");
+    ("bench", "INPUT(a)\nOUTPUT(a)\nq = DFF(ghost)\n",
+     "0: undefined signal ghost");
+    ("bench", "INPUT(a)\nOUTPUT(y)\ny = AND(a, t)\nt = OR(u, a)\nu = XOR(a, y)\n",
+     "3: combinational cycle at y");
+    ("bench", "INPUT(a)\nOUTPUT(y)\ny = and(a, b)\nb = frob(a)\n",
+     "4: unknown gate FROB");
+    ("bench", "INPUT(a)\r\nINPUT(b)\r\nOUTPUT(y)\r\ny = NAND(a, b)\r\n",
+     "ok 277a1eac6c2e398080e6855284d363eb");
+    ("bench", "input(a)\ninput(b)\noutput(y)\noutput(z)\ny = nand(a, b)\nz = buff(y)\nw = Dff(z)\n",
+     "ok 25cc687326693c76730f34846f995417");
+    ("bench", "# header\n\nINPUT(a) # first\n  \nINPUT(b)\nOUTPUT(y)   # out\ny = XOR(a, b) # gate\n\n",
+     "ok 175aa529a33b92c8cdc0197a003f0196");
+    ("bench", "INPUT(a)\nOUTPUT(y)\nq = DFF(y)\ny = AND(a, q)\n",
+     "ok 766d7b103008ccc55f09f4c66094e7b4");
+    ("bench", "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\ny = OR(a, b)\n",
+     "ok b35f2180b89ba5fec8a80ea9cd21aa85");
+    ("bench", "OUTPUT(y)\nOUTPUT(z)\ny = gnd\nz = vdd\n",
+     "ok cf712a0cc87f55d39853399b74b1f278");
+    ("bench", "INPUT(a)\nOUTPUT(y)\nt = NOT(a)\ny = GND(t)\n",
+     "ok d2240fe3598b6b30f18c37e0345f275b");
+    ("bench", "INPUT(a b)\nOUTPUT(y)\ny = NOT( a b )\n",
+     "ok 2664f3bfd305a6eda145164405852cfc");
+    ("bench", "INPUT(s)\nINPUT(a)\nINPUT(b)\nOUTPUT(m)\nOUTPUT(j)\nOUTPUT(k)\nOUTPUT(n)\nOUTPUT(o)\nm = MUX(s, a, b)\nj = MAJ(s, a, b)\nk = XNOR(a, b, s)\nn = NOR(a, b)\no = BUF(k)\n",
+     "ok c4259af21984abb34b412ac4a0a744b9");
+    ("bench", "INPUT(a)\nOUTPUT(y)\ny = AND(a, , a)\n",
+     "ok 29905bd8c0b0ea557f3d84f6630fa8e1");
+    ("bench", "INPUT(a)\nOUTPUT(y)\ny = AND(a)junk\n",
+     "ok 015c557c1c0d4d24bdc859c3b4cdd919");
+    ("bench", "OUTPUT(y)\ny = DFF(y)\n",
+     "ok 3f12b0f51620e3d52fbc8230c65e73f9");
+    ("bench", "",
+     "ok d41d8cd98f00b204e9800998ecf8427e");
+    ("bench", "INPUT(a)\nOUTPUT(a)\n",
+     "ok 9a174b0ed14ed2e4968e485082d37027");
+    ("bench", "INPUT(a)\nOUTPUT(y)\ny = AND(a, a)   \t\n",
+     "ok 29905bd8c0b0ea557f3d84f6630fa8e1");
+    ("bench", "INPUT(\ta\t)\nINPUT(a=b)\nOUTPUT(y)\ny = AND(a, a=b) = b\n",
+     "ok 4dbf560550cd2ffd2cd63e13e8cc617e");
+    ("bench", "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(f(a), b)\nf(a) = NOT(a)\n",
+     "ok 69b7d0a0c11272b9bdf5e7b2fd6898a5");
+    ("bench", "INPUT(a)\nOUTPUT(y)\nOUTPUT(y)\nOUTPUT(z)\ny = NOT(a)\nz = NOT(a)\nq = DFF(z)\nr = DFF(q)\n",
+     "ok 44157795742d58636698d10189f08409");
+    ("bench", "INPUT(q)\nOUTPUT(q)\nq = DFF(q)\n",
+     "ok 0d958a68ada4aa9e70f535e593397622");
+    ("bench", "INPUT(x)\nOUTPUT(y)\ny = AND(x, x)\ny = FROB(x)\n",
+     "4: unknown gate FROB");
+    ("bench", "INPUT(x)\nOUTPUT(y)\ny = FROB(x)\ny = AND(x, x)\n",
+     "ok 446543610fdbb5151dab7e3aaea92054");
+    ("bench", "INPUT(x)\nOUTPUT(y)\nz = FROB(x)\ny = NOT(x)\n",
+     "ok 8b5355c6481e4c089873968b9e22893a");
+    ("bench", "INPUT(x)\nOUTPUT(x)\nx = NOT(x)\n",
+     "ok ac8c39105968974bb921550062074deb");
+    ("bench", "\012INPUT(a)\012\nOUTPUT(a)\n",
+     "ok 9a174b0ed14ed2e4968e485082d37027");
+    ("bench", "INPUT(a)\nOUTPUT(y)\ny = NOT(a)))\n",
+     "0: undefined signal a))");
+    ("bench", "INPUT(a)\nOUTPUT(y)\ny = NOT)a(\n",
+     "3: unbalanced parentheses");
+    ("bench", "INPUT(a)\nOUTPUT(y)\ny = \n",
+     "3: unknown gate ");
+    ("bench", "INPUT()\nOUTPUT()\n",
+     "ok 2b82d121748dc39b0d7500bad64dcfa7");
+    ("blif", ".model m\n.inputs a b\n.outputs y\n.names a b y\n111 1\n.end",
+     "5: cube width does not match .names inputs");
+    ("blif", ".model m\n.inputs a\n.outputs y\n.names ghost y\n1 1\n.end",
+     "0: undefined signal ghost");
+    ("blif", ".model m\n.inputs a\n.outputs y\n.names y2 y\n1 1\n.names y y2\n1 1\n.end",
+     "4: combinational cycle at y");
+    ("blif", ".model m\n.inputs a b\n.outputs y\n.names a b y\n11 1\n00 0\n.end",
+     "4: mixed output polarities in one cover");
+    ("blif", ".model m\n.wavelength 42\n.end",
+     "2: unknown directive .wavelength");
+    ("blif", ".model m\n.names\n",
+     "2: .names needs a target");
+    ("blif", ".model m\n.inputs a\n.outputs b\n.latch a b 0\n.end",
+     "4: sequential BLIF (.latch) is not supported here; use parse_sequential");
+    ("blif", "11 1\n",
+     "1: cube line outside of .names");
+    ("blif", ".model m\n.outputs y\n.names y\n11\n",
+     "4: bad constant cover");
+    ("blif", ".model m\n.inputs a\n.outputs y\n.names a y\n1 11\n",
+     "5: bad output column");
+    ("blif", ".model m\n.inputs a\n.outputs y\n.names a y\n1 1 1\n",
+     "5: malformed cover line");
+    ("blif", ".model m\n.inputs a\n.outputs y\n.names a y\n1\n",
+     "5: malformed cover line");
+    ("blif", ".model m\n.inputs a\n.outputs y\n.names a y\n1 2\n",
+     "4: mixed output polarities in one cover");
+    ("blif", ".model m\n.inputs a\n.outputs y\n.names y\n1 1\n",
+     "5: cube width does not match .names inputs");
+    ("blif", ".model m\n.inputs a b\n.outputs y\n.names a b y\n11 1\n.end\n11 1\n",
+     "7: cube line outside of .names");
+    ("blif", ".model m\r\n.inputs a b\r\n.outputs y\r\n.names a b y\r\n11 1\r\n.end\r\n",
+     "ok a7e71ce8569d867676a4b98640cb80a0");
+    ("blif", "# lead\n\n.model m # name\n.inputs a \\\n b\n.outputs y\n\n.names a \\\n b y # and\n11 1\n.end\n",
+     "ok a7e71ce8569d867676a4b98640cb80a0");
+    ("blif", ".model m\n.inputs a b\n.outputs y\n.names a b y\n11 1\n.names a b y\n00 1\n.end\n",
+     "ok c6dde6d8ecb85192607ff04c2f0f41d3");
+    ("blif", ".model m\n.outputs y z\n.names y\n1\n.names z\n.end\n",
+     "ok ba9fb466baca5a4923ac7431501ba981");
+    ("blif", ".model m\n.inputs a b\n.outputs y\n.names a b y\n1- 0\n-1 0\n.end\n",
+     "ok 90ef52d1efe531a5c67675b905c13335");
+    ("blif", ".model m\n.inputs a\n.outputs y\n.names a y\n1 1\n.exdc\n.names a y\n0 1\n.end\n",
+     "ok 1d8a168c35d16e72d6629f13e39b4266");
+    ("blif", ".model m\n.inputs a\n.outputs y\n.names a y \\",
+     "ok d268195061fd861f4e6bb191a13256df");
+    ("blif", ".model m\n.inputs a \\\n# c\n.outputs y\n.names a y\n1 1\n",
+     "ok 38fbea0883420379ec6101e8e1fb0f47");
+    ("blif", ".model m\n.inputs a\tb\n.outputs y\n.names a\tb y\n1 1\n",
+     "ok fb63583baa6e13b90114a0db82e3e6f4");
+    ("blif", ".model m\n.inputs a b c\n.outputs y\n.names a b c y\n~2- 1\n-1~ 1\n",
+     "ok e794dd0c02a4b2c33236ef31e7aa5df1");
+    ("blif", ".model m\n.inputs a b\n.outputs y\n.names a b u\n11 1\n00 0\n.names a y\n1 1\n",
+     "ok 05281fd3baf6382b1e188c1cb604e35a");
+    ("blif", ".model m\n.inputs a\n.outputs a\n.end\n",
+     "ok 4e6d5fc964b1190a890ddbdc908282df");
+    ("blif", ".MODEL m\n.inputs a\n",
+     "1: unknown directive .MODEL");
+    ("blif", ".model m\n.inputs a\n.outputs y\n.names a y\n1 1\n.names y z\n.names z q\n1 1\n",
+     "ok 38fbea0883420379ec6101e8e1fb0f47");
+    ("blif", ".model m\n.inputs a b\n.outputs y\n.names a b t\n11 1\n.names t a y\n1- 1\n-1 1\n.end\n",
+     "ok b1366eca90f7fc86ed5f16ee4eae44d8");
+    ("blif", "\\\n\\\n.model m\n",
+     "ok 65cec7c69db7ecb54f9a6142abdcf6a1");
+    ("blif", ".model m \\\n\\\n.inputs a\n.outputs a\n",
+     "0: undefined signal a");
+    ("blif", ".model m\n.inputs a\n.outputs y\n  .names   a    y   \n  1   1  \n",
+     "ok 38fbea0883420379ec6101e8e1fb0f47");
+    ("blif", ".model m\n.inputs a\n.outputs y\n.names a y\n.names a y\n1 1\n",
+     "ok 38fbea0883420379ec6101e8e1fb0f47");
+    ("blif", ".model m\n.inputs a\n.outputs y\n.names a y\n1 0\n1 0\n",
+     "ok 9adbc1bde4ff91439daeb12b3444b265");
+    ("blif", ".model m\n.inputs a\n.outputs y\n.names a y\n",
+     "ok d268195061fd861f4e6bb191a13256df");
+    ("blif", ".inputs a\n.outputs y\n.names a a a y\n111 1\n",
+     "ok 779e8ac53f2b2b4370f87eae94111cb8");
+    ("bench-seq", "INPUT(a)\nOUTPUT(y)\nq = DFF(y)\ny = AND(a, q)\n",
+     "ok pis=1 pos=1 init=0 766d7b103008ccc55f09f4c66094e7b4");
+    ("bench-seq", "INPUT(a)\nOUTPUT(y)\nq = DFF(r)\nr = DFF(q)\ny = OR(q, r)\n",
+     "ok pis=1 pos=1 init=00 474672c700f56dee09f1d3667158fc38");
+    ("bench-seq", "INPUT(a)\nOUTPUT(a)\nq = DFF(ghost)\n",
+     "0: undefined signal ghost");
+    ("blif-seq", ".model m\n.inputs a\n.outputs y\n.latch y q 1\n.names a q y\n11 1\n.end\n",
+     "ok pis=1 pos=1 init=1 efbf134ec5236035e9c5bf75c24234b3");
+    ("blif-seq", ".model m\n.inputs a\n.outputs y\n.latch y q re clk 1\n.latch q r 2\n.latch r s 3\n.latch s t 0\n.names t y\n1 1\n.end\n",
+     "ok pis=1 pos=1 init=1000 356d9e50aa671c8c960a093eaf9c0085");
+    ("blif-seq", ".model m\n.latch a\n",
+     "2: .latch needs input and output");
+    ("blif-seq", ".model m\n.inputs a\n.outputs a\n.latch ghost q\n",
+     "0: undefined signal ghost");
+    ("blif-seq", ".model m\n.inputs a\n.outputs a\n.latch a q re\n",
+     "ok pis=1 pos=1 init=0 bf2a3cf62418b76e049bca3838aa67e3");
+  ]
+
+let pin_tests =
+  let open Alcotest in
+  [
+    test_case "reparsed networks and MIG fingerprints are pinned" `Quick (fun () ->
+        let texts = Hashtbl.create 64 in
+        List.iter
+          (fun e ->
+            let net = e.Io.Benchmarks.build () in
+            Hashtbl.replace texts (e.Io.Benchmarks.name, "bench") (Io.Bench_format.write_string net);
+            Hashtbl.replace texts (e.Io.Benchmarks.name, "blif") (Io.Blif.write_string net))
+          Io.Benchmarks.all;
+        let read name = In_channel.with_open_bin (example_file name) In_channel.input_all in
+        Hashtbl.replace texts ("c17.bench", "bench") (read "c17.bench");
+        Hashtbl.replace texts ("c17_opt.blif", "blif") (read "c17_opt.blif");
+        let rows = reader_digest_rows () in
+        check int "one row per source and format" (Hashtbl.length texts) (List.length rows);
+        List.iter
+          (fun (source, format, written, fingerprint) ->
+            let w, f = reparse_digests format (Hashtbl.find texts (source, format)) in
+            check string (source ^ " " ^ format ^ " write_string") written w;
+            check string (source ^ " " ^ format ^ " fingerprint") fingerprint f)
+          rows);
+    test_case "error lines and messages are pinned" `Quick (fun () ->
+        List.iter
+          (fun (reader, text, expected) ->
+            check string (reader ^ " " ^ String.escaped text) expected
+              (reader_outcome reader text))
+          reader_transcript);
+  ]
+
 let () =
   Alcotest.run "io"
     [
@@ -446,4 +722,5 @@ let () =
       ("benchmarks", benchmark_tests);
       ("export", export_tests);
       ("errors", error_tests);
+      ("pins", pin_tests);
     ]

@@ -328,6 +328,18 @@ let key_unit_tests =
             check bool "hex" true
               ((ch >= '0' && ch <= '9') || (ch >= 'a' && ch <= 'f')))
           fp);
+    test_case "Table II key bytes are pinned" `Quick (fun () ->
+        let keys = Buffer.create 4096 in
+        List.iter
+          (fun e ->
+            let mig = Core.Mig_of_network.convert (e.Io.Benchmarks.build ()) in
+            Buffer.add_string keys
+              (snd
+                 (Serve.Cache.canonical_key ~flow:"push_up" ~arch:"serial"
+                    ~realization:"maj" ~verify:true mig)))
+          Io.Benchmarks.table2;
+        check string "md5 of the 25 keys" "81300d0090f18d6058c913bcf81de523"
+          (Digest.to_hex (Digest.string (Buffer.contents keys))));
   ]
 
 (* ------------------------------------------------------------------ *)
