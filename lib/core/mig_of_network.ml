@@ -53,25 +53,31 @@ let convert net =
   let n = Network.num_nodes net in
   let signals = Array.make n Mig.const0 in
   for id = 0 to n - 1 do
-    let f i = signals.((Network.fanins net id).(i)) in
-    let all () = Array.to_list (Array.map (fun g -> signals.(g)) (Network.fanins net id)) in
+    let fanins = Network.fanins net id in
+    let f i = signals.(fanins.(i)) in
+    (* [balanced_fold] of one or two operands is the operand or [op a b]:
+       build those directly, without its operand list and frame stack *)
+    let fold op =
+      match Array.length fanins with
+      | 1 -> f 0
+      | 2 -> op (f 0) (f 1)
+      | _ -> balanced_fold op (Array.to_list (Array.map (fun g -> signals.(g)) fanins))
+    in
     signals.(id) <-
       (match Network.kind net id with
       | Network.Const b -> if b then Mig.const1 else Mig.const0
       | Network.Input k -> pi_signals.(k)
-      | Network.And -> balanced_fold (Mig.and_ mig) (all ())
-      | Network.Or -> balanced_fold (Mig.or_ mig) (all ())
-      | Network.Xor -> balanced_fold (Mig.xor_ mig) (all ())
-      | Network.Nand -> Mig.not_ (balanced_fold (Mig.and_ mig) (all ()))
-      | Network.Nor -> Mig.not_ (balanced_fold (Mig.or_ mig) (all ()))
-      | Network.Xnor -> Mig.not_ (balanced_fold (Mig.xor_ mig) (all ()))
+      | Network.And -> fold (Mig.and_ mig)
+      | Network.Or -> fold (Mig.or_ mig)
+      | Network.Xor -> fold (Mig.xor_ mig)
+      | Network.Nand -> Mig.not_ (fold (Mig.and_ mig))
+      | Network.Nor -> Mig.not_ (fold (Mig.or_ mig))
+      | Network.Xnor -> Mig.not_ (fold (Mig.xor_ mig))
       | Network.Not -> Mig.not_ (f 0)
       | Network.Buf -> f 0
       | Network.Maj -> Mig.maj mig (f 0) (f 1) (f 2)
       | Network.Mux -> Mig.mux mig (f 0) (f 1) (f 2)
-      | Network.Table sop ->
-          let fanins = Network.fanins net id in
-          signal_of_sop mig sop (fun v -> signals.(fanins.(v))))
+      | Network.Table sop -> signal_of_sop mig sop (fun v -> signals.(fanins.(v))))
   done;
   List.iter (fun (_, id) -> ignore (Mig.add_po mig signals.(id))) (Network.outputs net);
   mig

@@ -1,162 +1,160 @@
 open Logic
+module S = Netlist_scan
 
 exception Parse_error of int * string
 
-let fail line msg = raise (Parse_error (line, msg))
+type gate = Gate of Network.kind | Const of bool | Dff
 
-type def =
-  | Gate of string * string list (* kind, operands *)
-  | Dff of string (* data operand *)
+(* Keywords, matched ignoring case; a definition stores its index. *)
+let keywords =
+  [|
+    ("AND", Gate Network.And);
+    ("OR", Gate Network.Or);
+    ("NAND", Gate Network.Nand);
+    ("NOR", Gate Network.Nor);
+    ("XOR", Gate Network.Xor);
+    ("XNOR", Gate Network.Xnor);
+    ("NOT", Gate Network.Not);
+    ("BUF", Gate Network.Buf);
+    ("BUFF", Gate Network.Buf);
+    ("GND", Const false);
+    ("VDD", Const true);
+    ("MUX", Gate Network.Mux);
+    ("MAJ", Gate Network.Maj);
+    ("DFF", Dff);
+  |]
 
-(* Streaming: [iter_lines] hands over one physical line at a time, so a
-   file parse reads straight off the channel instead of materializing the
-   whole text. *)
-let parse_internal iter_lines =
-  let inputs = ref [] and outputs = ref [] and defs = ref [] in
-  let lineno = ref 0 in
-  iter_lines
-    (fun raw ->
-      incr lineno;
-      let n = !lineno in
-      let line =
-        match String.index_opt raw '#' with
-        | Some j -> String.sub raw 0 j
-        | None -> raw
-      in
-      let line = String.trim line in
-      if line <> "" then begin
-        let upper = String.uppercase_ascii line in
-        let paren_arg () =
-          match (String.index_opt line '(', String.rindex_opt line ')') with
-          | Some l, Some r when r > l -> String.trim (String.sub line (l + 1) (r - l - 1))
-          | _ -> fail n "expected (...)"
-        in
-        if String.length upper >= 6 && String.sub upper 0 6 = "INPUT(" then
-          inputs := paren_arg () :: !inputs
-        else if String.length upper >= 7 && String.sub upper 0 7 = "OUTPUT(" then
-          outputs := paren_arg () :: !outputs
-        else
-          match String.index_opt line '=' with
-          | None -> fail n "expected assignment"
-          | Some eq ->
-              let target = String.trim (String.sub line 0 eq) in
-              let rhs = String.trim (String.sub line (eq + 1) (String.length line - eq - 1)) in
-              let kind, args =
-                match String.index_opt rhs '(' with
-                | None -> (String.uppercase_ascii rhs, [])
-                | Some l ->
-                    let r =
-                      match String.rindex_opt rhs ')' with
-                      | Some r when r > l -> r
-                      | _ -> fail n "unbalanced parentheses"
-                    in
-                    let kind = String.uppercase_ascii (String.trim (String.sub rhs 0 l)) in
-                    let inner = String.sub rhs (l + 1) (r - l - 1) in
-                    let args =
-                      String.split_on_char ',' inner
-                      |> List.map String.trim
-                      |> List.filter (fun s -> s <> "")
-                    in
-                    (kind, args)
-              in
-              if kind = "DFF" then begin
-                match args with
-                | [ d ] -> defs := (n, target, Dff d) :: !defs
-                | _ -> fail n "DFF takes one operand"
-              end
-              else defs := (n, target, Gate (kind, args)) :: !defs
-      end);
-  let inputs = List.rev !inputs and outputs = List.rev !outputs and defs = List.rev !defs in
-  let net = Network.create () in
-  let node_of_name = Hashtbl.create 97 in
-  List.iter (fun nm -> Hashtbl.replace node_of_name nm (Network.add_input net nm)) inputs;
-  (* DFF outputs become pseudo primary inputs. *)
-  List.iter
-    (fun (_, target, def) ->
-      match def with
-      | Dff _ -> Hashtbl.replace node_of_name target (Network.add_input net (target ^ "_q"))
-      | Gate _ -> ())
-    defs;
-  let def_of = Hashtbl.create 97 in
-  List.iter
-    (fun (n, target, def) ->
-      match def with
-      | Gate (kind, args) -> Hashtbl.replace def_of target (n, kind, args)
-      | Dff _ -> ())
-    defs;
-  let in_progress = Hashtbl.create 17 in
-  (* Iterative dependency walk — same discipline as {!Blif}: [`Visit]
-     expands unresolved operands over a deferred [`Emit]; operands are
-     pushed in reverse so the leftmost resolves first, preserving the
-     recursive resolver's node numbering; stack-safe on deep netlists. *)
-  let resolve root =
-    let stack = ref [ `Visit root ] in
-    while !stack <> [] do
-      let fr = List.hd !stack in
-      stack := List.tl !stack;
-      match fr with
-      | `Visit name ->
-          if not (Hashtbl.mem node_of_name name) then begin
-            match Hashtbl.find_opt def_of name with
-            | None -> fail 0 ("undefined signal " ^ name)
-            | Some (n, kind, args) ->
-                if Hashtbl.mem in_progress name then
-                  fail n ("combinational cycle at " ^ name);
-                Hashtbl.add in_progress name ();
-                stack := `Emit (name, n, kind, args) :: !stack;
-                List.iter (fun a -> stack := `Visit a :: !stack) (List.rev args)
-          end
-      | `Emit (name, n, kind, args) ->
-          Hashtbl.remove in_progress name;
-          let ids = Array.of_list (List.map (Hashtbl.find node_of_name) args) in
-          let id =
-            match kind with
-            | "AND" -> Network.gate net Network.And ids
-            | "OR" -> Network.gate net Network.Or ids
-            | "NAND" -> Network.gate net Network.Nand ids
-            | "NOR" -> Network.gate net Network.Nor ids
-            | "XOR" -> Network.gate net Network.Xor ids
-            | "XNOR" -> Network.gate net Network.Xnor ids
-            | "NOT" -> Network.gate net Network.Not ids
-            | "BUF" | "BUFF" -> Network.gate net Network.Buf ids
-            | "GND" -> Network.const net false
-            | "VDD" -> Network.const net true
-            | "MUX" -> Network.gate net Network.Mux ids
-            | "MAJ" -> Network.gate net Network.Maj ids
-            | _ -> fail n ("unknown gate " ^ kind)
-          in
-          Hashtbl.replace node_of_name name id
-    done;
-    Hashtbl.find node_of_name root
+let keyword s a b =
+  let rec go i =
+    if i = Array.length keywords then -1
+    else if S.equal_ci s a b (fst keywords.(i)) then i
+    else go (i + 1)
   in
-  List.iter (fun name -> Network.add_output net name (resolve name)) outputs;
+  go 0
+
+let arity_error kind n =
+  match kind with
+  | Network.Not | Network.Buf -> if n <> 1 then Some "takes one operand" else None
+  | Network.Maj | Network.Mux -> if n <> 3 then Some "takes three operands" else None
+  | _ -> if n < 1 then Some "takes at least one operand" else None
+
+(* The name inside [KEYWORD( ... )]: from the first '(' to the last ')'. *)
+let paren_arg names n s a b =
+  let l = S.index s a b '(' and r = S.rindex s a b ')' in
+  if l < 0 || r <= l then S.fail n "expected (...)";
+  let na = S.skip_space s (l + 1) r in
+  S.intern names s na (S.trim_end s na r)
+
+(* One pass over the lines fills the name table, the gate definitions
+   and the DFF list; a second walk builds the network from the outputs
+   (then the DFF data pins) down.  [iter_lines] hands over one line at a
+   time, so a file parse reads straight off the channel. *)
+let parse_internal iter_lines =
+  let names = S.names () and defs = S.defs () in
+  let inputs = S.Ints.create () and input_lines = S.Ints.create () in
+  let outputs = S.Ints.create () in
+  let kinds = S.Ints.create () (* per definition: keyword index, or -1 *) in
+  let unknown = Hashtbl.create 1 (* definition -> its unknown keyword *) in
+  let dff_target = S.Ints.create () and dff_data = S.Ints.create () in
+  let dff_line = S.Ints.create () in
+  let args = S.Ints.create () in
+  iter_lines (fun n s a b ->
+      let b = match S.index s a b '#' with -1 -> b | j -> j in
+      let a = S.skip_space s a b in
+      let b = S.trim_end s a b in
+      if a < b then begin
+        if S.has_prefix_ci s a b "INPUT(" then begin
+          S.Ints.push inputs (paren_arg names n s a b);
+          S.Ints.push input_lines n
+        end
+        else if S.has_prefix_ci s a b "OUTPUT(" then
+          S.Ints.push outputs (paren_arg names n s a b)
+        else begin
+          let eq = S.index s a b '=' in
+          if eq < 0 then S.fail n "expected assignment";
+          let target = S.intern names s a (S.trim_end s a eq) in
+          let ra = S.skip_space s (eq + 1) b in
+          let l = S.index s ra b '(' in
+          S.Ints.clear args;
+          let kind_end =
+            if l < 0 then b
+            else begin
+              let r = S.rindex s ra b ')' in
+              if r <= l then S.fail n "unbalanced parentheses";
+              (* comma-separated operands, trimmed, empty ones dropped *)
+              let i = ref (l + 1) in
+              while !i <= r do
+                let j = match S.index s !i r ',' with -1 -> r | j -> j in
+                let oa = S.skip_space s !i j in
+                if oa < j then S.Ints.push args (S.intern names s oa (S.trim_end s oa j));
+                i := j + 1
+              done;
+              S.trim_end s ra l
+            end
+          in
+          let k = keyword s ra kind_end in
+          if k >= 0 && snd keywords.(k) = Dff then begin
+            if S.Ints.length args <> 1 then S.fail n "DFF takes one operand";
+            S.Ints.push dff_target target;
+            S.Ints.push dff_data (S.Ints.get args 0);
+            S.Ints.push dff_line n
+          end
+          else begin
+            let d = S.add_def defs ~target ~line:n args in
+            S.Ints.push kinds k;
+            if k < 0 then
+              Hashtbl.replace unknown d
+                (String.uppercase_ascii (String.sub s ra (kind_end - ra)))
+          end
+        end
+      end);
+  let net = Network.create () in
+  let r = S.resolver names defs in
+  let add_input line name =
+    if Network.find_input net name <> None then S.fail line ("duplicate input " ^ name);
+    Network.add_input net name
+  in
+  for i = 0 to S.Ints.length inputs - 1 do
+    let id = S.Ints.get inputs i in
+    S.bind r id (add_input (S.Ints.get input_lines i) (S.name names id))
+  done;
+  (* DFF outputs become pseudo primary inputs. *)
+  let dffs = S.Ints.length dff_target in
+  for i = 0 to dffs - 1 do
+    let target = S.Ints.get dff_target i in
+    S.bind r target (add_input (S.Ints.get dff_line i) (S.name names target ^ "_q"))
+  done;
+  let emit d =
+    let k = S.Ints.get kinds d in
+    if k < 0 then S.fail (S.line defs d) ("unknown gate " ^ Hashtbl.find unknown d);
+    match keywords.(k) with
+    | _, Const b -> Network.const net b
+    | word, Gate kind -> (
+        match arity_error kind (S.arity defs d) with
+        | Some msg -> S.fail (S.line defs d) (word ^ " " ^ msg)
+        | None -> Network.gate net kind (S.fanins r d))
+    | _, Dff -> assert false
+  in
+  for i = 0 to S.Ints.length outputs - 1 do
+    let o = S.Ints.get outputs i in
+    Network.add_output net (S.name names o) (S.resolve r ~emit o)
+  done;
   (* DFF inputs become pseudo primary outputs. *)
-  let dffs = ref 0 in
-  List.iter
-    (fun (_, target, def) ->
-      match def with
-      | Dff d ->
-          incr dffs;
-          Network.add_output net (target ^ "_d") (resolve d)
-      | Gate _ -> ())
-    defs;
-  (net, List.length inputs, List.length outputs, !dffs)
+  for i = 0 to dffs - 1 do
+    let target = S.Ints.get dff_target i in
+    Network.add_output net (S.name names target ^ "_d") (S.resolve r ~emit (S.Ints.get dff_data i))
+  done;
+  (net, S.Ints.length inputs, S.Ints.length outputs, dffs)
 
-let iter_string_lines text feed = List.iter feed (String.split_on_char '\n' text)
-
-let iter_channel_lines ic feed =
-  try
-    while true do
-      feed (input_line ic)
-    done
-  with End_of_file -> ()
+let parse iter_lines =
+  try parse_internal iter_lines with S.Error (line, msg) -> raise (Parse_error (line, msg))
 
 let parse_string text =
-  let net, _, _, _ = parse_internal (iter_string_lines text) in
+  let net, _, _, _ = parse (S.iter_string_lines text) in
   net
 
 let parse_sequential_string text =
-  let net, pis, pos, dffs = parse_internal (iter_string_lines text) in
+  let net, pis, pos, dffs = parse (S.iter_string_lines text) in
   Seq.create net ~num_pis:pis ~num_pos:pos ~init:(Array.make dffs false)
 
 let with_file path f =
@@ -165,12 +163,12 @@ let with_file path f =
 
 let parse_file path =
   with_file path (fun ic ->
-      let net, _, _, _ = parse_internal (iter_channel_lines ic) in
+      let net, _, _, _ = parse (S.iter_channel_lines ic) in
       net)
 
 let parse_sequential_file path =
   with_file path (fun ic ->
-      let net, pis, pos, dffs = parse_internal (iter_channel_lines ic) in
+      let net, pis, pos, dffs = parse (S.iter_channel_lines ic) in
       Seq.create net ~num_pis:pis ~num_pos:pos ~init:(Array.make dffs false))
 
 let write_string net =

@@ -1,190 +1,209 @@
 open Logic
+module S = Netlist_scan
 
 exception Parse_error of int * string
 
-let fail line msg = raise (Parse_error (line, msg))
+(* BLIF tokens are separated by spaces only. *)
+let token_start s i b =
+  let i = ref i in
+  while !i < b && String.unsafe_get s !i = ' ' do
+    incr i
+  done;
+  !i
 
-(* Physical lines -> logical lines (comments stripped, continuations
-   joined), each tagged with its starting line number.  Streaming: [iter]
-   produces one physical line at a time (from a string or straight off a
-   channel, so parsing a file never materializes its whole text) and [k] is
-   called per completed logical line. *)
-let iter_logical_lines iter k =
-  let pending = ref None and pending_line = ref 1 and n = ref 0 in
-  let feed line =
-    incr n;
-    let line =
-      match String.index_opt line '#' with
-      | Some i -> String.sub line 0 i
-      | None -> line
-    in
-    let line = String.trim line in
-    let joined, start =
-      match !pending with
-      | None -> (line, !n)
-      | Some prefix -> (prefix ^ " " ^ line, !pending_line)
-    in
-    if String.length joined > 0 && joined.[String.length joined - 1] = '\\' then begin
-      pending := Some (String.sub joined 0 (String.length joined - 1));
-      pending_line := start
-    end
-    else if String.trim joined = "" then pending := None
-    else begin
-      pending := None;
-      k start joined
-    end
-  in
-  iter feed;
-  match !pending with None -> () | Some s -> k !pending_line s
+let token_end s i b = match S.index s i b ' ' with -1 -> b | j -> j
 
-let iter_string_lines text feed = List.iter feed (String.split_on_char '\n' text)
+(* Physical lines -> logical lines (comments cut, continuations joined
+   with a space), each tagged with its starting line number.  A line that
+   continues nothing and is not continued is handed over in place; only a
+   continued line is copied, into [pending]. *)
+let iter_logical_lines iter_lines k =
+  let pending = Buffer.create 64 and continued = ref false and pending_line = ref 0 in
+  iter_lines (fun n s a b ->
+      let b = match S.index s a b '#' with -1 -> b | j -> j in
+      let a = S.skip_space s a b in
+      let b = S.trim_end s a b in
+      if !continued then begin
+        Buffer.add_char pending ' ';
+        Buffer.add_substring pending s a (b - a)
+      end;
+      let len = Buffer.length pending in
+      if (not !continued) && b > a && s.[b - 1] = '\\' then begin
+        Buffer.clear pending;
+        Buffer.add_substring pending s a (b - a - 1);
+        continued := true;
+        pending_line := n
+      end
+      else if !continued && Buffer.nth pending (len - 1) = '\\' then Buffer.truncate pending (len - 1)
+      else if !continued then begin
+        continued := false;
+        let joined = Buffer.contents pending in
+        if S.skip_space joined 0 len < len then k !pending_line joined 0 len
+      end
+      else if a < b then k n s a b);
+  if !continued then begin
+    let joined = Buffer.contents pending in
+    k !pending_line joined 0 (String.length joined)
+  end
 
-let iter_channel_lines ic feed =
-  try
-    while true do
-      feed (input_line ic)
-    done
-  with End_of_file -> ()
-
-let tokens line = String.split_on_char ' ' line |> List.filter (fun s -> s <> "")
-
-type names_block = {
-  block_line : int;
-  deps : string list;
-  target : string;
-  mutable cover : (string * char) list; (* cube text, output value *)
-}
-
+(* One pass over the logical lines fills the name table, the .names
+   blocks (a definition each, its cover lines numbered in file order) and
+   the latches; a second walk builds the network from the outputs (then
+   the latch data pins) down. *)
 let parse_internal ~sequential iter_lines =
-  let inputs = ref [] and outputs = ref [] in
-  let latches = ref [] in
-  let blocks = ref [] and current = ref None in
-  let finish_current () =
-    match !current with
-    | Some b ->
-        blocks := b :: !blocks;
-        current := None
-    | None -> ()
+  let names = S.names () and defs = S.defs () in
+  let inputs = S.Ints.create () and input_lines = S.Ints.create () in
+  let outputs = S.Ints.create () in
+  let latch_data = S.Ints.create () and latch_out = S.Ints.create () in
+  let latch_init = S.Ints.create () and latch_line = S.Ints.create () in
+  (* per block: its first cover; per cover: line, output column and the
+     offset of its cube in [cube_text] (width = the block's arity) *)
+  let first_cover = S.Ints.create () in
+  let cover_line = S.Ints.create () and cover_out = S.Ints.create () in
+  let cover_pos = S.Ints.create () in
+  let cube_text = Buffer.create 4096 in
+  let current = ref (-1) in
+  let operands = S.Ints.create () in
+  let add_cover n s pos width out =
+    S.Ints.push cover_line n;
+    S.Ints.push cover_out (Char.code out);
+    S.Ints.push cover_pos (Buffer.length cube_text);
+    Buffer.add_substring cube_text s pos width
   in
-  iter_logical_lines iter_lines
-    (fun n line ->
-      match tokens line with
-      | [] -> ()
-      | cmd :: args when cmd.[0] = '.' -> (
-          finish_current ();
-          match cmd with
-          | ".model" | ".end" | ".exdc" -> ()
-          | ".inputs" -> inputs := !inputs @ args
-          | ".outputs" -> outputs := !outputs @ args
-          | ".names" -> (
-              match List.rev args with
-              | target :: rev_deps ->
-                  current :=
-                    Some { block_line = n; deps = List.rev rev_deps; target; cover = [] }
-              | [] -> fail n ".names needs a target")
-          | ".latch" ->
-              if not sequential then
-                fail n "sequential BLIF (.latch) is not supported here; use parse_sequential"
-              else begin
-                match args with
-                | data :: out :: rest ->
-                    let init =
-                      match List.rev rest with
-                      | last :: _ when last = "1" -> true
-                      | _ -> false
-                    in
-                    latches := (data, out, init) :: !latches
-                | _ -> fail n ".latch needs input and output"
-              end
-          | _ -> fail n ("unknown directive " ^ cmd))
-      | toks -> (
-          match !current with
-          | None -> fail n "cube line outside of .names"
-          | Some b -> (
-              match toks with
-              | [ out ] when List.length b.deps = 0 ->
-                  if String.length out <> 1 then fail n "bad constant cover";
-                  b.cover <- ("", out.[0]) :: b.cover
-              | [ cube; out ] ->
-                  if String.length cube <> List.length b.deps then
-                    fail n "cube width does not match .names inputs";
-                  if String.length out <> 1 then fail n "bad output column";
-                  b.cover <- (cube, out.[0]) :: b.cover
-              | _ -> fail n "malformed cover line")));
-  finish_current ();
-  let blocks = List.rev !blocks in
-  (* Build the network, resolving blocks on demand (BLIF order is free). *)
-  let latches = List.rev !latches in
-  let net = Network.create () in
-  let node_of_name = Hashtbl.create 97 in
-  List.iter (fun name -> Hashtbl.replace node_of_name name (Network.add_input net name)) !inputs;
-  (* latch outputs are pseudo primary inputs of the combinational core *)
-  List.iter
-    (fun (_, out, _) -> Hashtbl.replace node_of_name out (Network.add_input net out))
-    latches;
-  let block_of_target = Hashtbl.create 97 in
-  List.iter (fun b -> Hashtbl.replace block_of_target b.target b) blocks;
-  let in_progress = Hashtbl.create 17 in
-  (* Iterative dependency walk (stack-safe on deep netlists): [`Visit]
-     expands a block's unresolved deps on top of its deferred [`Emit], which
-     builds the gate once every dep id is known.  Deps are pushed in reverse
-     so the leftmost resolves first — the order the recursive resolver
-     produced, which fixes node numbering. *)
-  let resolve root =
-    let stack = ref [ `Visit root ] in
-    while !stack <> [] do
-      let fr = List.hd !stack in
-      stack := List.tl !stack;
-      match fr with
-      | `Visit name ->
-          if not (Hashtbl.mem node_of_name name) then begin
-            match Hashtbl.find_opt block_of_target name with
-            | None -> fail 0 ("undefined signal " ^ name)
-            | Some b ->
-                if Hashtbl.mem in_progress name then
-                  fail b.block_line ("combinational cycle at " ^ name);
-                Hashtbl.add in_progress name ();
-                stack := `Emit b :: !stack;
-                List.iter
-                  (fun d -> stack := `Visit d :: !stack)
-                  (List.rev b.deps)
+  iter_logical_lines iter_lines (fun n s a b ->
+      let t0 = token_start s a b in
+      if t0 < b then begin
+        let e0 = token_end s t0 b in
+        (* [f] on the id of each token after the first *)
+        let iter_rest f =
+          let i = ref (token_start s e0 b) in
+          while !i < b do
+            let e = token_end s !i b in
+            f (S.intern names s !i e);
+            i := token_start s e b
+          done
+        in
+        let intern_rest into = iter_rest (S.Ints.push into) in
+        if s.[t0] = '.' then begin
+          current := -1;
+          if S.equal s t0 e0 ".model" || S.equal s t0 e0 ".end" || S.equal s t0 e0 ".exdc" then ()
+          else if S.equal s t0 e0 ".inputs" then
+            iter_rest (fun id ->
+                S.Ints.push inputs id;
+                S.Ints.push input_lines n)
+          else if S.equal s t0 e0 ".outputs" then intern_rest outputs
+          else if S.equal s t0 e0 ".names" then begin
+            S.Ints.clear operands;
+            intern_rest operands;
+            if S.Ints.length operands = 0 then S.fail n ".names needs a target";
+            let target = S.Ints.pop operands in
+            current := S.add_def defs ~target ~line:n operands;
+            S.Ints.push first_cover (S.Ints.length cover_line)
           end
-      | `Emit b ->
-          Hashtbl.remove in_progress b.target;
-          let dep_ids = List.map (Hashtbl.find node_of_name) b.deps in
-          let k = List.length b.deps in
-          let out_values = List.map snd b.cover in
-          let polarity =
-            match List.sort_uniq compare out_values with
-            | [] | [ '1' ] -> `On
-            | [ '0' ] -> `Off
-            | _ -> fail b.block_line "mixed output polarities in one cover"
-          in
-          let sop =
-            Sop.of_cubes k (List.rev_map (fun (cube, _) -> Cube.of_string cube) b.cover)
-          in
-          let table = Network.gate net (Network.Table sop) (Array.of_list dep_ids) in
-          let id =
-            match polarity with `On -> table | `Off -> Network.not_ net table
-          in
-          Hashtbl.replace node_of_name b.target id
-    done;
-    Hashtbl.find node_of_name root
+          else if S.equal s t0 e0 ".latch" then begin
+            if not sequential then
+              S.fail n "sequential BLIF (.latch) is not supported here; use parse_sequential";
+            S.Ints.clear operands;
+            intern_rest operands;
+            let count = S.Ints.length operands in
+            if count < 2 then S.fail n ".latch needs input and output";
+            S.Ints.push latch_data (S.Ints.get operands 0);
+            S.Ints.push latch_out (S.Ints.get operands 1);
+            S.Ints.push latch_init
+              (if count > 2 && S.name names (S.Ints.get operands (count - 1)) = "1" then 1
+               else 0);
+            S.Ints.push latch_line n
+          end
+          else S.fail n ("unknown directive " ^ String.sub s t0 (e0 - t0))
+        end
+        else begin
+          if !current < 0 then S.fail n "cube line outside of .names";
+          let width = S.arity defs !current in
+          let t1 = token_start s e0 b in
+          if t1 = b then begin
+            if width <> 0 then S.fail n "malformed cover line";
+            if e0 - t0 <> 1 then S.fail n "bad constant cover";
+            add_cover n s t0 0 s.[t0]
+          end
+          else begin
+            let e1 = token_end s t1 b in
+            if token_start s e1 b < b then S.fail n "malformed cover line";
+            if e0 - t0 <> width then S.fail n "cube width does not match .names inputs";
+            if e1 - t1 <> 1 then S.fail n "bad output column";
+            add_cover n s t0 width s.[t1]
+          end
+        end
+      end);
+  S.Ints.push first_cover (S.Ints.length cover_line);
+  let cubes = Buffer.contents cube_text in
+  let net = Network.create () in
+  let r = S.resolver names defs in
+  let add_input line name =
+    if Network.find_input net name <> None then S.fail line ("duplicate input " ^ name);
+    Network.add_input net name
   in
-  List.iter (fun name -> Network.add_output net name (resolve name)) !outputs;
+  for i = 0 to S.Ints.length inputs - 1 do
+    let id = S.Ints.get inputs i in
+    S.bind r id (add_input (S.Ints.get input_lines i) (S.name names id))
+  done;
+  (* latch outputs are pseudo primary inputs of the combinational core *)
+  let latches = S.Ints.length latch_out in
+  for i = 0 to latches - 1 do
+    let out = S.Ints.get latch_out i in
+    S.bind r out (add_input (S.Ints.get latch_line i) (S.name names out))
+  done;
+  let emit d =
+    let c0 = S.Ints.get first_cover d and c1 = S.Ints.get first_cover (d + 1) in
+    let width = S.arity defs d in
+    let ones = ref false and zeros = ref false and others = ref false in
+    for c = c0 to c1 - 1 do
+      match Char.chr (S.Ints.get cover_out c) with
+      | '1' -> ones := true
+      | '0' -> zeros := true
+      | _ -> others := true
+    done;
+    if !others || (!ones && !zeros) then
+      S.fail (S.line defs d) "mixed output polarities in one cover";
+    for c = c0 to c1 - 1 do
+      let pos = S.Ints.get cover_pos c in
+      for i = pos to pos + width - 1 do
+        match cubes.[i] with
+        | '0' | '1' | '-' | '~' | '2' -> ()
+        | ch -> S.fail (S.Ints.get cover_line c) (Printf.sprintf "bad cube character %C" ch)
+      done
+    done;
+    let cover = ref [] in
+    for c = c1 - 1 downto c0 do
+      cover := Cube.of_substring cubes (S.Ints.get cover_pos c) width :: !cover
+    done;
+    let table = Network.gate net (Network.Table (Sop.of_cubes width !cover)) (S.fanins r d) in
+    if !zeros then Network.not_ net table else table
+  in
+  for i = 0 to S.Ints.length outputs - 1 do
+    let o = S.Ints.get outputs i in
+    Network.add_output net (S.name names o) (S.resolve r ~emit o)
+  done;
   (* latch data pins are pseudo primary outputs *)
-  List.iter
-    (fun (data, out, _) -> Network.add_output net (out ^ "_next") (resolve data))
-    latches;
-  (net, List.length !inputs, List.length !outputs,
-   Array.of_list (List.map (fun (_, _, init) -> init) latches))
+  for i = 0 to latches - 1 do
+    Network.add_output net
+      (S.name names (S.Ints.get latch_out i) ^ "_next")
+      (S.resolve r ~emit (S.Ints.get latch_data i))
+  done;
+  ( net,
+    S.Ints.length inputs,
+    S.Ints.length outputs,
+    Array.init latches (fun i -> S.Ints.get latch_init i = 1) )
+
+let parse ~sequential iter_lines =
+  try parse_internal ~sequential iter_lines
+  with S.Error (line, msg) -> raise (Parse_error (line, msg))
 
 let parse_string text =
-  let net, _, _, _ = parse_internal ~sequential:false (iter_string_lines text) in
+  let net, _, _, _ = parse ~sequential:false (S.iter_string_lines text) in
   net
 
 let parse_sequential_string text =
-  let net, pis, pos, init = parse_internal ~sequential:true (iter_string_lines text) in
+  let net, pis, pos, init = parse ~sequential:true (S.iter_string_lines text) in
   Seq.create net ~num_pis:pis ~num_pos:pos ~init
 
 let with_file path f =
@@ -193,12 +212,12 @@ let with_file path f =
 
 let parse_file path =
   with_file path (fun ic ->
-      let net, _, _, _ = parse_internal ~sequential:false (iter_channel_lines ic) in
+      let net, _, _, _ = parse ~sequential:false (S.iter_channel_lines ic) in
       net)
 
 let parse_sequential_file path =
   with_file path (fun ic ->
-      let net, pis, pos, init = parse_internal ~sequential:true (iter_channel_lines ic) in
+      let net, pis, pos, init = parse ~sequential:true (S.iter_channel_lines ic) in
       Seq.create net ~num_pis:pis ~num_pos:pos ~init)
 
 (* ------------------------------------------------------------------ *)

@@ -26,20 +26,20 @@ let set t i lit =
       Bitvec.set value i false);
   { t with care; value }
 
-let of_string s =
-  let n = String.length s in
+let of_substring s pos n =
   let t = create n in
-  String.iteri
-    (fun i c ->
-      match c with
-      | '1' ->
-          Bitvec.set t.care i true;
-          Bitvec.set t.value i true
-      | '0' -> Bitvec.set t.care i true
-      | '-' | '~' | '2' -> ()
-      | _ -> invalid_arg "Cube.of_string: expected '0', '1' or '-'")
-    s;
+  for i = 0 to n - 1 do
+    match s.[pos + i] with
+    | '1' ->
+        Bitvec.set t.care i true;
+        Bitvec.set t.value i true
+    | '0' -> Bitvec.set t.care i true
+    | '-' | '~' | '2' -> ()
+    | _ -> invalid_arg "Cube.of_string: expected '0', '1' or '-'"
+  done;
   t
+
+let of_string s = of_substring s 0 (String.length s)
 
 let to_string t =
   String.init t.n (fun i ->

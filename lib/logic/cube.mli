@@ -17,7 +17,13 @@ val set : t -> int -> literal -> t
 (** Functional update. *)
 
 val of_string : string -> t
-(** From PLA notation: ['1'] = positive, ['0'] = negative, ['-'] = DC. *)
+(** From PLA notation: ['1'] = positive, ['0'] = negative, ['-'] (or
+    ['~'], ['2']) = DC.  Raises [Invalid_argument] on any other
+    character. *)
+
+val of_substring : string -> int -> int -> t
+(** [of_substring s pos n]: {!of_string} of the [n] characters of [s]
+    from [pos], without copying them out. *)
 
 val to_string : t -> string
 

@@ -92,10 +92,23 @@ let canonical_key ~flow ~arch ~realization ~verify mig =
     match Core.Mig.kind canon n with
     | Core.Mig.Gate when not (Core.Mig.is_dead canon n) ->
         let f = Core.Mig.fanins canon n in
-        Printf.bprintf buf "g%d:%d,%d,%d\n" n f.(0) f.(1) f.(2)
+        Buffer.add_char buf 'g';
+        Buffer.add_string buf (string_of_int n);
+        Buffer.add_char buf ':';
+        Buffer.add_string buf (string_of_int f.(0));
+        Buffer.add_char buf ',';
+        Buffer.add_string buf (string_of_int f.(1));
+        Buffer.add_char buf ',';
+        Buffer.add_string buf (string_of_int f.(2));
+        Buffer.add_char buf '\n'
     | _ -> ()
   done;
-  Array.iter (fun s -> Printf.bprintf buf "o%d\n" s) (Core.Mig.pos canon);
+  Array.iter
+    (fun s ->
+      Buffer.add_char buf 'o';
+      Buffer.add_string buf (string_of_int s);
+      Buffer.add_char buf '\n')
+    (Core.Mig.pos canon);
   Printf.bprintf buf "flow=%s\n" flow;
   Printf.bprintf buf "arch=%s\n" arch;
   Printf.bprintf buf "realization=%s\n" realization;

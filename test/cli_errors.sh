@@ -12,6 +12,12 @@ cp "$2" "$work/c17.bench"
 cd "$work" || exit 1
 unset MIGSYN_LEDGER
 echo '{"foo": 1}' > bogus.json
+printf 'INPUT(a)\nINPUT(a)\nOUTPUT(a)\n' > dup_input.bench
+printf 'INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NOT(a, b)\n' > not2.bench
+printf 'INPUT(a)\nOUTPUT(y)\ny = AND()\n' > and0.bench
+printf 'INPUT(a)\nOUTPUT(y)\ny = MAJ(a, a)\n' > maj2.bench
+printf '.model m\n.inputs a a\n.outputs a\n.end\n' > dup_input.blif
+printf '.model m\n.inputs a b\n.outputs y\n.names a b y\n1x 1\n.end\n' > cube.blif
 
 case_() {
   rm -f ledger.jsonl
@@ -38,5 +44,12 @@ case_ faults c17.bench --rate 1.5
 case_ bench no_such_bench
 case_ gen --gates 10 -o x.txt
 case_ report --baseline bogus.json --current bogus.json
+# malformed netlists are parse errors at their line, never an exception
+case_ flow dup_input.bench -s push_up
+case_ flow not2.bench -s push_up
+case_ flow and0.bench -s push_up
+case_ flow maj2.bench -s push_up
+case_ flow dup_input.blif -s push_up
+case_ flow cube.blif -s push_up
 # a usage error stays cmdliner's: exit 124, before any run starts
 case_ stats c17.bench --bogus

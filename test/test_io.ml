@@ -680,6 +680,31 @@ let reader_transcript =
      "ok pis=1 pos=1 init=0 bf2a3cf62418b76e049bca3838aa67e3");
   ]
 
+(* Inputs that raised an uncaught Invalid_argument out of the readers
+   (duplicate inputs, wrong operand counts, bad cube characters) and are
+   rejected at the offending line now.  A definition nothing references
+   is never built, so its operand count is never checked. *)
+let reader_fixes =
+  [
+    ("bench", "INPUT(a)\nINPUT(a)\nOUTPUT(a)\n", "2: duplicate input a");
+    ("bench", "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NOT(a, b)\n", "4: NOT takes one operand");
+    ("bench", "INPUT(a)\nOUTPUT(y)\ny = BUFF(a, a)\n", "3: BUFF takes one operand");
+    ("bench", "INPUT(a)\nOUTPUT(y)\ny = NOT\n", "3: NOT takes one operand");
+    ("bench", "OUTPUT(y)\ny = AND()\n", "2: AND takes at least one operand");
+    ("bench", "INPUT(a)\nOUTPUT(y)\ny = MAJ(a, a)\n", "3: MAJ takes three operands");
+    ("bench", "INPUT(a)\nOUTPUT(y)\ny = MUX(a)\n", "3: MUX takes three operands");
+    ("bench", "INPUT(a)\nOUTPUT(a)\ny = NOT(a, a)\n", "ok 9a174b0ed14ed2e4968e485082d37027");
+    ("bench", "INPUT(q_q)\nOUTPUT(q)\nq = DFF(q_q)\n", "3: duplicate input q_q");
+    ("bench", "INPUT(a)\nOUTPUT(a)\nq = DFF(a)\nq = DFF(a)\n", "4: duplicate input q_q");
+    ("blif", ".model m\n.inputs a a\n.outputs a\n.end\n", "2: duplicate input a");
+    ("blif", ".model m\n.inputs a\n.inputs b a\n", "3: duplicate input a");
+    ("blif", ".model m\n.inputs a b\n.outputs y\n.names a b y\n1x 1\n.end\n",
+     "5: bad cube character 'x'");
+    ("blif", ".model m\n.inputs a b\n.outputs y\n.names a b y\n11 1\n0\t 1\n.end\n",
+     "6: bad cube character '\\t'");
+    ("blif-seq", ".model m\n.inputs a\n.outputs a\n.latch a a\n", "4: duplicate input a");
+  ]
+
 let pin_tests =
   let open Alcotest in
   [
@@ -708,6 +733,72 @@ let pin_tests =
             check string (reader ^ " " ^ String.escaped text) expected
               (reader_outcome reader text))
           reader_transcript);
+    test_case "bad operand counts and duplicate inputs fail at their line" `Quick (fun () ->
+        List.iter
+          (fun (reader, text, expected) ->
+            check string (reader ^ " " ^ String.escaped text) expected
+              (reader_outcome reader text))
+          reader_fixes);
+  ]
+
+(* Mutation fuzz: flip, truncate and splice bytes of the pinned corpus;
+   whatever the readers make of the result, only Parse_error escapes. *)
+let fuzz_corpus =
+  lazy
+    (let read name = In_channel.with_open_bin (example_file name) In_channel.input_all in
+     let net = Funcgen.alu4 () in
+     Array.of_list
+       (read "c17.bench" :: read "c17_opt.blif" :: Io.Bench_format.write_string net
+       :: Io.Blif.write_string net
+       :: List.map (fun (_, text, _) -> text) (reader_transcript @ reader_fixes)))
+
+let mutant seed =
+  let corpus = Lazy.force fuzz_corpus in
+  let rng = Prng.create seed in
+  let pick () = corpus.(Prng.int rng (Array.length corpus)) in
+  let special = "()=,#.\\ \n\r\t01-~2xaAIN" in
+  let text = ref (pick ()) in
+  for _ = 0 to Prng.int rng 4 do
+    let s = !text and n = String.length !text in
+    text :=
+      match Prng.int rng 3 with
+      | 0 when n > 0 ->
+          let b = Bytes.of_string s in
+          let c =
+            if Prng.int rng 2 = 0 then special.[Prng.int rng (String.length special)]
+            else Char.chr (Prng.int rng 256)
+          in
+          Bytes.set b (Prng.int rng n) c;
+          Bytes.to_string b
+      | 1 -> String.sub s 0 (Prng.int rng (n + 1))
+      | _ ->
+          let other = pick () in
+          let j = Prng.int rng (String.length other + 1) in
+          String.sub s 0 (Prng.int rng (n + 1)) ^ String.sub other j (String.length other - j)
+  done;
+  !text
+
+let only_parse_errors text =
+  List.for_all
+    (fun parse ->
+      match parse text with
+      | () -> true
+      | exception (Io.Bench_format.Parse_error _ | Io.Blif.Parse_error _) -> true
+      | exception _ -> false)
+    [
+      (fun t -> ignore (Io.Bench_format.parse_string t));
+      (fun t -> ignore (Io.Bench_format.parse_sequential_string t));
+      (fun t -> ignore (Io.Blif.parse_string t));
+      (fun t -> ignore (Io.Blif.parse_sequential_string t));
+    ]
+
+let fuzz_tests =
+  [
+    QCheck_alcotest.to_alcotest ~speed_level:`Quick ~rand:(Random.State.make [| 24 |])
+      (QCheck.Test.make ~name:"mutated .bench/BLIF raise only Parse_error" ~count:3000
+         (QCheck.make ~print:(fun seed -> String.escaped (mutant seed))
+            QCheck.Gen.(int_bound 1_000_000_000))
+         (fun seed -> only_parse_errors (mutant seed)));
   ]
 
 let () =
@@ -723,4 +814,5 @@ let () =
       ("export", export_tests);
       ("errors", error_tests);
       ("pins", pin_tests);
+      ("fuzz", fuzz_tests);
     ]

@@ -596,6 +596,37 @@ let e2e_tests =
         check bool "socket removed" false (Sys.file_exists path_seen);
         check int "one request" 1 summary.Serve.Server.requests;
         check int "ok" 1 summary.Serve.Server.ok);
+    test_case "malformed netlists answer bad_request, daemon survives" `Quick
+      (fun () ->
+        let (), summary =
+          with_server (fun path ->
+              let c = Serve.Client.connect path in
+              let inline format source =
+                Serve.Client.rpc c
+                  (encode (synth_op ~flows:[ "push_up" ] (P.Inline { format; source })))
+              in
+              List.iter
+                (fun (format, source, message) ->
+                  let r = inline format source in
+                  check string (message ^ ": code") "bad_request" (error_code r);
+                  check string (message ^ ": message") message
+                    (member_str "message" (Json.member "error" r));
+                  let pong = Serve.Client.rpc c (encode P.Ping) in
+                  check string (message ^ ": still serving") "ok" (member_str "status" pong))
+                [
+                  ("bench", "INPUT(a)\nINPUT(a)\nOUTPUT(a)\n", "circuit:2: duplicate input a");
+                  ("bench", "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NOT(a, b)\n",
+                   "circuit:4: NOT takes one operand");
+                  ("bench", "INPUT(a)\nOUTPUT(y)\ny = MAJ(a, a)\n",
+                   "circuit:3: MAJ takes three operands");
+                  ("blif", ".model m\n.inputs a a\n.outputs a\n.end\n",
+                   "circuit:2: duplicate input a");
+                  ("blif", ".model m\n.inputs a b\n.outputs y\n.names a b y\n1x 1\n.end\n",
+                   "circuit:5: bad cube character 'x'");
+                ];
+              Serve.Client.close c)
+        in
+        check int "five errors" 5 summary.Serve.Server.errors);
   ]
 
 let () =
