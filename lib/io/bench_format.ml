@@ -25,12 +25,11 @@ let keywords =
   |]
 
 let keyword s a b =
-  let rec go i =
-    if i = Array.length keywords then -1
-    else if S.equal_ci s a b (fst keywords.(i)) then i
-    else go (i + 1)
-  in
-  go 0
+  let i = ref 0 in
+  while !i < Array.length keywords && not (S.equal_ci s a b (fst keywords.(!i))) do
+    incr i
+  done;
+  if !i < Array.length keywords then !i else -1
 
 let arity_error kind n =
   match kind with

@@ -109,13 +109,22 @@ let equal s a b str =
 
 type names = {
   mutable slots : int array;  (* id + 1; 0 = empty; power-of-two size *)
-  mutable strings : string array;
+  mutable chars : Bytes.t;  (* every name, back to back *)
+  mutable used : int;
+  mutable start : int array;  (* per id: offset in [chars]; id + 1's start ends it *)
   mutable hashes : int array;
   mutable n : int;
 }
 
 let names () =
-  { slots = Array.make 256 0; strings = Array.make 128 ""; hashes = Array.make 128 0; n = 0 }
+  {
+    slots = Array.make 256 0;
+    chars = Bytes.create 1024;
+    used = 0;
+    start = Array.make 129 0;
+    hashes = Array.make 128 0;
+    n = 0;
+  }
 
 (* FNV-1a, with the high bits folded into the low ones the slots use. *)
 let hash s a b =
@@ -125,6 +134,16 @@ let hash s a b =
   done;
   let h = !h in
   (h lxor (h lsr 23) lxor (h lsr 41)) land max_int
+
+let same t id s a b =
+  let o = t.start.(id) in
+  t.start.(id + 1) - o = b - a
+  &&
+  let i = ref 0 in
+  while !i < b - a && Bytes.unsafe_get t.chars (o + !i) = String.unsafe_get s (a + !i) do
+    incr i
+  done;
+  !i = b - a
 
 let grow t =
   let size = 2 * Array.length t.slots in
@@ -136,36 +155,45 @@ let grow t =
     done;
     slots.(!i) <- id + 1
   done;
-  let strings = Array.make (size / 2) "" and hashes = Array.make (size / 2) 0 in
-  Array.blit t.strings 0 strings 0 t.n;
+  let start = Array.make ((size / 2) + 1) 0 and hashes = Array.make (size / 2) 0 in
+  Array.blit t.start 0 start 0 (t.n + 1);
   Array.blit t.hashes 0 hashes 0 t.n;
   t.slots <- slots;
-  t.strings <- strings;
+  t.start <- start;
   t.hashes <- hashes
 
-(* Load stays at most one half, and [strings] holds half as many entries
+(* Load stays at most one half, and [hashes] holds half as many entries
    as [slots], so the id a new name gets always has room. *)
+let add t s a b h slot =
+  let id = t.n and len = b - a in
+  if t.used + len > Bytes.length t.chars then begin
+    let chars = Bytes.create (2 * (Bytes.length t.chars + len)) in
+    Bytes.blit t.chars 0 chars 0 t.used;
+    t.chars <- chars
+  end;
+  Bytes.blit_string s a t.chars t.used len;
+  t.used <- t.used + len;
+  t.slots.(slot) <- id + 1;
+  t.hashes.(id) <- h;
+  t.start.(id + 1) <- t.used;
+  t.n <- id + 1;
+  if 2 * t.n >= Array.length t.slots then grow t;
+  id
+
 let intern t s a b =
   let h = hash s a b in
   let slots = t.slots in
   let mask = Array.length slots - 1 in
-  let rec find i =
-    let v = slots.(i) in
-    if v = 0 then begin
-      let id = t.n in
-      slots.(i) <- id + 1;
-      t.strings.(id) <- String.sub s a (b - a);
-      t.hashes.(id) <- h;
-      t.n <- id + 1;
-      if 2 * t.n >= Array.length slots then grow t;
-      id
-    end
-    else if t.hashes.(v - 1) = h && equal s a b t.strings.(v - 1) then v - 1
-    else find ((i + 1) land mask)
-  in
-  find (h land mask)
+  let i = ref (h land mask) and id = ref (-1) in
+  while !id < 0 do
+    let v = slots.(!i) in
+    if v = 0 then id := add t s a b h !i
+    else if t.hashes.(v - 1) = h && same t (v - 1) s a b then id := v - 1
+    else i := (!i + 1) land mask
+  done;
+  !id
 
-let name t id = t.strings.(id)
+let name t id = Bytes.sub_string t.chars t.start.(id) (t.start.(id + 1) - t.start.(id))
 let count t = t.n
 
 (* ------------------------------------------------------------------ *)
@@ -236,13 +264,13 @@ let resolve r ~emit root =
   while Ints.length stack > 0 do
     let frame = Ints.pop stack in
     if frame land 1 = 0 then begin
-      let name = frame lsr 1 in
-      if r.node.(name) < 0 then begin
-        let k = r.def_of.(name) in
-        if k < 0 then fail 0 ("undefined signal " ^ r.names.strings.(name));
-        if Bytes.get r.busy name <> '\000' then
-          fail (line d k) ("combinational cycle at " ^ r.names.strings.(name));
-        Bytes.set r.busy name '\001';
+      let id = frame lsr 1 in
+      if r.node.(id) < 0 then begin
+        let k = r.def_of.(id) in
+        if k < 0 then fail 0 ("undefined signal " ^ name r.names id);
+        if Bytes.get r.busy id <> '\000' then
+          fail (line d k) ("combinational cycle at " ^ name r.names id);
+        Bytes.set r.busy id '\001';
         Ints.push stack ((2 * k) + 1);
         (* reversed, so the leftmost operand resolves first *)
         for i = Ints.get d.op_start (k + 1) - 1 downto Ints.get d.op_start k do
@@ -252,12 +280,18 @@ let resolve r ~emit root =
     end
     else begin
       let k = frame lsr 1 in
-      let name = Ints.get d.target k in
-      Bytes.set r.busy name '\000';
-      r.node.(name) <- emit k
+      let id = Ints.get d.target k in
+      Bytes.set r.busy id '\000';
+      r.node.(id) <- emit k
     end
   done;
   r.node.(root)
 
 let fanin r k i = r.node.(Ints.get r.d.ops (Ints.get r.d.op_start k + i))
-let fanins r k = Array.init (arity r.d k) (fanin r k)
+let fanins r k =
+  let start = Ints.get r.d.op_start k in
+  let a = Array.make (Ints.get r.d.op_start (k + 1) - start) 0 in
+  for i = 0 to Array.length a - 1 do
+    a.(i) <- r.node.(Ints.get r.d.ops (start + i))
+  done;
+  a

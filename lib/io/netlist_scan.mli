@@ -3,8 +3,9 @@
     {b Scanner.}  A line is a slice [\[a, b)] of a string: the whole text
     when parsing a string, one [input_line] when streaming a channel.  The
     helpers below find bounds, trim and compare by index, so scanning a
-    line creates no substring; the only strings a parse makes are one per
-    distinct name, when {!intern} first sees it.
+    line creates no substring.  {!intern} copies each distinct name once,
+    the first time it sees it, into one byte buffer of all names; a string
+    is made only when {!name} asks for one.
 
     {b Resolver.}  A definition binds a target name to its operand names.
     {!resolve} builds the network nodes a name depends on with an explicit
@@ -74,10 +75,12 @@ type names
 
 val names : unit -> names
 val intern : names -> string -> int -> int -> int
-(** The dense id of the name [\[a, b)], allocating its string only the
-    first time the name is seen. *)
+(** The dense id of the name [\[a, b)], numbered from 0 in order of first
+    sight. *)
 
 val name : names -> int -> string
+(** A fresh copy of the name. *)
+
 val count : names -> int
 
 (** {1 Definitions and resolution} *)
