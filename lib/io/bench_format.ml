@@ -109,19 +109,16 @@ let parse_internal iter_lines =
       end);
   let net = Network.create () in
   let r = S.resolver names defs in
-  let add_input line name =
-    if Network.find_input net name <> None then S.fail line ("duplicate input " ^ name);
-    Network.add_input net name
-  in
   for i = 0 to S.Ints.length inputs - 1 do
     let id = S.Ints.get inputs i in
-    S.bind r id (add_input (S.Ints.get input_lines i) (S.name names id))
+    S.bind r id (S.add_input net ~line:(S.Ints.get input_lines i) (S.name names id))
   done;
   (* DFF outputs become pseudo primary inputs. *)
   let dffs = S.Ints.length dff_target in
   for i = 0 to dffs - 1 do
     let target = S.Ints.get dff_target i in
-    S.bind r target (add_input (S.Ints.get dff_line i) (S.name names target ^ "_q"))
+    S.bind r target
+      (S.add_input net ~line:(S.Ints.get dff_line i) (S.name names target ^ "_q"))
   done;
   let emit d =
     let k = S.Ints.get kinds d in
@@ -141,7 +138,8 @@ let parse_internal iter_lines =
   (* DFF inputs become pseudo primary outputs. *)
   for i = 0 to dffs - 1 do
     let target = S.Ints.get dff_target i in
-    Network.add_output net (S.name names target ^ "_d") (S.resolve r ~emit (S.Ints.get dff_data i))
+    Network.add_output net (S.name names target ^ "_d")
+      (S.resolve r ~emit (S.Ints.get dff_data i))
   done;
   (net, S.Ints.length inputs, S.Ints.length outputs, dffs)
 

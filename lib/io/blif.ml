@@ -23,24 +23,26 @@ let iter_logical_lines iter_lines k =
       let b = match S.index s a b '#' with -1 -> b | j -> j in
       let a = S.skip_space s a b in
       let b = S.trim_end s a b in
-      if !continued then begin
+      if not !continued then begin
+        if b > a && s.[b - 1] = '\\' then begin
+          Buffer.clear pending;
+          Buffer.add_substring pending s a (b - a - 1);
+          continued := true;
+          pending_line := n
+        end
+        else if a < b then k n s a b
+      end
+      else begin
         Buffer.add_char pending ' ';
-        Buffer.add_substring pending s a (b - a)
-      end;
-      let len = Buffer.length pending in
-      if (not !continued) && b > a && s.[b - 1] = '\\' then begin
-        Buffer.clear pending;
-        Buffer.add_substring pending s a (b - a - 1);
-        continued := true;
-        pending_line := n
-      end
-      else if !continued && Buffer.nth pending (len - 1) = '\\' then Buffer.truncate pending (len - 1)
-      else if !continued then begin
-        continued := false;
-        let joined = Buffer.contents pending in
-        if S.skip_space joined 0 len < len then k !pending_line joined 0 len
-      end
-      else if a < b then k n s a b);
+        Buffer.add_substring pending s a (b - a);
+        let len = Buffer.length pending in
+        if Buffer.nth pending (len - 1) = '\\' then Buffer.truncate pending (len - 1)
+        else begin
+          continued := false;
+          let joined = Buffer.contents pending in
+          if S.skip_space joined 0 len < len then k !pending_line joined 0 len
+        end
+      end);
   if !continued then begin
     let joined = Buffer.contents pending in
     k !pending_line joined 0 (String.length joined)
@@ -86,13 +88,14 @@ let parse_internal ~sequential iter_lines =
         let intern_rest into = iter_rest (S.Ints.push into) in
         if s.[t0] = '.' then begin
           current := -1;
-          if S.equal s t0 e0 ".model" || S.equal s t0 e0 ".end" || S.equal s t0 e0 ".exdc" then ()
-          else if S.equal s t0 e0 ".inputs" then
+          let is = S.equal s t0 e0 in
+          if is ".model" || is ".end" || is ".exdc" then ()
+          else if is ".inputs" then
             iter_rest (fun id ->
                 S.Ints.push inputs id;
                 S.Ints.push input_lines n)
-          else if S.equal s t0 e0 ".outputs" then intern_rest outputs
-          else if S.equal s t0 e0 ".names" then begin
+          else if is ".outputs" then intern_rest outputs
+          else if is ".names" then begin
             S.Ints.clear operands;
             intern_rest operands;
             if S.Ints.length operands = 0 then S.fail n ".names needs a target";
@@ -100,7 +103,7 @@ let parse_internal ~sequential iter_lines =
             current := S.add_def defs ~target ~line:n operands;
             S.Ints.push first_cover (S.Ints.length cover_line)
           end
-          else if S.equal s t0 e0 ".latch" then begin
+          else if is ".latch" then begin
             if not sequential then
               S.fail n "sequential BLIF (.latch) is not supported here; use parse_sequential";
             S.Ints.clear operands;
@@ -138,19 +141,15 @@ let parse_internal ~sequential iter_lines =
   let cubes = Buffer.contents cube_text in
   let net = Network.create () in
   let r = S.resolver names defs in
-  let add_input line name =
-    if Network.find_input net name <> None then S.fail line ("duplicate input " ^ name);
-    Network.add_input net name
-  in
   for i = 0 to S.Ints.length inputs - 1 do
     let id = S.Ints.get inputs i in
-    S.bind r id (add_input (S.Ints.get input_lines i) (S.name names id))
+    S.bind r id (S.add_input net ~line:(S.Ints.get input_lines i) (S.name names id))
   done;
   (* latch outputs are pseudo primary inputs of the combinational core *)
   let latches = S.Ints.length latch_out in
   for i = 0 to latches - 1 do
     let out = S.Ints.get latch_out i in
-    S.bind r out (add_input (S.Ints.get latch_line i) (S.name names out))
+    S.bind r out (S.add_input net ~line:(S.Ints.get latch_line i) (S.name names out))
   done;
   let emit d =
     let c0 = S.Ints.get first_cover d and c1 = S.Ints.get first_cover (d + 1) in

@@ -287,7 +287,6 @@ let resolve r ~emit root =
   done;
   r.node.(root)
 
-let fanin r k i = r.node.(Ints.get r.d.ops (Ints.get r.d.op_start k + i))
 let fanins r k =
   let start = Ints.get r.d.op_start k in
   let a = Array.make (Ints.get r.d.op_start (k + 1) - start) 0 in
@@ -295,3 +294,7 @@ let fanins r k =
     a.(i) <- r.node.(Ints.get r.d.ops (start + i))
   done;
   a
+
+let add_input net ~line name =
+  if Logic.Network.find_input net name <> None then fail line ("duplicate input " ^ name);
+  Logic.Network.add_input net name

@@ -81,8 +81,6 @@ val intern : names -> string -> int -> int -> int
 val name : names -> int -> string
 (** A fresh copy of the name. *)
 
-val count : names -> int
-
 (** {1 Definitions and resolution} *)
 
 type defs
@@ -114,9 +112,9 @@ val resolve : resolver -> emit:(int -> int) -> int -> int
     [d] and returns its node.  Fails at line 0 on an undefined signal and
     at the definition's line on a combinational cycle. *)
 
-val fanin : resolver -> int -> int -> int
-(** [fanin r d i]: the node of definition [d]'s [i]-th operand, once
+val fanins : resolver -> int -> int array
+(** The nodes of definition [d]'s operands, as a fresh array, once
     [emit d] is called. *)
 
-val fanins : resolver -> int -> int array
-(** All of them, as a fresh array. *)
+val add_input : Logic.Network.t -> line:int -> string -> int
+(** [Network.add_input], failing at [line] on a name already declared. *)

@@ -739,6 +739,45 @@ let pin_tests =
             check string (reader ^ " " ^ String.escaped text) expected
               (reader_outcome reader text))
           reader_fixes);
+    test_case "parse_file streams to what parse_string reads" `Quick (fun () ->
+        let file = Filename.temp_file "reader" ".net" in
+        Fun.protect
+          ~finally:(fun () -> Sys.remove file)
+          (fun () ->
+            List.iter
+              (fun (reader, text, _) ->
+                Out_channel.with_open_bin file (fun oc -> output_string oc text);
+                let outcome parse =
+                  match parse () with
+                  | written -> "ok " ^ md5 written
+                  | exception (Io.Bench_format.Parse_error (l, m) | Io.Blif.Parse_error (l, m))
+                    ->
+                      Printf.sprintf "%d: %s" l m
+                in
+                let from_string, from_file =
+                  match reader with
+                  | "bench" ->
+                      ( (fun () -> Io.Bench_format.(write_string (parse_string text))),
+                        fun () -> Io.Bench_format.(write_string (parse_file file)) )
+                  | "bench-seq" ->
+                      ( (fun () ->
+                          Io.Bench_format.(
+                            write_string (Seq.combinational (parse_sequential_string text)))),
+                        fun () ->
+                          Io.Bench_format.(
+                            write_string (Seq.combinational (parse_sequential_file file))) )
+                  | "blif" ->
+                      ( (fun () -> Io.Blif.(write_string (parse_string text))),
+                        fun () -> Io.Blif.(write_string (parse_file file)) )
+                  | _ ->
+                      ( (fun () ->
+                          Io.Blif.(write_string (Seq.combinational (parse_sequential_string text)))),
+                        fun () ->
+                          Io.Blif.(write_string (Seq.combinational (parse_sequential_file file))) )
+                in
+                check string (reader ^ " " ^ String.escaped text) (outcome from_string)
+                  (outcome from_file))
+              (reader_transcript @ reader_fixes)));
   ]
 
 (* Mutation fuzz: flip, truncate and splice bytes of the pinned corpus;
