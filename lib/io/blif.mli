@@ -7,7 +7,7 @@
     clear error — the paper evaluates combinational profiles. *)
 
 exception Parse_error of int * string
-(** line number, message *)
+(** line number (0 for an undefined signal), message *)
 
 val parse_string : string -> Logic.Network.t
 val parse_file : string -> Logic.Network.t

@@ -110,7 +110,6 @@ let equal s a b str =
 type names = {
   mutable slots : int array;  (* id + 1; 0 = empty; power-of-two size *)
   mutable chars : Bytes.t;  (* every name, back to back *)
-  mutable used : int;
   mutable start : int array;  (* per id: offset in [chars]; id + 1's start ends it *)
   mutable hashes : int array;
   mutable n : int;
@@ -120,7 +119,6 @@ let names () =
   {
     slots = Array.make 256 0;
     chars = Bytes.create 1024;
-    used = 0;
     start = Array.make 129 0;
     hashes = Array.make 128 0;
     n = 0;
@@ -166,16 +164,16 @@ let grow t =
    as [slots], so the id a new name gets always has room. *)
 let add t s a b h slot =
   let id = t.n and len = b - a in
-  if t.used + len > Bytes.length t.chars then begin
+  let used = t.start.(id) in
+  if used + len > Bytes.length t.chars then begin
     let chars = Bytes.create (2 * (Bytes.length t.chars + len)) in
-    Bytes.blit t.chars 0 chars 0 t.used;
+    Bytes.blit t.chars 0 chars 0 used;
     t.chars <- chars
   end;
-  Bytes.blit_string s a t.chars t.used len;
-  t.used <- t.used + len;
+  Bytes.blit_string s a t.chars used len;
   t.slots.(slot) <- id + 1;
   t.hashes.(id) <- h;
-  t.start.(id + 1) <- t.used;
+  t.start.(id + 1) <- used + len;
   t.n <- id + 1;
   if 2 * t.n >= Array.length t.slots then grow t;
   id

@@ -20,6 +20,7 @@ exception Error of int * string
 (** [(line, message)]. *)
 
 val fail : int -> string -> 'a
+(** [fail line message] raises {!Error}. *)
 
 (** Growable int vectors. *)
 module Ints : sig

@@ -471,23 +471,30 @@ let reparse_digests format text =
   in
   (md5 written, md5 (Core.Mig.fingerprint (Core.Mig_of_network.convert net)))
 
-(* What a reader makes of [text]: ["ok <md5>"] (of write_string, and for
-   the sequential entry points the register profile too) or
-   ["<line>: <message>"] of its Parse_error. *)
-let reader_outcome reader text =
+(* What a reader makes of [source] (the text, or with [~file] a path to
+   it): ["ok <md5>"] (of write_string, and for the sequential entry
+   points the register profile too) or ["<line>: <message>"] of its
+   Parse_error. *)
+let reader_outcome ?(file = false) reader source =
   let seq write s =
     Printf.sprintf "pis=%d pos=%d init=%s %s" (Seq.num_pis s) (Seq.num_pos s)
       (String.concat ""
          (List.map (fun b -> if b then "1" else "0") (Array.to_list (Seq.initial_state s))))
       (md5 (write (Seq.combinational s)))
   in
+  let pick of_string of_file = if file then of_file source else of_string source in
   match
     match reader with
-    | "bench" -> md5 (Io.Bench_format.write_string (Io.Bench_format.parse_string text))
-    | "blif" -> md5 (Io.Blif.write_string (Io.Blif.parse_string text))
+    | "bench" ->
+        md5 (Io.Bench_format.write_string (pick Io.Bench_format.parse_string Io.Bench_format.parse_file))
+    | "blif" -> md5 (Io.Blif.write_string (pick Io.Blif.parse_string Io.Blif.parse_file))
     | "bench-seq" ->
-        seq Io.Bench_format.write_string (Io.Bench_format.parse_sequential_string text)
-    | _ -> seq (fun n -> Io.Blif.write_string n) (Io.Blif.parse_sequential_string text)
+        seq Io.Bench_format.write_string
+          (pick Io.Bench_format.parse_sequential_string Io.Bench_format.parse_sequential_file)
+    | _ ->
+        seq
+          (fun n -> Io.Blif.write_string n)
+          (pick Io.Blif.parse_sequential_string Io.Blif.parse_sequential_file)
   with
   | s -> "ok " ^ s
   | exception (Io.Bench_format.Parse_error (l, m) | Io.Blif.Parse_error (l, m)) ->
@@ -747,36 +754,8 @@ let pin_tests =
             List.iter
               (fun (reader, text, _) ->
                 Out_channel.with_open_bin file (fun oc -> output_string oc text);
-                let outcome parse =
-                  match parse () with
-                  | written -> "ok " ^ md5 written
-                  | exception (Io.Bench_format.Parse_error (l, m) | Io.Blif.Parse_error (l, m))
-                    ->
-                      Printf.sprintf "%d: %s" l m
-                in
-                let from_string, from_file =
-                  match reader with
-                  | "bench" ->
-                      ( (fun () -> Io.Bench_format.(write_string (parse_string text))),
-                        fun () -> Io.Bench_format.(write_string (parse_file file)) )
-                  | "bench-seq" ->
-                      ( (fun () ->
-                          Io.Bench_format.(
-                            write_string (Seq.combinational (parse_sequential_string text)))),
-                        fun () ->
-                          Io.Bench_format.(
-                            write_string (Seq.combinational (parse_sequential_file file))) )
-                  | "blif" ->
-                      ( (fun () -> Io.Blif.(write_string (parse_string text))),
-                        fun () -> Io.Blif.(write_string (parse_file file)) )
-                  | _ ->
-                      ( (fun () ->
-                          Io.Blif.(write_string (Seq.combinational (parse_sequential_string text)))),
-                        fun () ->
-                          Io.Blif.(write_string (Seq.combinational (parse_sequential_file file))) )
-                in
-                check string (reader ^ " " ^ String.escaped text) (outcome from_string)
-                  (outcome from_file))
+                check string (reader ^ " " ^ String.escaped text) (reader_outcome reader text)
+                  (reader_outcome ~file:true reader file))
               (reader_transcript @ reader_fixes)));
   ]
 
