@@ -2,8 +2,8 @@
 
    Subcommands:
      stats     parse a netlist and print representation statistics
-     optimize  run one of the paper's four algorithms, write BLIF out
-     flow      run a user-written flow script (scriptable pass pipelines)
+     flow      optimize (an algorithm, a flow script or a portfolio race),
+               compile, verify, optionally write BLIF out
      map       compile to an RRAM program, report costs, verify, dump
      compare   MIG flow vs the BDD [11] and AIG [12] baselines on one file
      bench     run the paper's experiment rows for named benchmarks
@@ -13,10 +13,13 @@
      gen       generate a seeded synthetic netlist (large-N tiers included)
      faults    stuck-at repair demo + baseline/resilient/TMR yield experiment
      montecarlo  yield-vs-variability campaign over the statistical device model
-     profile   optimize + compile + execute with a timing/counter report
      report    compare two ledgers/manifests/baselines, exit 2 on regression
      serve     synthesis daemon on a Unix socket with a strash result cache
      client    send one migsyn-serve/1 request to a running daemon
+
+   flow, map, plim and export say which optimization to run with one term,
+   [optimization_term]: -a ALG (a canonical algorithm, default steps) or
+   -s SCRIPT (a flow script), at effort -e N.
 
    Every subcommand accepts --trace FILE (Chrome trace-event JSON, loadable
    in chrome://tracing or Perfetto), --metrics FILE (flat metrics JSON),
@@ -122,16 +125,15 @@ let export opts =
     opts.o_ledger
 
 (* The one run wrapper every subcommand body goes through.  It switches
-   the Obs layer on when any export flag was given (or [observe] asks for
-   it), starts the run manifest, runs [body] for its exit code, and writes
+   the Obs layer on when any export flag was given, starts the run manifest, runs [body] for its exit code, and writes
    the requested artifacts on every exit path, so `--ledger` records
    failed runs too.  An expected failure is a [Failure] or [Sys_error]
    from the body: after the artifacts are written it becomes exactly one
    `migsyn SUB: error: MSG` line and exit code 1.  Nothing else is caught,
    so a programming error keeps its backtrace. *)
-let run_sub ?(observe = false) ~sub opts body =
+let run_sub ~sub opts body =
   if
-    observe || opts.o_trace <> None || opts.o_metrics <> None
+    opts.o_trace <> None || opts.o_metrics <> None
     || opts.o_flame <> None || opts.o_ledger <> None
   then begin
     Obs.set_enabled true;
@@ -151,9 +153,8 @@ let run_sub ?(observe = false) ~sub opts body =
 
 (* A subcommand: [body]'s arguments plus the observability flags, run
    inside {!run_sub}. *)
-let subcommand ?observe sub ~doc body =
-  Cmd.v (Cmd.info sub ~doc)
-    Term.(const (run_sub ?observe ~sub) $ obs_term $ body)
+let subcommand sub ~doc body =
+  Cmd.v (Cmd.info sub ~doc) Term.(const (run_sub ~sub) $ obs_term $ body)
 
 let ctx = Obs.Manifest.add_context
 let res = Obs.Manifest.add_result
@@ -182,39 +183,12 @@ let effort_arg =
     value & opt int Core.Mig_opt.default_effort
     & info [ "e"; "effort" ] ~docv:"N" ~doc:"Optimization effort (cycles).")
 
-let algorithm_conv =
-  let parse = function
-    | "area" -> Ok Core.Mig_opt.Area
-    | "depth" -> Ok Core.Mig_opt.Depth
-    | "rram-imp" -> Ok (Core.Mig_opt.Rram_costs Core.Rram_cost.Imp)
-    | "rram-maj" -> Ok (Core.Mig_opt.Rram_costs Core.Rram_cost.Maj)
-    | "steps" -> Ok Core.Mig_opt.Steps
-    | "bool-rewrite" -> Ok Core.Mig_opt.Boolean
-    | s -> Error (`Msg ("unknown algorithm " ^ s))
-  in
-  Arg.conv (parse, fun ppf a -> Format.pp_print_string ppf (Core.Mig_opt.algorithm_name a))
-
-let algorithm_arg =
-  Arg.(
-    value
-    & opt algorithm_conv Core.Mig_opt.Steps
-    & info [ "a"; "algorithm" ] ~docv:"ALG"
-        ~doc:
-          "Optimization algorithm: area, depth, rram-imp, rram-maj, steps, or \
-           the beyond-paper bool-rewrite.")
-
-let realization_conv =
-  let parse = function
-    | "imp" -> Ok Core.Rram_cost.Imp
-    | "maj" -> Ok Core.Rram_cost.Maj
-    | s -> Error (`Msg ("unknown realization " ^ s))
-  in
-  Arg.conv (parse, fun ppf r -> Core.Rram_cost.pp_realization ppf r)
+let realizations = [ ("imp", Core.Rram_cost.Imp); ("maj", Core.Rram_cost.Maj) ]
 
 let realization_arg =
   Arg.(
     value
-    & opt realization_conv Core.Rram_cost.Maj
+    & opt (enum realizations) Core.Rram_cost.Maj
     & info [ "r"; "realization" ] ~docv:"R" ~doc:"RRAM realization: imp or maj.")
 
 (* --arch stays a raw string through cmdliner and is parsed by
@@ -236,17 +210,85 @@ let parse_arch = function
   | None -> Core.Rram_cost.Unbounded_serial
   | Some text -> Result.fold ~ok:Fun.id ~error:failwith (Core.Rram_cost.parse_arch text)
 
-(* A flow-script error (byte position, did-you-mean suggestion) is a user
-   error. *)
-let parse_flow text =
-  match Core.Mig_flows.parse text with
-  | Ok flow -> flow
-  | Error e -> failwith (Format.asprintf "%a" Flow.Script.pp_error e)
+(* ---------------- the optimization term ---------------- *)
 
-(* A crossbar geometry too small for the circuit is a user error. *)
-let compile_mig ~arch realization mig =
-  try Rram.Compile_mig.compile ~arch realization mig
-  with Invalid_argument msg -> failwith msg
+(* One vocabulary: -a takes exactly the canonical algorithm names. *)
+let algorithm_conv =
+  Arg.enum
+    (List.map (fun a -> (Core.Mig_opt.algorithm_name a, a)) Core.Mig_opt.algorithms)
+
+let algorithm_info =
+  Arg.info [ "a"; "algorithm" ] ~docv:"ALG"
+    ~doc:
+      (Printf.sprintf
+         "Optimization algorithm: %s (Algs. 1–4 of the paper, Alg. 3 \
+          once per realization, and the beyond-paper Boolean rewriting). \
+          Runs the algorithm's canonical flow script (see $(b,migsyn flow \
+          --list-passes)). Default: $(b,steps)."
+         (Arg.doc_alts_enum
+            (List.map (fun a -> (Core.Mig_opt.algorithm_name a, ())) Core.Mig_opt.algorithms)))
+
+(* faults and montecarlo run an algorithm, never a script. *)
+let algorithm_arg = Arg.(value & opt algorithm_conv Core.Mig_opt.Steps algorithm_info)
+
+type optimization = {
+  algorithm : Core.Mig_opt.algorithm option;  (* -a, when given *)
+  scripts : string list;  (* -s, repeatable only for flow --portfolio *)
+  effort : int;
+}
+
+let optimization_term =
+  let algorithm = Arg.(value & opt (some algorithm_conv) None algorithm_info) in
+  let scripts =
+    Arg.(
+      value & opt_all string []
+      & info [ "s"; "script" ] ~docv:"SCRIPT"
+          ~doc:
+            "Optimize with this flow script instead of an algorithm, e.g. \
+             'cycle(40){push_up; psi_r; push_up}; push_up' (see \
+             $(b,migsyn flow --list-passes)). Only $(b,flow --portfolio) \
+             takes it more than once: each script races as one entrant.")
+  in
+  let make algorithm scripts effort = { algorithm; scripts; effort } in
+  Term.(const make $ algorithm $ scripts $ effort_arg)
+
+(* The optimizer -a or -s selects, with its display label.  -a ALG runs
+   ALG's canonical script under the span name ALG, exactly as
+   [Mig_opt.run]; -s SCRIPT runs the script under the span name
+   "script". *)
+let optimizer opt =
+  match (opt.algorithm, opt.scripts) with
+  | Some _, _ :: _ -> failwith "--algorithm and --script are mutually exclusive"
+  | None, [ text ] -> (
+      (* a script error (byte position, did-you-mean suggestion) is a user error *)
+      match Core.Mig_flows.parse text with
+      | Ok flow -> (Flow.Script.to_string flow, Core.Mig_flows.run ~name:"script" flow)
+      | Error e -> failwith (Format.asprintf "%a" Flow.Script.pp_error e))
+  | _, _ :: _ :: _ -> failwith "repeated --script requires flow --portfolio"
+  | alg, [] ->
+      let alg = Option.value alg ~default:Core.Mig_opt.Steps in
+      let name = Core.Mig_opt.algorithm_name alg in
+      ctx "algorithm" (Obs.Json.String name);
+      (name, Core.Mig_opt.run ~effort:opt.effort alg)
+
+(* The prologue every optimizing subcommand shares: record the run, point
+   the xbar_* accept_if costs at [arch] (the daemon's default when the
+   subcommand has no --arch), then read, convert and optimize the
+   netlist.  Returns the source network, the converted MIG and the
+   optimized MIG. *)
+let optimize_netlist ?arch path ~effort optimize =
+  ctx "input" (Obs.Json.String path);
+  ctx "effort" (Obs.Json.Int effort);
+  Option.iter
+    (fun a -> ctx "arch" (Obs.Json.String (Core.Rram_cost.arch_to_string a)))
+    arch;
+  Core.Mig_flows.set_arch (Option.value arch ~default:Core.Rram_cost.Unbounded_serial);
+  let net = parse_netlist path in
+  let mig = Core.Mig_of_network.convert net in
+  (net, mig, optimize mig)
+
+let no_verify_arg =
+  Arg.(value & flag & info [ "no-verify" ] ~doc:"Skip simulator verification.")
 
 let jobs_arg =
   Arg.(
@@ -261,6 +303,12 @@ let jobs_arg =
 
 let resolve_jobs n = Par.resolve_jobs (if n <= 0 then None else Some n)
 
+(* The BDD of [stats] and [compare]: DFS order, at most 10^6 nodes. *)
+let bdd_of_network net =
+  Bdd_lib.Bdd_of_network.build ~max_nodes:1_000_000
+    ~perm:(Bdd_lib.Bdd_order.order Bdd_lib.Bdd_order.Dfs net)
+    net
+
 (* ---------------- stats ---------------- *)
 
 let stats_cmd =
@@ -274,12 +322,8 @@ let stats_cmd =
     let aig = Aig_lib.Aig_of_network.convert net in
     Format.printf "AIG:     %a@." Aig_lib.Aig.pp_stats aig;
     (try
-       let bdd =
-         Bdd_lib.Bdd_of_network.build ~max_nodes:1_000_000
-           ~perm:(Bdd_lib.Bdd_order.order Bdd_lib.Bdd_order.Dfs net)
-           net
-       in
-       Format.printf "BDD:     %a@." Bdd_lib.Bdd_stats.pp (Bdd_lib.Bdd_stats.of_result bdd)
+       Format.printf "BDD:     %a@." Bdd_lib.Bdd_stats.pp
+         (Bdd_lib.Bdd_stats.of_result (bdd_of_network net))
      with Bdd_lib.Bdd.Limit_exceeded -> Format.printf "BDD:     > 1M nodes (skipped)@.");
     Format.printf "Table I: IMP %a   MAJ %a@." Core.Rram_cost.pp
       (Core.Rram_cost.of_mig Core.Rram_cost.Imp mig)
@@ -290,59 +334,9 @@ let stats_cmd =
   subcommand "stats" ~doc:"Print representation statistics for a netlist"
     Term.(const run $ input_arg)
 
-(* ---------------- optimize ---------------- *)
-
-let optimize_cmd =
-  let out_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Write the optimized MIG as BLIF.")
-  in
-  let run path alg effort out () =
-    ctx "input" (Obs.Json.String path);
-    ctx "algorithm" (Obs.Json.String (Core.Mig_opt.algorithm_name alg));
-    ctx "effort" (Obs.Json.Int effort);
-    let net = parse_netlist path in
-    let mig = Core.Mig_of_network.convert net in
-    let before_imp = Core.Rram_cost.of_mig Core.Rram_cost.Imp mig in
-    let optimized = Core.Mig_opt.run ~effort alg mig in
-    if not (Core.Mig_equiv.equivalent_network optimized net) then
-      failwith "internal error: optimization changed the function";
-    let imp = Core.Rram_cost.of_mig Core.Rram_cost.Imp optimized in
-    let maj = Core.Rram_cost.of_mig Core.Rram_cost.Maj optimized in
-    res "gates" (Obs.Json.Int (Core.Mig.size optimized));
-    res "imp_rrams" (Obs.Json.Int imp.Core.Rram_cost.rrams);
-    res "imp_steps" (Obs.Json.Int imp.Core.Rram_cost.steps);
-    res "maj_rrams" (Obs.Json.Int maj.Core.Rram_cost.rrams);
-    res "maj_steps" (Obs.Json.Int maj.Core.Rram_cost.steps);
-    Format.printf "%s (effort %d): %a@." (Core.Mig_opt.algorithm_name alg) effort
-      Core.Mig.pp_stats optimized;
-    Format.printf "  IMP %a (initial %a)@." Core.Rram_cost.pp imp Core.Rram_cost.pp
-      before_imp;
-    Format.printf "  MAJ %a@." Core.Rram_cost.pp maj;
-    Option.iter
-      (fun f ->
-        Io.Blif.write_file ~model_name:"optimized" f (Core.Mig_to_network.export optimized);
-        Format.printf "wrote %s@." f)
-      out;
-    0
-  in
-  subcommand "optimize" ~doc:"Optimize a netlist with one of the paper's algorithms"
-    Term.(const run $ input_arg $ algorithm_arg $ effort_arg $ out_arg)
-
 (* ---------------- flow ---------------- *)
 
 let flow_cmd =
-  let script_arg =
-    Arg.(
-      value & opt_all string []
-      & info [ "s"; "script" ] ~docv:"STR"
-          ~doc:
-            "Flow script to run, e.g. \
-             'cycle(40){push_up; psi_r; push_up}; push_up'. With \
-             $(b,--portfolio) the option may be repeated: each script \
-             becomes one entrant of the race.")
-  in
   let portfolio_arg =
     Arg.(
       value & flag
@@ -380,9 +374,6 @@ let flow_cmd =
       value & opt (some string) None
       & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Write the optimized MIG as BLIF.")
   in
-  let no_verify_arg =
-    Arg.(value & flag & info [ "no-verify" ] ~doc:"Skip simulator verification.")
-  in
   let stats_arg =
     Arg.(
       value & flag
@@ -414,7 +405,7 @@ let flow_cmd =
       (fun (name, _) -> Format.printf "  %s@." name)
       Core.Mig_flows.costs;
     Format.printf
-      "@.canonical algorithm scripts (what 'migsyn optimize -a NAME' runs):@.";
+      "@.canonical algorithm scripts (what 'migsyn flow -a NAME' runs):@.";
     List.iter
       (fun name ->
         match Core.Mig_flows.canonical_script name with
@@ -422,75 +413,66 @@ let flow_cmd =
         | None -> ())
       Core.Mig_flows.canonical_names
   in
-  let run scripts file list portfolio cost effort jobs arch dump_out no_verify
-      stats input () =
+  (* The portfolio race: the repeated -s scripts, the -f script, or the
+     five canonical algorithms. *)
+  let race opt file cost jobs mig =
+    let specs =
+      match (opt.algorithm, opt.scripts, file) with
+      | Some _, _, _ -> failwith "--algorithm and --portfolio are mutually exclusive"
+      | None, [], None -> Core.Mig_flows.default_portfolio ~effort:opt.effort ()
+      | None, [], Some f -> [ (Filename.basename f, read_file f) ]
+      | None, scripts, None ->
+          List.mapi (fun i s -> (Printf.sprintf "script%d" (i + 1), s)) scripts
+      | None, _ :: _, Some _ -> failwith "--script and --file are mutually exclusive"
+    in
+    let jobs = resolve_jobs jobs in
+    ctx "jobs" (Obs.Json.Int jobs);
+    ctx "portfolio" (Obs.Json.Int (List.length specs));
+    ctx "cost" (Obs.Json.String cost);
+    let winner, outcomes =
+      try Core.Mig_flows.portfolio ~jobs ~cost specs mig
+      with Invalid_argument msg -> failwith msg
+    in
+    (match List.find_opt (fun o -> o.Flow.o_winner) outcomes with
+    | Some o ->
+        res "winner" (Obs.Json.String o.Flow.o_label);
+        res "winner_cost" (Obs.Json.Float o.Flow.o_cost)
+    | None -> ());
+    Format.printf "portfolio: %d entrants, cost %s, %d worker domain%s@."
+      (List.length specs) cost jobs (if jobs = 1 then "" else "s");
+    List.iter
+      (fun o ->
+        Format.printf "  %-18s cost %10.1f  %6.2f s%s@." o.Flow.o_label
+          o.Flow.o_cost o.Flow.o_seconds
+          (if o.Flow.o_winner then "  <- winner" else ""))
+      outcomes;
+    winner
+  in
+  let run opt file list portfolio cost jobs arch dump_out no_verify stats input () =
     if list then list_passes ()
     else begin
       let path = match input with Some p -> p | None -> failwith "missing NETLIST argument" in
-      ctx "input" (Obs.Json.String path);
-      ctx "effort" (Obs.Json.Int effort);
       let arch = parse_arch arch in
-      ctx "arch" (Obs.Json.String (Core.Rram_cost.arch_to_string arch));
-      (* The xbar_* accept_if costs read the flow-level architecture, so it
-         must be set before any script is parsed or raced. *)
-      (match arch with
-      | Core.Rram_cost.Crossbar _ -> Core.Mig_flows.set_arch arch
-      | Core.Rram_cost.Unbounded_serial -> ());
-      let net = parse_netlist path in
-      let mig = Core.Mig_of_network.convert net in
-      let before_size, before_depth = Core.Mig_passes.size_and_depth mig in
-      let optimized =
-        if portfolio then begin
-          let specs =
-            match (scripts, file) with
-            | [], None -> Core.Mig_flows.default_portfolio ~effort ()
-            | [], Some f -> [ (Filename.basename f, read_file f) ]
-            | scripts, None ->
-                List.mapi
-                  (fun i s -> (Printf.sprintf "script%d" (i + 1), s))
-                  scripts
-            | _ :: _, Some _ -> failwith "--script and --file are mutually exclusive"
-          in
-          let jobs = resolve_jobs jobs in
-          ctx "jobs" (Obs.Json.Int jobs);
-          ctx "portfolio" (Obs.Json.Int (List.length specs));
-          ctx "cost" (Obs.Json.String cost);
-          let winner, outcomes =
-            try Core.Mig_flows.portfolio ~jobs ~cost specs mig
-            with Invalid_argument msg -> failwith msg
-          in
-          (match List.find_opt (fun o -> o.Flow.o_winner) outcomes with
-          | Some o ->
-              res "winner" (Obs.Json.String o.Flow.o_label);
-              res "winner_cost" (Obs.Json.Float o.Flow.o_cost)
-          | None -> ());
-          Format.printf "portfolio: %d entrants, cost %s, %d worker domain%s@."
-            (List.length specs) cost jobs (if jobs = 1 then "" else "s");
-          List.iter
-            (fun o ->
-              Format.printf "  %-18s cost %10.1f  %6.2f s%s@." o.Flow.o_label
-                o.Flow.o_cost o.Flow.o_seconds
-                (if o.Flow.o_winner then "  <- winner" else ""))
-            outcomes;
-          winner
-        end
+      let optimize =
+        if portfolio then race opt file cost jobs
         else begin
-          let text =
-            match (scripts, file) with
-            | [ s ], None -> s
-            | [], Some f -> read_file f
-            | _ :: _ :: _, _ -> failwith "repeated --script requires --portfolio"
-            | _ :: _, Some _ -> failwith "--script and --file are mutually exclusive"
-            | [], None -> failwith "one of --script, --file or --list-passes is required"
+          let opt =
+            match (file, opt) with
+            | None, _ -> opt
+            | Some f, { algorithm = None; scripts = []; _ } -> { opt with scripts = [ read_file f ] }
+            | Some _, { algorithm = Some _; _ } ->
+                failwith "--algorithm and --file are mutually exclusive"
+            | Some _, _ -> failwith "--script and --file are mutually exclusive"
           in
-          let flow = parse_flow text in
-          let result = Core.Mig_flows.run ~name:"script" flow mig in
-          Format.printf "flow: %s@." (Flow.Script.to_string flow);
-          result
+          let label, optimize = optimizer opt in
+          Format.printf "flow: %s@." label;
+          optimize
         end
       in
+      let net, mig, optimized = optimize_netlist ~arch path ~effort:opt.effort optimize in
       if not (Core.Mig_equiv.equivalent_network optimized net) then
         failwith "internal error: the flow changed the function";
+      let before_size, before_depth = Core.Mig_passes.size_and_depth mig in
       let size, depth = Core.Mig_passes.size_and_depth optimized in
       res "size" (Obs.Json.Int size);
       res "depth" (Obs.Json.Int depth);
@@ -498,7 +480,11 @@ let flow_cmd =
         before_depth depth;
       List.iter
         (fun realization ->
-          let r = compile_mig ~arch realization optimized in
+          (* a crossbar too small for the circuit is a user error *)
+          let r =
+            try Rram.Compile_mig.compile ~arch realization optimized
+            with Invalid_argument msg -> failwith msg
+          in
           let verdict =
             if no_verify then ""
             else
@@ -532,14 +518,16 @@ let flow_cmd =
   in
   subcommand "flow"
     ~doc:
-      "Optimize a netlist with a user-written flow script composed from \
-       the registered passes (cycle / every / accept_if combinators), or \
-       race several scripts with --portfolio; --list-passes prints the \
-       vocabulary."
+      "Optimize a netlist with one of the paper's algorithms ($(b,-a)), a \
+       user-written flow script composed from the registered passes \
+       ($(b,-s) or $(b,-f); cycle / every / accept_if combinators), or \
+       race several scripts with --portfolio; then compile both \
+       realizations and verify them against the source netlist. \
+       --list-passes prints the vocabulary."
     Term.(
-      const run $ script_arg $ file_arg $ list_arg $ portfolio_arg
-      $ cost_arg $ effort_arg $ jobs_arg $ arch_arg $ out_arg $ no_verify_arg
-      $ stats_arg $ input_opt_arg)
+      const run $ optimization_term $ file_arg $ list_arg $ portfolio_arg
+      $ cost_arg $ jobs_arg $ arch_arg $ out_arg $ no_verify_arg $ stats_arg
+      $ input_opt_arg)
 
 (* ---------------- map ---------------- *)
 
@@ -547,17 +535,10 @@ let map_cmd =
   let dump_arg =
     Arg.(value & flag & info [ "p"; "program" ] ~doc:"Dump the full program listing.")
   in
-  let no_verify_arg =
-    Arg.(value & flag & info [ "no-verify" ] ~doc:"Skip simulator verification.")
-  in
-  let run path alg effort realization arch dump no_verify () =
-    ctx "input" (Obs.Json.String path);
-    ctx "algorithm" (Obs.Json.String (Core.Mig_opt.algorithm_name alg));
-    ctx "effort" (Obs.Json.Int effort);
+  let run path opt realization arch dump no_verify () =
     let arch = parse_arch arch in
-    ctx "arch" (Obs.Json.String (Core.Rram_cost.arch_to_string arch));
-    let net = parse_netlist path in
-    let mig = Core.Mig_opt.run ~effort alg (Core.Mig_of_network.convert net) in
+    let label, optimize = optimizer opt in
+    let net, _, mig = optimize_netlist ~arch path ~effort:opt.effort optimize in
     let program, placement =
       match arch with
       | Core.Rram_cost.Unbounded_serial ->
@@ -567,7 +548,7 @@ let map_cmd =
           Format.printf
             "%a realization after %s optimization:@.  Table I: %a@.  program: %d RRAMs, %d steps@."
             Core.Rram_cost.pp_realization realization
-            (Core.Mig_opt.algorithm_name alg) Core.Rram_cost.pp
+            label Core.Rram_cost.pp
             r.Rram.Compile_mig.analytic r.Rram.Compile_mig.measured_rrams
             r.Rram.Compile_mig.measured_steps;
           (r.Rram.Compile_mig.program, Rram.Placement.place r.Rram.Compile_mig.program)
@@ -582,7 +563,7 @@ let map_cmd =
               Format.printf
                 "%a realization after %s optimization, %s crossbar:@.  Table I (serial): %a@.  analytic: %a@.  measured: %a, %d waves@."
                 Core.Rram_cost.pp_realization realization
-                (Core.Mig_opt.algorithm_name alg)
+                label
                 (Core.Rram_cost.arch_to_string arch) Core.Rram_cost.pp
                 c.Rram.Compile_crossbar.serial Core.Rram_cost.pp_triple
                 c.Rram.Compile_crossbar.analytic Core.Rram_cost.pp_triple m
@@ -612,10 +593,16 @@ let map_cmd =
     if dump then Format.printf "@.%a@." Rram.Program.pp program;
     0
   in
-  subcommand "map" ~doc:"Compile a netlist to an RRAM program"
+  subcommand "map"
+    ~doc:
+      "Optimize a netlist ($(b,-a) or $(b,-s)), compile it to an RRAM \
+       program for the serial target or a crossbar, report its costs and \
+       verify it against the source netlist (exhaustively up to 12 \
+       inputs). With --trace, --metrics, --flame or --ledger it is also \
+       the profiling run."
     Term.(
-      const run $ input_arg $ algorithm_arg $ effort_arg
-      $ realization_arg $ arch_arg $ dump_arg $ no_verify_arg)
+      const run $ input_arg $ optimization_term $ realization_arg $ arch_arg
+      $ dump_arg $ no_verify_arg)
 
 (* ---------------- compare ---------------- *)
 
@@ -633,11 +620,7 @@ let compare_cmd =
       maj.Rram.Compile_mig.measured_rrams maj.Rram.Compile_mig.measured_steps
       imp.Rram.Compile_mig.measured_rrams imp.Rram.Compile_mig.measured_steps;
     (try
-       let built =
-         Bdd_lib.Bdd_of_network.build ~max_nodes:1_000_000
-           ~perm:(Bdd_lib.Bdd_order.order Bdd_lib.Bdd_order.Dfs net)
-           net
-       in
+       let built = bdd_of_network net in
        let lev = Rram.Compile_bdd.compile ~mode:`Levelized built in
        let seq = Rram.Compile_bdd.compile ~mode:`Sequential built in
        Format.printf "BDD [11]: %d nodes, %d RRAMs %d steps (levelized), %d steps (sequential)@."
@@ -663,16 +646,15 @@ let plim_cmd =
   let dump_arg =
     Arg.(value & flag & info [ "p"; "program" ] ~doc:"Dump the RM3 instruction stream.")
   in
-  let run path alg effort dump () =
-    ctx "input" (Obs.Json.String path);
-    let net = parse_netlist path in
-    let mig = Core.Mig_opt.run ~effort alg (Core.Mig_of_network.convert net) in
+  let run path opt dump () =
+    let label, optimize = optimizer opt in
+    let _, _, mig = optimize_netlist path ~effort:opt.effort optimize in
     let c = Rram.Plim.compile mig in
     res "rm3_instructions" (Obs.Json.Int c.Rram.Plim.instructions);
     res "cells_used" (Obs.Json.Int c.Rram.Plim.cells_used);
     Format.printf
       "PLiM compilation after %s optimization:@.  %d RM3 instructions, %d cells (%.2f RM3/gate over %d gates)@."
-      (Core.Mig_opt.algorithm_name alg) c.Rram.Plim.instructions c.Rram.Plim.cells_used
+      label c.Rram.Plim.instructions c.Rram.Plim.cells_used
       c.Rram.Plim.rm3_per_gate (Core.Mig.size mig);
     (match Rram.Plim.verify c.Rram.Plim.program mig with
     | Ok () -> Format.printf "  verified on the PLiM machine model@."
@@ -682,21 +664,16 @@ let plim_cmd =
   in
   subcommand "plim"
     ~doc:"Compile to an RM3 instruction stream for the PLiM computer [15]"
-    Term.(const run $ input_arg $ algorithm_arg $ effort_arg $ dump_arg)
+    Term.(const run $ input_arg $ optimization_term $ dump_arg)
 
 (* ---------------- export ---------------- *)
 
 let export_cmd =
-  let format_conv =
-    let parse s =
-      if List.mem s ("dot" :: "verilog" :: Io.Netlist.output_formats) then Ok s
-      else Error (`Msg ("unknown export format " ^ s))
-    in
-    Arg.conv (parse, Format.pp_print_string)
-  in
   let format_arg =
+    let formats = "dot" :: "verilog" :: Io.Netlist.output_formats in
     Arg.(
-      value & opt format_conv "dot"
+      value
+      & opt (enum (List.map (fun f -> (f, f)) formats)) "dot"
       & info [ "f"; "format" ] ~docv:"FMT"
           ~doc:"Output format: dot, verilog, blif, bench, aag or aig.")
   in
@@ -705,11 +682,10 @@ let export_cmd =
       required & opt (some string) None
       & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Output file.")
   in
-  let run path alg effort fmt out () =
-    ctx "input" (Obs.Json.String path);
+  let run path opt fmt out () =
     ctx "format" (Obs.Json.String fmt);
-    let net = parse_netlist path in
-    let mig = Core.Mig_opt.run ~effort alg (Core.Mig_of_network.convert net) in
+    let label, optimize = optimizer opt in
+    let _, _, mig = optimize_netlist path ~effort:opt.effort optimize in
     let contents =
       match fmt with
       | "dot" -> Io.Export.mig_to_dot mig
@@ -720,15 +696,12 @@ let export_cmd =
                (Core.Mig_to_network.export mig))
     in
     Io.Export.write_file out contents;
-    Format.printf "wrote %s (%s) after %s optimization@." out fmt
-      (Core.Mig_opt.algorithm_name alg);
+    Format.printf "wrote %s (%s) after %s optimization@." out fmt label;
     0
   in
   subcommand "export"
     ~doc:"Export the optimized MIG as DOT/Verilog/BLIF/bench/AIGER (aag or aig)"
-    Term.(
-      const run $ input_arg $ algorithm_arg $ effort_arg $ format_arg
-      $ out_arg)
+    Term.(const run $ input_arg $ optimization_term $ format_arg $ out_arg)
 
 (* ---------------- gen ---------------- *)
 
@@ -853,12 +826,10 @@ let faults_cmd =
     if not (Float.is_finite rate && rate >= 0.0 && rate <= 1.0) then
       failwith (Printf.sprintf "--rate must be a probability in [0, 1] (got %g)" rate);
     Result.iter_error failwith Exp.Montecarlo.(validate (stuck_at config rate));
-    ctx "input" (Obs.Json.String path);
     ctx "rate" (Obs.Json.Float rate);
     ctx "trials" (Obs.Json.Int trials);
     ctx "seed" (Obs.Json.Int seed);
-    let net = parse_netlist path in
-    let mig = Core.Mig_opt.run ~effort alg (Core.Mig_of_network.convert net) in
+    let net, _, mig = optimize_netlist path ~effort (Core.Mig_opt.run ~effort alg) in
     let r = Rram.Compile_mig.compile realization mig in
     let program = r.Rram.Compile_mig.program in
     let tmr = Rram.Tmr.protect program in
@@ -1053,90 +1024,6 @@ let montecarlo_cmd =
       const run $ input_arg $ algorithm_arg $ effort_arg
       $ realization_arg $ trials_arg $ sigma_arg $ seed_arg $ jobs_arg $ json_arg
       $ vectors_arg $ attempts_arg)
-
-(* ---------------- profile ---------------- *)
-
-let profile_cmd =
-  let vectors_arg =
-    Arg.(
-      value & opt int 64
-      & info [ "vectors" ] ~docv:"N"
-          ~doc:"Maximum number of input vectors executed on the device simulator.")
-  in
-  let flow_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "flow" ] ~docv:"SCRIPT"
-          ~doc:
-            "Optimize with a flow script instead of the named algorithm \
-             (see $(b,migsyn flow --list-passes)).")
-  in
-  let run path alg effort realization arch max_vectors flow_script () =
-    ctx "input" (Obs.Json.String path);
-    ctx "effort" (Obs.Json.Int effort);
-    let arch = parse_arch arch in
-    ctx "arch" (Obs.Json.String (Core.Rram_cost.arch_to_string arch));
-    let flow = Option.map parse_flow flow_script in
-    let net =
-      Obs.with_span ~cat:"profile" "profile/parse" (fun () -> parse_netlist path)
-    in
-    let mig = Core.Mig_of_network.convert net in
-    let initial_size, initial_depth = Core.Mig.size mig, (Core.Mig_levels.compute mig).Core.Mig_levels.depth in
-    let optimized =
-      Obs.with_span ~cat:"profile" "profile/optimize" (fun () ->
-          match flow with
-          | Some flow -> Core.Mig_flows.run ~name:"script" flow mig
-          | None -> Core.Mig_opt.run ~effort alg mig)
-    in
-    let size, depth =
-      (Core.Mig.size optimized, (Core.Mig_levels.compute optimized).Core.Mig_levels.depth)
-    in
-    res "size" (Obs.Json.Int size);
-    res "depth" (Obs.Json.Int depth);
-    let compiled =
-      Obs.with_span ~cat:"profile" "profile/compile" (fun () ->
-          compile_mig ~arch realization optimized)
-    in
-    let program = compiled.Rram.Compile_mig.program in
-    let reference = Core.Mig_sim.eval optimized in
-    let vectors =
-      List.filteri (fun i _ -> i < max_vectors)
-        (Rram.Verify.vectors program.Rram.Program.num_inputs)
-    in
-    let mismatches =
-      Obs.with_span ~cat:"profile" "profile/execute"
-        ~args:[ ("vectors", Obs.Json.Int (List.length vectors)) ]
-        (fun () ->
-          List.fold_left
-            (fun bad v ->
-              if Rram.Interp.run program v = reference v then bad else bad + 1)
-            0 vectors)
-    in
-    Format.printf
-      "profile: %s, %s optimization (effort %d), %a realization@.  MIG: %d -> %d gates, depth %d -> %d@.  program: %d RRAMs, %d steps (analytic %a)@.  executed %d vectors on the device simulator: %s@.@."
-      (Filename.basename path)
-      (match flow_script with
-      | Some script -> "flow '" ^ script ^ "'"
-      | None -> Core.Mig_opt.algorithm_name alg)
-      effort Core.Rram_cost.pp_realization realization initial_size size initial_depth
-      depth program.Rram.Program.num_regs
-      (Rram.Program.num_steps program)
-      Core.Rram_cost.pp compiled.Rram.Compile_mig.analytic (List.length vectors)
-      (if mismatches = 0 then "all match the MIG semantics"
-       else Printf.sprintf "%d MISMATCHES" mismatches);
-    Format.printf "%a@." Obs.pp_report ();
-    if mismatches > 0 then failwith "profiled program diverged from the MIG semantics";
-    0
-  in
-  (* profile always observes, with or without export flags *)
-  subcommand "profile" ~observe:true
-    ~doc:
-      "Run the optimize + compile + execute pipeline with the observability \
-       layer on and print a timing/counter report. Combine with --trace and \
-       --metrics for machine-readable output."
-    Term.(
-      const run $ input_arg $ algorithm_arg $ effort_arg
-      $ realization_arg $ arch_arg $ vectors_arg $ flow_arg)
 
 (* ---------------- bench ---------------- *)
 
@@ -1457,14 +1344,7 @@ let client_cmd =
              Repeatable: several scripts race as a portfolio under the \
              request's --cost, exactly like $(b,migsyn flow --portfolio).")
   in
-  let algorithm_str_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "a"; "algorithm" ] ~docv:"ALG"
-          ~doc:
-            "Canonical algorithm name instead of --flow (area, depth, \
-             rram-costs-imp, rram-costs-maj, steps, bool-rewrite).")
-  in
+  let algorithm_opt_arg = Arg.(value & opt (some algorithm_conv) None algorithm_info) in
   let effort_opt_arg =
     Arg.(
       value & opt (some int) None
@@ -1555,15 +1435,13 @@ let client_cmd =
                 {
                   circuit;
                   flows;
-                  algorithm;
+                  algorithm = Option.map Core.Mig_opt.algorithm_name algorithm;
                   effort;
                   jobs = (if jobs <= 0 then None else Some jobs);
                   cost;
                   arch;
                   realization =
-                    (match realization with
-                    | Core.Rram_cost.Imp -> "imp"
-                    | Core.Rram_cost.Maj -> "maj");
+                    fst (List.find (fun (_, r) -> r = realization) realizations);
                   verify = not no_verify;
                 };
           }
@@ -1604,14 +1482,13 @@ let client_cmd =
        error status."
     Term.(
       const run $ socket_arg $ op_arg $ netlist_arg $ flow_args
-      $ algorithm_str_arg $ effort_opt_arg $ jobs_req_arg $ cost_arg
+      $ algorithm_opt_arg $ effort_opt_arg $ jobs_req_arg $ cost_arg
       $ arch_arg $ realization_arg $ no_verify_arg $ inline_arg
       $ repeat_arg $ stable_arg $ id_arg)
 
 let subcommands =
   [
     stats_cmd;
-    optimize_cmd;
     flow_cmd;
     map_cmd;
     compare_cmd;
@@ -1622,7 +1499,6 @@ let subcommands =
     gen_cmd;
     faults_cmd;
     montecarlo_cmd;
-    profile_cmd;
     report_cmd;
     serve_cmd;
     client_cmd;

@@ -101,8 +101,8 @@ let () =
 
 (* The architecture the xbar_* costs are evaluated against.  Scripts name
    costs, not geometries, so the concrete target is ambient state set once
-   per run (the CLI's --arch does it before parsing the script); the
-   default keeps the costs meaningful without a flag. *)
+   per run (the CLI and the daemon set it before optimizing); the default
+   keeps the costs meaningful for library callers that never set it. *)
 let arch = ref (Rram_cost.Crossbar { rows = 64; columns = 64 })
 let set_arch a = arch := a
 

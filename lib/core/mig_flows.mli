@@ -32,8 +32,9 @@ val costs : (string * (Mig.t -> float)) list
 
 val set_arch : Rram_cost.arch -> unit
 (** Set the architecture the [xbar_*] costs are evaluated against
-    (default: a 64×64 crossbar).  The CLI's [--arch] calls this before
-    parsing flow scripts; scripts themselves name costs, not
+    (default: a 64×64 crossbar).  The CLI calls this before optimizing,
+    with [--arch] or the unbounded-serial target, as the daemon does
+    with a request's [arch]; scripts themselves name costs, not
     geometries. *)
 
 val parse : string -> (Mig.t Flow.t, Flow.Script.error) result

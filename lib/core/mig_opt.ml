@@ -6,25 +6,6 @@
 
 let default_effort = Flow.default_effort
 
-let run_canonical ~name ?effort mig =
-  match Mig_flows.canonical_script ?effort name with
-  | Some script -> Mig_flows.run ~name (Mig_flows.parse_exn script) mig
-  | None -> invalid_arg ("Mig_opt: unknown canonical flow " ^ name)
-
-let area ?effort mig = run_canonical ~name:"area" ?effort mig
-let depth ?effort mig = run_canonical ~name:"depth" ?effort mig
-
-let rram_costs ?effort realization mig =
-  let name =
-    match realization with
-    | Rram_cost.Imp -> "rram-costs-imp"
-    | Rram_cost.Maj -> "rram-costs-maj"
-  in
-  run_canonical ~name ?effort mig
-
-let steps ?effort mig = run_canonical ~name:"steps" ?effort mig
-let boolean ?effort mig = run_canonical ~name:"bool-rewrite" ?effort mig
-
 type algorithm =
   | Area
   | Depth
@@ -32,13 +13,7 @@ type algorithm =
   | Steps
   | Boolean  (** extension: area + cut-based Boolean rewriting *)
 
-let run ?effort alg mig =
-  match alg with
-  | Area -> area ?effort mig
-  | Depth -> depth ?effort mig
-  | Rram_costs r -> rram_costs ?effort r mig
-  | Steps -> steps ?effort mig
-  | Boolean -> boolean ?effort mig
+let algorithms = [ Area; Depth; Rram_costs Rram_cost.Imp; Rram_costs Rram_cost.Maj; Steps; Boolean ]
 
 let algorithm_name = function
   | Area -> "area"
@@ -47,3 +22,15 @@ let algorithm_name = function
   | Rram_costs Rram_cost.Maj -> "rram-costs-maj"
   | Steps -> "steps"
   | Boolean -> "bool-rewrite"
+
+let run ?effort alg mig =
+  let name = algorithm_name alg in
+  match Mig_flows.canonical_script ?effort name with
+  | Some script -> Mig_flows.run ~name (Mig_flows.parse_exn script) mig
+  | None -> invalid_arg ("Mig_opt: unknown canonical flow " ^ name)
+
+let area ?effort mig = run ?effort Area mig
+let depth ?effort mig = run ?effort Depth mig
+let rram_costs ?effort realization mig = run ?effort (Rram_costs realization) mig
+let steps ?effort mig = run ?effort Steps mig
+let boolean ?effort mig = run ?effort Boolean mig

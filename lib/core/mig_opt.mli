@@ -52,5 +52,13 @@ type algorithm =
   | Steps
   | Boolean  (** extension: area + cut-based Boolean rewriting *)
 
+val algorithms : algorithm list
+(** Every algorithm, in Table II order. *)
+
 val run : ?effort:int -> algorithm -> Mig.t -> Mig.t
+(** Run the algorithm's canonical script under the span name
+    [algorithm_name alg]. *)
+
 val algorithm_name : algorithm -> string
+(** The algorithm's canonical name: {!Mig_flows.canonical_names}, element
+    for element of {!algorithms}. *)

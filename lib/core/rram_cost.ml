@@ -50,7 +50,6 @@ let parse_arch text =
               match validate_arch a with Ok () -> Ok a | Error e -> Error e)
           | _ -> malformed ()))
 
-let pp_arch ppf a = Format.pp_print_string ppf (arch_to_string a)
 
 type cost = { rrams : int; steps : int }
 

@@ -40,7 +40,6 @@ val parse_arch : string -> (arch, string) result
     ["32x64"].  The error message names the offending text. *)
 
 val arch_to_string : arch -> string
-val pp_arch : Format.formatter -> arch -> unit
 
 type cost = { rrams : int; steps : int }
 

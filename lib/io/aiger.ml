@@ -11,26 +11,31 @@ let fail line msg = raise (Parse_error (line, msg))
 (* Both readers decode to the same intermediate — output literals plus
    [(lhs, rhs0, rhs1)] AND definitions in file order — and feed it here, so
    an [aag] file and its binary twin build bit-identical networks (same
-   node-creation order, same lazily shared negation nodes). *)
-let build_network ~fail net node_of_var ~m ~output_lits ~and_defs =
-  (* Network node of each variable's negation, made on first use. *)
-  let negations = Array.make (m + 1) (-1) in
+   node-creation order, same lazily shared negation nodes).
+   Variables live in slots: [slot v] is the slot of a variable the file
+   defines, or -1, and [node_of_slot] holds each slot's network node (-1
+   until defined).  Arrays are sized by the definitions the file holds,
+   never by the header's M alone. *)
+let build_network ~fail net ~slot node_of_slot ~m ~output_lits ~and_defs =
+  (* Network node of each slot's negation, made on first use. *)
+  let negations = Array.make (Array.length node_of_slot) (-1) in
   let literal lit =
     let v = lit / 2 in
-    if v > m then fail "literal out of range";
-    let base = node_of_var.(v) in
+    if lit < 0 || v > m then fail "literal out of range";
+    let s = slot v in
+    let base = if s < 0 then -1 else node_of_slot.(s) in
     if base < 0 then fail (Printf.sprintf "undefined variable %d" v);
     if lit land 1 = 0 then base
     else begin
-      if negations.(v) < 0 then negations.(v) <- Network.not_ net base;
-      negations.(v)
+      if negations.(s) < 0 then negations.(s) <- Network.not_ net base;
+      negations.(s)
     end
   in
   (* AIGER files are topologically sorted (lhs > rhs), so one pass works. *)
   Array.iter
     (fun (lhs, r0, r1) ->
       let id = Network.and2 net (literal r0) (literal r1) in
-      node_of_var.(lhs / 2) <- id)
+      node_of_slot.(slot (lhs / 2)) <- id)
     and_defs;
   Array.iteri
     (fun k lit -> Network.add_output net (Printf.sprintf "o%d" k) (literal lit))
@@ -41,6 +46,20 @@ let build_network ~fail net node_of_var ~m ~output_lits ~and_defs =
 (* ASCII reader                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* The five header counts, each a non-negative integer. *)
+let header_counts ~tag fields =
+  match fields with
+  | [ t; m; i; l; o; a ] when t = tag -> (
+      match List.map int_of_string_opt [ m; i; l; o; a ] with
+      | [ Some m; Some i; Some l; Some o; Some a ]
+        when m >= 0 && i >= 0 && l >= 0 && o >= 0 && a >= 0 ->
+          Some (m, i, l, o, a)
+      | _ -> None)
+  | _ -> None
+
+(* Every malformed line is a [Parse_error] at that line.  The body is read
+   before the network is built, so every array is sized by what the file
+   defines, never by a header count alone. *)
 let parse_string text =
   let lines = String.split_on_char '\n' text |> Array.of_list in
   if Array.length lines = 0 then fail 1 "empty file";
@@ -48,53 +67,63 @@ let parse_string text =
     String.split_on_char ' ' (String.trim lines.(0)) |> List.filter (fun s -> s <> "")
   in
   let m, i, l, o, a =
-    match header with
-    | [ "aag"; m; i; l; o; a ] ->
-        (int_of_string m, int_of_string i, int_of_string l, int_of_string o, int_of_string a)
-    | _ -> fail 1 "expected 'aag M I L O A' header"
+    match header_counts ~tag:"aag" header with
+    | Some counts -> counts
+    | None -> fail 1 "expected 'aag M I L O A' header"
   in
   if l <> 0 then fail 1 "latches are not supported (combinational subset)";
-  let net = Network.create () in
-  (* var -> network node of the positive literal *)
-  let node_of_var = Array.make (m + 1) (-1) in
-  let const0 = Network.const net false in
-  node_of_var.(0) <- const0;
   let line_no = ref 1 in
   let next_line () =
     incr line_no;
     if !line_no - 1 >= Array.length lines then fail !line_no "unexpected end of file";
     String.trim lines.(!line_no - 1)
   in
-  let ints s =
-    String.split_on_char ' ' s
-    |> List.filter (fun x -> x <> "")
-    |> List.map int_of_string
+  let ints what =
+    match
+      String.split_on_char ' ' (next_line ())
+      |> List.filter (fun x -> x <> "")
+      |> List.map int_of_string_opt
+    with
+    | fields when List.for_all Option.is_some fields -> List.map Option.get fields
+    | _ -> fail !line_no ("bad " ^ what ^ " line")
   in
-  (* inputs *)
-  for k = 0 to i - 1 do
-    let lit =
-      match ints (next_line ()) with [ v ] -> v | _ -> fail !line_no "bad input line"
-    in
-    if lit land 1 = 1 then fail !line_no "negated input definition";
-    node_of_var.(lit / 2) <- Network.add_input net (Printf.sprintf "i%d" k)
-  done;
+  (* a defined literal: positive, variable in 0..M *)
+  let defined what lit =
+    if lit land 1 = 1 then fail !line_no ("negated " ^ what ^ " definition");
+    if lit < 0 || lit / 2 > m then fail !line_no "literal out of range";
+    lit / 2
+  in
+  let input_vars =
+    List.init i (fun _ ->
+        match ints "input" with [ v ] -> defined "input" v | _ -> fail !line_no "bad input line")
+  in
   (* outputs (literals resolved after ANDs are read) *)
   let output_lits =
-    Array.init o (fun _ ->
-        match ints (next_line ()) with
-        | [ v ] -> v
-        | _ -> fail !line_no "bad output line")
+    List.init o (fun _ -> match ints "output" with [ v ] -> v | _ -> fail !line_no "bad output line")
   in
-  (* AND definitions *)
   let and_defs =
-    Array.init a (fun _ ->
-        match ints (next_line ()) with
+    List.init a (fun _ ->
+        match ints "AND" with
         | [ lhs; r0; r1 ] ->
-            if lhs land 1 = 1 then fail !line_no "negated AND definition";
+            ignore (defined "AND" lhs);
             (lhs, r0, r1)
         | _ -> fail !line_no "bad AND line")
   in
-  build_network ~fail:(fail 0) net node_of_var ~m ~output_lits ~and_defs
+  (* ASCII variables need not be consecutive: number the defined ones *)
+  let slots = Hashtbl.create 64 in
+  let define v = if not (Hashtbl.mem slots v) then Hashtbl.add slots v (Hashtbl.length slots) in
+  define 0;
+  List.iter define input_vars;
+  List.iter (fun (lhs, _, _) -> define (lhs / 2)) and_defs;
+  let slot v = Option.value (Hashtbl.find_opt slots v) ~default:(-1) in
+  let net = Network.create () in
+  let node_of_slot = Array.make (Hashtbl.length slots) (-1) in
+  node_of_slot.(0) <- Network.const net false;
+  List.iteri
+    (fun k v -> node_of_slot.(slot v) <- Network.add_input net (Printf.sprintf "i%d" k))
+    input_vars;
+  build_network ~fail:(fail 0) net ~slot node_of_slot ~m
+    ~output_lits:(Array.of_list output_lits) ~and_defs:(Array.of_list and_defs)
 
 (* ------------------------------------------------------------------ *)
 (* Binary reader                                                       *)
@@ -121,27 +150,26 @@ let parse_binary_string text =
     |> List.filter (fun s -> s <> "")
   in
   let m, i, l, o, a =
-    match header with
-    | [ "aig"; m; i; l; o; a ] -> (
-        try
-          (int_of_string m, int_of_string i, int_of_string l, int_of_string o,
-           int_of_string a)
-        with Failure _ -> fail "expected 'aig M I L O A' header")
-    | _ -> fail "expected 'aig M I L O A' header"
+    match header_counts ~tag:"aig" header with
+    | Some counts -> counts
+    | None -> fail "expected 'aig M I L O A' header"
   in
   if l <> 0 then fail "latches are not supported (combinational subset)";
-  if m < i + a then fail "header M smaller than I + A";
+  if i > m || a > m - i then fail "header M smaller than I + A";
   let net = Network.create () in
-  let node_of_var = Array.make (m + 1) (-1) in
-  node_of_var.(0) <- Network.const net false;
+  (* inputs are variables 1..I and ANDs I+1..I+A, whatever M says *)
+  let node_of_slot = Array.make (i + a + 1) (-1) in
+  let slot v = if v < Array.length node_of_slot then v else -1 in
+  node_of_slot.(0) <- Network.const net false;
   for k = 0 to i - 1 do
-    node_of_var.(k + 1) <- Network.add_input net (Printf.sprintf "i%d" k)
+    node_of_slot.(k + 1) <- Network.add_input net (Printf.sprintf "i%d" k)
   done;
   let output_lits =
-    Array.init o (fun _ ->
+    List.init o (fun _ ->
         match int_of_string_opt (String.trim (read_line ())) with
         | Some v -> v
         | None -> fail "bad output line")
+    |> Array.of_list
   in
   let read_delta () =
     let x = ref 0 and shift = ref 0 and fin = ref false in
@@ -157,15 +185,16 @@ let parse_binary_string text =
     !x
   in
   let and_defs =
-    Array.init a (fun k ->
+    List.init a (fun k ->
         let lhs = 2 * (i + k + 1) in
         let rhs0 = lhs - read_delta () in
         if rhs0 < 0 then fail "AND delta out of range";
         let rhs1 = rhs0 - read_delta () in
         if rhs1 < 0 then fail "AND delta out of range";
         (lhs, rhs0, rhs1))
+    |> Array.of_list
   in
-  build_network ~fail net node_of_var ~m ~output_lits ~and_defs
+  build_network ~fail net ~slot node_of_slot ~m ~output_lits ~and_defs
 
 let read_file path =
   let ic = open_in_bin path in

@@ -4,6 +4,18 @@ exception Parse_error of int * string
 
 let fail line msg = raise (Parse_error (line, msg))
 
+(* The count after [.i]/[.o]: a non-negative integer, fixed once the first
+   cube has been read against it. *)
+let set_count n directive ~cubes r v =
+  match int_of_string_opt v with
+  | Some k when k >= 0 ->
+      if cubes <> [] && k <> !r then fail n (directive ^ " changes after the first cube");
+      r := k
+  | _ -> fail n (Printf.sprintf "%s needs a non-negative count, got %S" directive v)
+
+(* Every malformed line is a [Parse_error] at that line: the planes are
+   checked here, where the line number is known, so building the network
+   afterwards cannot fail. *)
 let parse_string text =
   let lines = String.split_on_char '\n' text in
   let ni = ref (-1) and no = ref (-1) in
@@ -18,19 +30,43 @@ let parse_string text =
       let line = String.trim line in
       if line <> "" then begin
         let toks = String.split_on_char ' ' line |> List.filter (fun s -> s <> "") in
+        let output_plane plane =
+          String.iter
+            (function
+              | '0' | '1' | '-' | '~' | '2' | '3' | '4' -> ()
+              | c -> fail n (Printf.sprintf "bad output literal %c" c))
+            plane
+        in
         match toks with
-        | ".i" :: v :: _ -> ni := int_of_string v
-        | ".o" :: v :: _ -> no := int_of_string v
+        | ".i" :: v :: _ -> set_count n ".i" ~cubes:!cubes ni v
+        | ".o" :: v :: _ -> set_count n ".o" ~cubes:!cubes no v
         | ".p" :: _ | ".type" :: _ | ".e" :: _ | ".end" :: _ -> ()
-        | ".ilb" :: names -> ilb := Some names
+        | ".ilb" :: names ->
+            let seen = Hashtbl.create 16 in
+            List.iter
+              (fun name ->
+                if Hashtbl.mem seen name then fail n ("duplicate input " ^ name);
+                Hashtbl.replace seen name ())
+              names;
+            ilb := Some names
         | ".ob" :: names -> ob := Some names
-        | [ input_plane; output_plane ] when input_plane.[0] <> '.' ->
+        | [ input_plane; plane ] when input_plane.[0] <> '.' ->
             if !ni < 0 || !no < 0 then fail n "cube before .i/.o";
             if String.length input_plane <> !ni then fail n "input plane width";
-            if String.length output_plane <> !no then fail n "output plane width";
-            cubes := (n, input_plane, output_plane) :: !cubes
+            if String.length plane <> !no then fail n "output plane width";
+            String.iter
+              (fun c ->
+                if not (String.contains "01-~2" c) then
+                  fail n (Printf.sprintf "bad cube character %C" c))
+              input_plane;
+            let cube = Cube.of_string input_plane in
+            output_plane plane;
+            cubes := (cube, plane) :: !cubes
         | [ single ] when !ni = 0 && single.[0] <> '.' ->
-            cubes := (n, "", single) :: !cubes
+            if !no < 0 then fail n "cube before .i/.o";
+            if String.length single <> !no then fail n "output plane width";
+            output_plane single;
+            cubes := (Cube.create 0, single) :: !cubes
         | _ -> fail n ("malformed PLA line: " ^ line)
       end)
     lines;
@@ -50,14 +86,12 @@ let parse_string text =
   let input_ids = Array.map (Network.add_input net) input_names in
   let per_output = Array.make no [] in
   List.iter
-    (fun (_, input_plane, output_plane) ->
-      let cube = Cube.of_string input_plane in
+    (fun (cube, output_plane) ->
       String.iteri
         (fun o ch ->
           match ch with
           | '1' | '4' -> per_output.(o) <- cube :: per_output.(o)
-          | '0' | '-' | '~' | '2' | '3' -> ()
-          | c -> fail 0 (Printf.sprintf "bad output literal %c" c))
+          | _ -> ())
         output_plane)
     (List.rev !cubes);
   Array.iteri

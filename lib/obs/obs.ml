@@ -425,7 +425,7 @@ let span_tree_json () = Json.List (List.map span_node_json (span_tree ()))
 
 type span_stat = { st_count : int; st_total : int64; st_self : int64 }
 
-(* Flat per-name aggregates (metrics export, pp_report): totals by event,
+(* Flat per-name aggregates (metrics export): totals by event,
    self time by summing the tree nodes that end in the name. *)
 let span_stats () =
   let tbl = Hashtbl.create 32 in
@@ -607,65 +607,6 @@ let write_json path json =
     (fun () ->
       output_string oc (Json.to_string ~pretty:true json);
       output_char oc '\n')
-
-(* ------------------------------------------------------------------ *)
-(* Human report                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let pp_report ppf () =
-  let st = store () in
-  let ms i64 = Int64.to_float i64 /. 1.0e6 in
-  let spans = span_stats () in
-  if spans <> [] then begin
-    Format.fprintf ppf "@[<v>timed spans (by total wall time; self = without children):@,";
-    List.iter
-      (fun (name, st) ->
-        Format.fprintf ppf
-          "  %-44s %4d call%s  %9.2f ms total  %9.2f ms self  %9.3f ms/call@," name
-          st.st_count
-          (if st.st_count = 1 then " " else "s")
-          (ms st.st_total) (ms st.st_self)
-          (ms st.st_total /. float_of_int st.st_count))
-      spans;
-    Format.fprintf ppf "@]"
-  end;
-  let nonzero = List.filter (fun (_, c) -> c <> 0) (counters ()) in
-  if nonzero <> [] then begin
-    Format.fprintf ppf "@[<v>counters:@,";
-    List.iter (fun (n, c) -> Format.fprintf ppf "  %-44s %10d@," n c) nonzero;
-    Format.fprintf ppf "@]"
-  end;
-  let set_gauges =
-    List.filter_map
-      (fun n ->
-        let g = Hashtbl.find st.gauges_tbl n in
-        if g.g_set then Some (n, g.g_value) else None)
-      (sorted_names st.gauges_tbl)
-  in
-  if set_gauges <> [] then begin
-    Format.fprintf ppf "@[<v>gauges:@,";
-    List.iter (fun (n, v) -> Format.fprintf ppf "  %-44s %10.1f@," n v) set_gauges;
-    Format.fprintf ppf "@]"
-  end;
-  let live_hists =
-    List.filter
-      (fun n -> (Hashtbl.find st.histograms_tbl n).h_count > 0)
-      (sorted_names st.histograms_tbl)
-  in
-  if live_hists <> [] then begin
-    Format.fprintf ppf "@[<v>histograms:@,";
-    List.iter
-      (fun n ->
-        let h = Hashtbl.find st.histograms_tbl n in
-        Format.fprintf ppf
-          "  %-44s n=%d min=%d max=%d mean=%.2f p50=%.0f p90=%.0f p99=%.0f@," n
-          h.h_count h.h_min h.h_max
-          (float_of_int h.h_sum /. float_of_int h.h_count)
-          (histogram_percentile h 50.0) (histogram_percentile h 90.0)
-          (histogram_percentile h 99.0))
-      live_hists;
-    Format.fprintf ppf "@]"
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Run manifests and the on-disk ledger                                *)

@@ -200,11 +200,6 @@ val chrome_trace_json : unit -> Json.t
 val write_json : string -> Json.t -> unit
 (** Write [to_string ~pretty:true] plus a trailing newline to a file. *)
 
-val pp_report : Format.formatter -> unit -> unit
-(** Human-readable profile report: span aggregates (total and exclusive
-    self time) sorted by total time, then non-zero counters, gauges and
-    histogram summaries with p50/p90/p99. *)
-
 (** {1 Run manifests}
 
     A {e run manifest} is the self-describing record of one tool run —

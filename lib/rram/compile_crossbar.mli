@@ -58,7 +58,7 @@ type t = {
 
 val compile :
   ?schedule:Core.Mig_levels.t ->
-  arch:Arch.t ->
+  arch:Core.Rram_cost.arch ->
   Core.Rram_cost.realization ->
   Core.Mig.t ->
   (t, string) result
@@ -71,7 +71,7 @@ val fit :
   ?rows:int ->
   Core.Rram_cost.realization ->
   Core.Mig.t ->
-  Arch.t
+  Core.Rram_cost.arch
 (** The smallest geometry on which the scheduler runs without spilling:
     rows = widest level (for MAJ also the complement and readout demand),
     columns = widest row the unbounded-column schedule actually used.

@@ -32,7 +32,7 @@ type result = {
 
 val compile :
   ?schedule:Core.Mig_levels.t ->
-  ?arch:Arch.t ->
+  ?arch:Core.Rram_cost.arch ->
   Core.Rram_cost.realization ->
   Core.Mig.t ->
   result

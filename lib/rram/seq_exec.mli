@@ -13,7 +13,7 @@ type t
 val compile :
   ?algorithm:Core.Mig_opt.algorithm ->
   ?effort:int ->
-  ?arch:Arch.t ->
+  ?arch:Core.Rram_cost.arch ->
   Core.Rram_cost.realization ->
   Logic.Seq.t ->
   t

@@ -98,10 +98,7 @@ let prepare ~pool_jobs (synth : Protocol.synth) =
   in
   let labeled =
     match (synth.flows, synth.algorithm) with
-    | [], None | [], Some "" -> (
-        match Core.Mig_flows.canonical_script ~effort "steps" with
-        | Some s -> [ ("steps", s) ]
-        | None -> assert false)
+    | [], (None | Some "") -> [ ("steps", Option.get (Core.Mig_flows.canonical_script ~effort "steps")) ]
     | [], Some alg -> (
         match Core.Mig_flows.canonical_script ~effort alg with
         | Some s -> [ (alg, s) ]
@@ -357,11 +354,7 @@ let classify state inflight id (synth : Protocol.synth) =
                 if uses_xbar job then
                   `Inline
                     (fun () ->
-                      Core.Mig_flows.set_arch
-                        (match job.sj_arch with
-                        | Core.Rram_cost.Crossbar _ as a -> a
-                        | Core.Rram_cost.Unbounded_serial ->
-                            Core.Rram_cost.Unbounded_serial);
+                      Core.Mig_flows.set_arch job.sj_arch;
                       execute job)
                 else `Task (Par.submit state.pool (fun () -> execute job))
               in

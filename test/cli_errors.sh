@@ -18,6 +18,12 @@ printf 'INPUT(a)\nOUTPUT(y)\ny = AND()\n' > and0.bench
 printf 'INPUT(a)\nOUTPUT(y)\ny = MAJ(a, a)\n' > maj2.bench
 printf '.model m\n.inputs a a\n.outputs a\n.end\n' > dup_input.blif
 printf '.model m\n.inputs a b\n.outputs y\n.names a b y\n1x 1\n.end\n' > cube.blif
+printf '.i 2\n.o 1\nx1 1\n' > cube.pla
+printf '.i 2\n.o 1\n.ilb a a\n11 1\n' > dup_input.pla
+printf '.i two\n.o 1\n' > count.pla
+printf 'aag 3 x 0 1 1\n2\n4\n6\n6 2 4\n' > header.aag
+printf 'aag 3 2 0 1 1\n2\n4\n6\n6 2 z\n' > and.aag
+printf 'aag 3 2 0 1 1\n2\n40\n6\n6 2 4\n' > range.aag
 
 case_() {
   rm -f ledger.jsonl
@@ -36,8 +42,7 @@ case_ map c17.bench --arch 8x4611686018427387903
 case_ flow c17.bench -s pushup
 case_ flow c17.bench -s push_up --arch 1x1
 case_ flow c17.bench -s 'cycle(99999999999999999999){eliminate}'
-case_ profile c17.bench --flow bogus
-case_ profile c17.bench --arch 2x2
+case_ map c17.bench -s bogus
 case_ crossbar no_such_bench
 case_ montecarlo c17.bench --trials 0
 case_ faults c17.bench --rate 1.5
@@ -51,5 +56,12 @@ case_ flow and0.bench -s push_up
 case_ flow maj2.bench -s push_up
 case_ flow dup_input.blif -s push_up
 case_ flow cube.blif -s push_up
+case_ stats cube.pla
+case_ stats dup_input.pla
+case_ stats count.pla
+case_ stats header.aag
+case_ stats and.aag
+case_ stats range.aag
 # a usage error stays cmdliner's: exit 124, before any run starts
 case_ stats c17.bench --bogus
+case_ flow c17.bench -a rram-imp

@@ -665,6 +665,94 @@ let experiment_tests =
         | _ -> fail "profile_json is not an object");
   ]
 
+(* ------------------------------------------------------------------ *)
+(* The migsyn CLI: one algorithm vocabulary for -a                      *)
+(* ------------------------------------------------------------------ *)
+
+let migsyn = "../bin/migsyn.exe"
+
+(* Exit code and stdout of one migsyn run. *)
+let run_migsyn args =
+  let ic = Unix.open_process_args_in migsyn (Array.of_list (migsyn :: args)) in
+  let out = In_channel.input_all ic in
+  match Unix.close_process_in ic with
+  | Unix.WEXITED code -> (code, out)
+  | _ -> (-1, out)
+
+let lines text = String.split_on_char '\n' text
+
+(* The `stats:` line of `flow -a NAME -e 10 --stats`: size, depth, IMP (R,
+   S) and MAJ (R, S).  Recorded from `optimize -a NAME -e 10` (and, for the
+   depth, the same canonical script through `flow -s`) before `flow -a`
+   replaced that subcommand; "g300" is `gen --gates 300`. *)
+let optimize_pins =
+  [
+    ("c17", "area", "size=6 depth=3 r_imp=16 s_imp=33 r_maj=12 s_maj=12");
+    ("c17", "depth", "size=8 depth=3 r_imp=21 s_imp=34 r_maj=15 s_maj=13");
+    ("c17", "rram-costs-imp", "size=8 depth=3 r_imp=21 s_imp=32 r_maj=15 s_maj=11");
+    ("c17", "rram-costs-maj", "size=8 depth=3 r_imp=21 s_imp=32 r_maj=15 s_maj=11");
+    ("c17", "steps", "size=8 depth=3 r_imp=21 s_imp=32 r_maj=15 s_maj=11");
+    ("c17", "bool-rewrite", "size=6 depth=3 r_imp=16 s_imp=33 r_maj=12 s_maj=12");
+    ("g300", "area", "size=247 depth=38 r_imp=58 s_imp=418 r_maj=42 s_maj=152");
+    ("g300", "depth", "size=0 depth=0 r_imp=0 s_imp=0 r_maj=0 s_maj=0");
+    ("g300", "rram-costs-imp", "size=238 depth=38 r_imp=54 s_imp=416 r_maj=38 s_maj=150");
+    ("g300", "rram-costs-maj", "size=238 depth=38 r_imp=54 s_imp=416 r_maj=38 s_maj=150");
+    ("g300", "steps", "size=246 depth=37 r_imp=61 s_imp=405 r_maj=43 s_maj=146");
+    ("g300", "bool-rewrite", "size=162 depth=34 r_imp=58 s_imp=373 r_maj=42 s_maj=135");
+  ]
+
+let cli_tests =
+  let open Alcotest in
+  let c17 = "../examples/c17.bench" in
+  [
+    test_case "flow -a reproduces the optimize pins" `Quick (fun () ->
+        let g300 = Filename.temp_file "g300" ".bench" in
+        Fun.protect
+          ~finally:(fun () -> Sys.remove g300)
+          (fun () ->
+            check int "gen exits 0" 0 (fst (run_migsyn [ "gen"; "--gates"; "300"; "-o"; g300 ]));
+            List.iter
+              (fun (circuit, name, expected) ->
+                let path = if circuit = "c17" then c17 else g300 in
+                let code, out = run_migsyn [ "flow"; "-a"; name; "-e"; "10"; "--stats"; path ] in
+                check int (circuit ^ " " ^ name ^ " exit") 0 code;
+                let stats =
+                  List.find_map
+                    (fun l ->
+                      if String.starts_with ~prefix:"stats: " l then
+                        Some (String.sub l 7 (String.length l - 7))
+                      else None)
+                    (lines out)
+                in
+                check (option string) (circuit ^ " " ^ name) (Some expected) stats)
+              optimize_pins));
+    test_case "--list-passes names are the -a vocabulary" `Quick (fun () ->
+        let code, out = run_migsyn [ "flow"; "--list-passes" ] in
+        check int "exit" 0 code;
+        let rec after_header = function
+          | [] -> fail "no canonical algorithm scripts header"
+          | l :: rest ->
+              if l = "canonical algorithm scripts (what 'migsyn flow -a NAME' runs):" then rest
+              else after_header rest
+        in
+        let names =
+          List.filter_map
+            (fun l ->
+              match String.split_on_char ' ' (String.trim l) with
+              | name :: _ when name <> "" -> Some name
+              | _ -> None)
+            (after_header (lines out))
+        in
+        check (list string) "names"
+          (List.map Core.Mig_opt.algorithm_name Core.Mig_opt.algorithms)
+          names;
+        List.iter
+          (fun name ->
+            check int ("-a " ^ name) 0
+              (fst (run_migsyn [ "flow"; "-a"; name; "-e"; "1"; "--no-verify"; c17 ])))
+          names);
+  ]
+
 let () =
   Alcotest.run "flow"
     [
@@ -678,4 +766,5 @@ let () =
       ("golden", golden_tests);
       ("structure", structure_tests);
       ("experiments", experiment_tests);
+      ("cli", cli_tests);
     ]

@@ -770,11 +770,10 @@ let fuzz_corpus =
        :: Io.Blif.write_string net
        :: List.map (fun (_, text, _) -> text) (reader_transcript @ reader_fixes)))
 
-let mutant seed =
-  let corpus = Lazy.force fuzz_corpus in
+let mutant ?(corpus = fuzz_corpus) ?(special = "()=,#.\\ \n\r\t01-~2xaAIN") seed =
+  let corpus = Lazy.force corpus in
   let rng = Prng.create seed in
   let pick () = corpus.(Prng.int rng (Array.length corpus)) in
-  let special = "()=,#.\\ \n\r\t01-~2xaAIN" in
   let text = ref (pick ()) in
   for _ = 0 to Prng.int rng 4 do
     let s = !text and n = String.length !text in
@@ -810,13 +809,50 @@ let only_parse_errors text =
       (fun t -> ignore (Io.Blif.parse_sequential_string t));
     ]
 
+(* The same mutations over PLA texts of the full adder and rd53 and AIGER
+   (ASCII and binary) texts of the full adder and alu4, through the three
+   readers of those formats. *)
+let pla_aiger_corpus =
+  lazy
+    (let adder = Funcgen.full_adder () and alu4 = Funcgen.alu4 () in
+     Array.of_list
+       (Io.Pla.write_string adder :: Io.Pla.write_string (Funcgen.rd 5 3)
+       :: List.concat_map
+            (fun net -> [ Io.Aiger.write_network net; Io.Aiger.write_network_binary net ])
+            [ adder; alu4 ]
+       @ [
+           ".i 2\n.o 1\n.ilb a b\n.ob y\n.p 2\n1- 1\n-1 1\n.e\n";
+           ".i 0\n.o 2\n10\n.e\n";
+           "aag 7 2 0 2 3\n2\n4\n6\n15\n6 2 4\n12 3 5\n14 12 7\n";
+           "aag 20 1 0 1 0\n40\n41\n";
+         ]))
+
+let only_pla_aiger_errors text =
+  List.for_all
+    (fun parse ->
+      match parse text with
+      | () -> true
+      | exception (Io.Pla.Parse_error _ | Io.Aiger.Parse_error _) -> true
+      | exception _ -> false)
+    [
+      (fun t -> ignore (Io.Pla.parse_string t));
+      (fun t -> ignore (Io.Aiger.parse_string t));
+      (fun t -> ignore (Io.Aiger.parse_binary_string t));
+    ]
+
 let fuzz_tests =
+  let pla_aiger_mutant = mutant ~corpus:pla_aiger_corpus ~special:".io \n\r\t01-~234xag#" in
   [
     QCheck_alcotest.to_alcotest ~speed_level:`Quick ~rand:(Random.State.make [| 24 |])
       (QCheck.Test.make ~name:"mutated .bench/BLIF raise only Parse_error" ~count:3000
          (QCheck.make ~print:(fun seed -> String.escaped (mutant seed))
             QCheck.Gen.(int_bound 1_000_000_000))
          (fun seed -> only_parse_errors (mutant seed)));
+    QCheck_alcotest.to_alcotest ~speed_level:`Quick ~rand:(Random.State.make [| 25 |])
+      (QCheck.Test.make ~name:"mutated PLA/AIGER raise only Parse_error" ~count:3000
+         (QCheck.make ~print:(fun seed -> String.escaped (pla_aiger_mutant seed))
+            QCheck.Gen.(int_bound 1_000_000_000))
+         (fun seed -> only_pla_aiger_errors (pla_aiger_mutant seed)));
   ]
 
 let () =

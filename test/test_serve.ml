@@ -623,10 +623,65 @@ let e2e_tests =
                    "circuit:2: duplicate input a");
                   ("blif", ".model m\n.inputs a b\n.outputs y\n.names a b y\n1x 1\n.end\n",
                    "circuit:5: bad cube character 'x'");
+                  ("pla", ".i 2\n.o 1\nx1 1\n", "circuit:3: bad cube character 'x'");
+                  ("pla", ".i 2\n.o 1\n.ilb a a\n11 1\n", "circuit:3: duplicate input a");
+                  ("pla", ".i two\n.o 1\n",
+                   "circuit:1: .i needs a non-negative count, got \"two\"");
+                  ("aag", "aag 3 x 0 1 1\n2\n4\n6\n6 2 4\n",
+                   "circuit:1: expected 'aag M I L O A' header");
+                  ("aag", "aag 3 2 0 1 1\n2\n40\n6\n6 2 4\n", "circuit:3: literal out of range");
                 ];
               Serve.Client.close c)
         in
-        check int "five errors" 5 summary.Serve.Server.errors);
+        check int "ten errors" 10 summary.Serve.Server.errors);
+    test_case "xbar_* costs: migsyn flow --arch serial = daemon default" `Quick
+      (fun () ->
+        (* The daemon scores xbar_* costs against the request's arch, the
+           unbounded-serial target when it names none; the CLI must do the
+           same for --arch serial, not fall back to a 64x64 crossbar. *)
+        let script = "strash; accept_if(xbar_devices_maj){push_up}" in
+        let migsyn = "../bin/migsyn.exe" in
+        let run args =
+          let ic = Unix.open_process_args_in migsyn (Array.of_list (migsyn :: args)) in
+          let out = In_channel.input_all ic in
+          ignore (Unix.close_process_in ic);
+          out
+        in
+        (* the `stats:` line of the CLI as (size, depth, R_maj, S_maj) *)
+        let cli arch file =
+          let out = run [ "flow"; "--arch"; arch; "-s"; script; "--stats"; "--no-verify"; file ] in
+          let line =
+            List.find (String.starts_with ~prefix:"stats: ") (String.split_on_char '\n' out)
+          in
+          Scanf.sscanf line "stats: size=%d depth=%d r_imp=%_d s_imp=%_d r_maj=%d s_maj=%d"
+            (fun size depth r s -> (size, depth, r, s))
+        in
+        let circuit = Filename.temp_file "xw" ".bench" in
+        Fun.protect
+          ~finally:(fun () -> Sys.remove circuit)
+          (fun () ->
+            ignore (run [ "gen"; "--gates"; "4000"; "--seed"; "xw"; "-o"; circuit ]);
+            let (), _ =
+              with_server (fun path ->
+                  let c = Serve.Client.connect path in
+                  let r =
+                    Json.member "result"
+                      (Serve.Client.rpc c (encode (synth_op ~flows:[ script ] (P.File circuit))))
+                  in
+                  Serve.Client.close c;
+                  let int name j = match Json.member name j with Json.Int n -> n | _ -> -1 in
+                  let table1 = Json.member "table1" r in
+                  let daemon =
+                    (int "size" r, int "depth" r, int "rrams" table1, int "steps" table1)
+                  in
+                  let quad = Alcotest.(pair int (pair int (pair int int))) in
+                  let nest (a, b, c, d) = (a, (b, (c, d))) in
+                  check quad "CLI --arch serial = daemon" (nest daemon)
+                    (nest (cli "serial" circuit));
+                  (* not vacuous: a 64x64 crossbar accepts a different graph *)
+                  check bool "64x64 differs" false (cli "64x64" circuit = daemon))
+            in
+            ()));
   ]
 
 let () =
