@@ -155,6 +155,7 @@ let parse_binary_string text =
     | None -> fail "expected 'aig M I L O A' header"
   in
   if l <> 0 then fail "latches are not supported (combinational subset)";
+  if m >= Sys.max_array_length then fail "header M too large";
   if i > m || a > m - i then fail "header M smaller than I + A";
   let net = Network.create () in
   (* inputs are variables 1..I and ANDs I+1..I+A, whatever M says *)

@@ -13,7 +13,8 @@
     byte-stably through either path. *)
 
 exception Parse_error of int * string
-(** Position is a line number for ASCII input, a byte offset for binary. *)
+(** Position is a line number for ASCII input, a byte offset for binary.
+    Malformed input of either format raises only this. *)
 
 val parse_string : string -> Logic.Network.t
 val parse_file : string -> Logic.Network.t

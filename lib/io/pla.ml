@@ -8,6 +8,7 @@ let fail line msg = raise (Parse_error (line, msg))
    cube has been read against it. *)
 let set_count n directive ~cubes r v =
   match int_of_string_opt v with
+  | Some k when k >= Sys.max_array_length -> fail n (directive ^ " count too large")
   | Some k when k >= 0 ->
       if cubes <> [] && k <> !r then fail n (directive ^ " changes after the first cube");
       r := k

@@ -8,6 +8,8 @@
     the on-set. *)
 
 exception Parse_error of int * string
+(** The offending line (0 for a missing [.i]/[.o]) and a message.
+    Malformed input raises only this. *)
 
 val parse_string : string -> Logic.Network.t
 val parse_file : string -> Logic.Network.t

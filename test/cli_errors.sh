@@ -24,6 +24,8 @@ printf '.i two\n.o 1\n' > count.pla
 printf 'aag 3 x 0 1 1\n2\n4\n6\n6 2 4\n' > header.aag
 printf 'aag 3 2 0 1 1\n2\n4\n6\n6 2 z\n' > and.aag
 printf 'aag 3 2 0 1 1\n2\n40\n6\n6 2 4\n' > range.aag
+printf '.i 4611686018427387903\n.o 1\n' > huge.pla
+printf 'aig 4611686018427387903 4611686018427387903 0 0 0\n' > huge.aig
 
 case_() {
   rm -f ledger.jsonl
@@ -62,6 +64,8 @@ case_ stats count.pla
 case_ stats header.aag
 case_ stats and.aag
 case_ stats range.aag
+case_ stats huge.pla
+case_ stats huge.aig
 # a usage error stays cmdliner's: exit 124, before any run starts
 case_ stats c17.bench --bogus
 case_ flow c17.bench -a rram-imp
