@@ -278,14 +278,6 @@ let () =
       Format.printf "@,")
     [ "alu4"; "cm150a"; "t481" ];
   Format.printf
-    "@,Level scheduling (ASAP vs slack-balanced; MAJ costs — R drops for free):@,";
-  List.iter
-    (fun name ->
-      let asap, bal = Exp.Ablation.schedule_row (pick name) in
-      Format.printf "  %-10s ASAP %a   balanced %a@," name Core.Rram_cost.pp asap
-        Core.Rram_cost.pp bal)
-    [ "5xp1"; "alu4"; "apex4"; "misex3"; "seq" ];
-  Format.printf
     "@,Boolean cut rewriting (extension; gates: initial / Alg.1 / Alg.1+Boolean):@,";
   List.iter
     (fun name ->
@@ -345,7 +337,7 @@ let () =
         jobs)
     [ "5xp1"; "b9" ];
   Format.printf
-    "@,Pulse energy (static pulse counts, arbitrary units) and crossbar geometry:@,";
+    "@,Crossbar geometry of the serial programs:@,";
   List.iter
     (fun name ->
       let mig =
@@ -354,9 +346,8 @@ let () =
       in
       let line realization =
         let r = Rram.Compile_mig.compile realization mig in
-        let e = Rram.Energy.static_energy r.Rram.Compile_mig.program in
         let place = Rram.Placement.place r.Rram.Compile_mig.program in
-        Format.asprintf "%a %7.0f a.u., %a" Core.Rram_cost.pp_realization realization e
+        Format.asprintf "%a %a" Core.Rram_cost.pp_realization realization
           Rram.Placement.pp place
       in
       Format.printf "  %-8s %s | %s@," name (line Core.Rram_cost.Imp)

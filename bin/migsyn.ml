@@ -578,12 +578,6 @@ let map_cmd =
               | Error e -> failwith ("internal error: " ^ e));
               (c.Rram.Compile_crossbar.program, placement))
     in
-    let counts = Rram.Energy.static_counts program in
-    Format.printf
-      "  pulses: %d loads, %d resets, %d IMP, %d MAJ (static energy %.1f a.u.)@."
-      counts.Rram.Energy.loads counts.Rram.Energy.resets counts.Rram.Energy.imps
-      counts.Rram.Energy.maj_pulses
-      (Rram.Energy.static_energy program);
     Format.printf "  placement: %a@." Rram.Placement.pp placement;
     if not no_verify then begin
       match Rram.Verify.against_network program net with

@@ -42,9 +42,6 @@ val bnot : t -> node -> node
 val band : t -> node -> node -> node
 val bor : t -> node -> node -> node
 val bxor : t -> node -> node -> node
-val bnand : t -> node -> node -> node
-val bnor : t -> node -> node -> node
-val bxnor : t -> node -> node -> node
 val maj3 : t -> node -> node -> node -> node
 
 val level : t -> node -> int
@@ -72,9 +69,6 @@ val truth_table : t -> node -> Logic.Truth_table.t
 (** Tabulate (≤ {!Logic.Truth_table.max_vars} variables). *)
 
 val of_truth_table : t -> Logic.Truth_table.t -> node
-
-val clear_cache : t -> unit
-(** Drop the computed table (unique table is kept). *)
 
 val size : t -> int
 (** Total allocated nodes in the manager. *)

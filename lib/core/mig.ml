@@ -48,12 +48,6 @@ type t = {
   mutable ngates : int;
   mutable listener : (event -> unit) option;
   mutable attachment : attachment option;
-  (* Reusable DFS scratch: epoch-marked visited array plus an explicit stack
-     of packed [node * 4 + next_fanin_index] states, so traversals allocate
-     nothing steady-state and never overflow the OCaml stack. *)
-  mutable mark : int array;
-  mutable epoch : int;
-  mutable dfs_stack : int array;
 }
 
 let const0 = 0
@@ -80,9 +74,6 @@ let create () =
       ngates = 0;
       listener = None;
       attachment = None;
-      mark = Array.make 64 0;
-      epoch = 0;
-      dfs_stack = Array.make 64 0;
     }
   in
   (* node 0 is the constant-false node *)
@@ -379,52 +370,49 @@ and refanin t f n s =
       emit t (Refanin { node = f; old_fanins })
     end
 
-(* Iterative post-order DFS from the outputs over the reusable scratch; calls
-   [f] on each reachable live gate, fanins first.  Identical visit order to
-   the recursive formulation (children explored in fanin order, emitted on
-   completion), so consumers relying on the historical order are safe.
-   [rev_fanins] explores fanin 2 before 0 — the order the historical
-   recursive [cleanup] produced via right-to-left argument evaluation, which
-   pins fresh-graph node numbering (and hence signal sort order downstream). *)
+(* Iterative post-order DFS from the outputs; calls [f] on each reachable
+   live gate, fanins first.  The visited set and the explicit stack of packed
+   [node * 4 + next_fanin_index] states are allocated per call, so concurrent
+   traversals of one graph share no mutable state, and deep graphs never
+   overflow the OCaml stack.  Identical visit order to the recursive
+   formulation (children explored in fanin order, emitted on completion), so
+   consumers relying on the historical order are safe.  [rev_fanins] explores
+   fanin 2 before 0 — the order the historical recursive [cleanup] produced
+   via right-to-left argument evaluation, which pins fresh-graph node
+   numbering (and hence signal sort order downstream). *)
 let iter_topo_gen t ~rev_fanins f =
-  if Array.length t.mark < t.n then begin
-    let bigger = Array.make (max t.n (2 * Array.length t.mark)) 0 in
-    Array.blit t.mark 0 bigger 0 (Array.length t.mark);
-    t.mark <- bigger
-  end;
-  t.epoch <- t.epoch + 1;
-  let ep = t.epoch in
-  let mark = t.mark in
+  let seen = Bytes.make t.n '\000' in
+  let stack = ref (Array.make 64 0) in
   let sp = ref 0 in
   let push v =
-    if !sp >= Array.length t.dfs_stack then begin
-      let bigger = Array.make (2 * Array.length t.dfs_stack) 0 in
-      Array.blit t.dfs_stack 0 bigger 0 !sp;
-      t.dfs_stack <- bigger
+    if !sp >= Array.length !stack then begin
+      let bigger = Array.make (2 * !sp) 0 in
+      Array.blit !stack 0 bigger 0 !sp;
+      stack := bigger
     end;
-    t.dfs_stack.(!sp) <- v;
+    !stack.(!sp) <- v;
     incr sp
   in
   for i = 0 to t.npos - 1 do
     let root = node_of t.pout.(i) in
-    if mark.(root) <> ep then begin
-      mark.(root) <- ep;
+    if Bytes.get seen root = '\000' then begin
+      Bytes.set seen root '\001';
       (match t.nodes.(root).kind with
       | Const | Pi _ -> ()
       | Gate -> push (root * 4));
       while !sp > 0 do
-        let v = t.dfs_stack.(!sp - 1) in
+        let v = !stack.(!sp - 1) in
         let n = v lsr 2 and idx = v land 3 in
         if idx = 3 then begin
           decr sp;
           f n
         end
         else begin
-          t.dfs_stack.(!sp - 1) <- v + 1;
+          !stack.(!sp - 1) <- v + 1;
           let idx = if rev_fanins then 2 - idx else idx in
           let m = node_of t.nodes.(n).fanin.(idx) in
-          if mark.(m) <> ep then begin
-            mark.(m) <- ep;
+          if Bytes.get seen m = '\000' then begin
+            Bytes.set seen m '\001';
             match t.nodes.(m).kind with Const | Pi _ -> () | Gate -> push (m * 4)
           end
         end

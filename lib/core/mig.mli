@@ -128,8 +128,10 @@ val topo_order : t -> int list
 val iter_topo : t -> (int -> unit) -> unit
 (** Call [f] on every live gate reachable from the outputs, fanins before
     fanouts — the same order as {!topo_order} without materializing the
-    list.  Iterative over a reusable scratch (stack-safe on deep graphs);
-    the callback must not rewrite the graph (use {!foreach_gate} for that). *)
+    list.  Iterative, with its visited set and stack allocated per call
+    (stack-safe on deep graphs; concurrent read-only traversals of one graph
+    share no state); the callback must not rewrite the graph (use
+    {!foreach_gate} for that). *)
 
 val foreach_gate : t -> (int -> unit) -> unit
 (** Iterate {!topo_order} (snapshot taken before the first call, so the

@@ -1,15 +1,3 @@
-(* Thin view over the incrementally maintained {!Mig_analysis}: levels track
-   every substitution instead of freezing at the first query, so depth-aware
-   rules always compare against the current graph. *)
-module Level_cache = struct
-  type t = Mig_analysis.t
-
-  let make mig = Mig_analysis.of_mig mig
-  let node_level t _mig n = Mig_analysis.level t n
-  let level t _mig s = Mig_analysis.level t (Mig.node_of s)
-  let invalidate _t _n = ()
-end
-
 let is_gate mig s = Mig.kind mig (Mig.node_of s) = Mig.Gate
 
 let single_use mig s =
@@ -85,9 +73,9 @@ let try_distributivity_rl mig g =
 
 (* Ω.D left-to-right: M(x, y, M(u,v,z)) → M(M(x,y,u), M(x,y,v), z); apply
    when the root level strictly drops (z is on the critical path). *)
-let try_distributivity_lr ?(through_compl = true) ?(fanout_limit = max_int) mig cache g =
-  let lv s = Level_cache.level cache mig s in
-  let root_level = Level_cache.node_level cache mig g in
+let try_distributivity_lr ?(through_compl = true) ?(fanout_limit = max_int) mig an g =
+  let lv s = Mig_analysis.level an (Mig.node_of s) in
+  let root_level = Mig_analysis.level an g in
   let f = Mig.fanins mig g in
   let attempt (p, x, y) =
     (* prefilter: inner1 alone puts new_level at least 2 + max(lv x, lv y) *)
@@ -127,9 +115,9 @@ let try_distributivity_lr ?(through_compl = true) ?(fanout_limit = max_int) mig 
    with the shallow outer one.  With [strict] (the default) the root level
    must strictly drop; reshaping passes use [strict:false] to accept
    level-preserving swaps that expose new elimination opportunities. *)
-let try_associativity ?(strict = true) ?(through_compl = true) ?(fanout_limit = max_int) mig cache g =
-  let lv s = Level_cache.level cache mig s in
-  let root_level = Level_cache.node_level cache mig g in
+let try_associativity ?(strict = true) ?(through_compl = true) ?(fanout_limit = max_int) mig an g =
+  let lv s = Mig_analysis.level an (Mig.node_of s) in
+  let root_level = Mig_analysis.level an g in
   let accepts new_level =
     if strict then new_level < root_level else new_level <= root_level
   in
@@ -176,9 +164,9 @@ let try_associativity ?(strict = true) ?(through_compl = true) ?(fanout_limit = 
     [ (f.(0), f.(1), f.(2)); (f.(1), f.(0), f.(2)); (f.(2), f.(0), f.(1)) ]
 
 (* Ψ.C: M(x, u, M(y,¬u,z)) → M(x, u, M(y,x,z)). *)
-let try_compl_assoc ?(require_gain = true) ?(through_compl = true) ?(fanout_limit = max_int) mig cache g =
-  let lv s = Level_cache.level cache mig s in
-  let root_level = Level_cache.node_level cache mig g in
+let try_compl_assoc ?(require_gain = true) ?(through_compl = true) ?(fanout_limit = max_int) mig an g =
+  let lv s = Mig_analysis.level an (Mig.node_of s) in
+  let root_level = Mig_analysis.level an g in
   let f = Mig.fanins mig g in
   let attempt (p, a1, a2) =
     (* prefilter: x is a1 or a2 and feeds new_inner, so with a level
@@ -238,7 +226,7 @@ let try_compl_prop ?(min_compl = 2) mig g =
   else false
 
 (* Ψ.R: M(x,y,z) = M(x, y, z[x ↦ ¬y]). *)
-let try_relevance ?(max_cone = 64) mig cache g =
+let try_relevance ?(max_cone = 64) mig an g =
   let f = Mig.fanins mig g in
   (* Bounded cone of z: gates only, stop at PIs/constants.  Collection is
      pure and failed attempts only append speculative (unreferenced) nodes,
@@ -301,7 +289,7 @@ let try_relevance ?(max_cone = 64) mig cache g =
         in
         let z' = rebuild_node zn lxor (z land 1) in
         if !hit_root || z' = z || Mig.node_of z' = g then false
-        else if Level_cache.level cache mig z' > Level_cache.level cache mig z then false
+        else if Mig_analysis.level an (Mig.node_of z') > Mig_analysis.level an (Mig.node_of z) then false
         else begin
           let root = Mig.maj mig x y z' in
           if Mig.node_of root = g then false

@@ -5,23 +5,10 @@
     implicit in the sorted-fanin normal form of {!Mig}; the majority rule
     (Ω.M) is applied eagerly on node creation and during substitution.
 
-    Level queries go through a {!Level_cache}, a thin view over the graph's
-    incrementally maintained {!Mig_analysis}: levels are repaired after every
-    substitution through the mutation-event interface, so depth-aware rules
+    Depth-aware rules take the graph's incrementally maintained
+    {!Mig_analysis} and query {!Mig_analysis.level}: levels are repaired
+    after every substitution through the mutation-event interface, so they
     always see current levels at amortized O(1) per query. *)
-
-module Level_cache : sig
-  type t
-
-  val make : Mig.t -> t
-  (** The graph's attached {!Mig_analysis} (created on first use). *)
-
-  val node_level : t -> Mig.t -> int -> int
-  val level : t -> Mig.t -> Mig.signal -> int
-
-  val invalidate : t -> int -> unit
-  (** No-op, kept for compatibility: invalidation is event-driven. *)
-end
 
 val try_distributivity_rl : Mig.t -> int -> bool
 (** Ω.D right-to-left: [M(M(x,y,u), M(x,y,v), r) → M(x, y, M(u,v,r))].
@@ -29,7 +16,7 @@ val try_distributivity_rl : Mig.t -> int -> bool
     gates, so the rewrite cannot increase the node count. *)
 
 val try_distributivity_lr :
-  ?through_compl:bool -> ?fanout_limit:int -> Mig.t -> Level_cache.t -> int -> bool
+  ?through_compl:bool -> ?fanout_limit:int -> Mig.t -> Mig_analysis.t -> int -> bool
 (** Ω.D left-to-right: [M(x, y, M(u,v,z)) → M(M(x,y,u), M(x,y,v), z)].
     Applied only when it strictly reduces the root's level (pushes the
     critical signal [z] one level up).  [fanout_limit] bounds how shared the
@@ -42,7 +29,7 @@ val try_associativity :
   ?through_compl:bool ->
   ?fanout_limit:int ->
   Mig.t ->
-  Level_cache.t ->
+  Mig_analysis.t ->
   int ->
   bool
 (** Ω.A: [M(x, u, M(y,u,z)) → M(z, u, M(y,u,x))] when it strictly reduces
@@ -54,7 +41,7 @@ val try_compl_assoc :
   ?through_compl:bool ->
   ?fanout_limit:int ->
   Mig.t ->
-  Level_cache.t ->
+  Mig_analysis.t ->
   int ->
   bool
 (** Ψ.C: [M(x, u, M(y,¬u,z)) → M(x, u, M(y,x,z))].  Removes one complemented
@@ -75,7 +62,7 @@ val try_compl_prop : ?min_compl:int -> Mig.t -> int -> bool
     complement every fanout/output edge.  Case (1) of the paper is
     [compl_fanins = 3], cases (2)/(3) are [compl_fanins = 2]. *)
 
-val try_relevance : ?max_cone:int -> Mig.t -> Level_cache.t -> int -> bool
+val try_relevance : ?max_cone:int -> Mig.t -> Mig_analysis.t -> int -> bool
 (** Ψ.R: [M(x,y,z) → M(x,y, z\[x ↦ ¬y\])]: rebuild the (bounded) cone of [z]
     substituting the reconvergent signal [x] with [¬y].  Applied when [x]
     occurs in the cone and the rebuilt cone's level does not increase. *)

@@ -32,14 +32,7 @@ val compute_scratch : Mig.t -> t
 (** Compute everything from a fresh topological traversal, independent of
     {!Mig_analysis}.  Reference implementation for tests. *)
 
-val of_level_assignment : Mig.t -> int array -> t
-(** Build the statistics for an explicit gate→level assignment (used by
-    {!Mig_schedule}); the assignment must respect dependencies. *)
-
 val num_levels_with_compl : t -> int
 (** [L] of Table I, including the virtual readout stage. *)
-
-val critical_fanin_level : t -> Mig.t -> int -> int
-(** Maximum fanin level of a gate. *)
 
 val pp : Format.formatter -> t -> unit

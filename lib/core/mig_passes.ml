@@ -53,40 +53,40 @@ let eliminate mig =
 
 let reshape ~seed mig =
   let rng = Prng.create seed in
-  let cache = Mig_algebra.Level_cache.make mig in
+  let an = Mig_analysis.of_mig mig in
   let psi_c =
     counted c_psi_c_hit c_psi_c_miss
-      (Mig_algebra.try_compl_assoc ~through_compl:false ~fanout_limit:1 mig cache)
+      (Mig_algebra.try_compl_assoc ~through_compl:false ~fanout_limit:1 mig an)
   in
   let omega_a =
     counted c_omega_a_hit c_omega_a_miss
       (Mig_algebra.try_associativity ~strict:false ~through_compl:false
-         ~fanout_limit:1 mig cache)
+         ~fanout_limit:1 mig an)
   in
   sweep mig (fun g -> if Prng.bool rng then psi_c g else omega_a g)
 
 let push_up ?(through_compl = true) ?(fanout_limit = max_int) mig =
   let one m =
-    let cache = Mig_algebra.Level_cache.make m in
+    let an = Mig_analysis.of_mig m in
     let omega_d =
       counted c_omega_d_lr_hit c_omega_d_lr_miss
-        (Mig_algebra.try_distributivity_lr ~through_compl ~fanout_limit m cache)
+        (Mig_algebra.try_distributivity_lr ~through_compl ~fanout_limit m an)
     in
     let omega_a =
       counted c_omega_a_hit c_omega_a_miss
-        (Mig_algebra.try_associativity ~through_compl ~fanout_limit m cache)
+        (Mig_algebra.try_associativity ~through_compl ~fanout_limit m an)
     in
     let psi_c =
       counted c_psi_c_hit c_psi_c_miss
-        (Mig_algebra.try_compl_assoc ~through_compl ~fanout_limit m cache)
+        (Mig_algebra.try_compl_assoc ~through_compl ~fanout_limit m an)
     in
     sweep m (fun g -> omega_d g || omega_a g || psi_c g)
   in
   repeat_until_stable ~max_iters:2 one mig
 
 let relevance mig =
-  let cache = Mig_algebra.Level_cache.make mig in
-  sweep mig (counted c_psi_r_hit c_psi_r_miss (Mig_algebra.try_relevance mig cache))
+  let an = Mig_analysis.of_mig mig in
+  sweep mig (counted c_psi_r_hit c_psi_r_miss (Mig_algebra.try_relevance mig an))
 
 type compl_criterion = Always | Weighted of Rram_cost.realization
 
@@ -165,11 +165,11 @@ let compl_prop ?(min_compl = 2) criterion mig =
   !changed
 
 let balance mig =
-  let cache = Mig_algebra.Level_cache.make mig in
+  let an = Mig_analysis.of_mig mig in
   let assoc_changed =
     sweep mig
       (counted c_omega_a_hit c_omega_a_miss
-         (Mig_algebra.try_associativity ~strict:false ~fanout_limit:1 mig cache))
+         (Mig_algebra.try_associativity ~strict:false ~fanout_limit:1 mig an))
   in
   let elim_changed = eliminate mig in
   assoc_changed || elim_changed

@@ -110,14 +110,6 @@ let plim_row ?(effort = 20) e =
     imp_steps = imp.Rram.Compile_mig.measured_steps;
   }
 
-let schedule_row ?(effort = 20) e =
-  let mig = Core.Mig_opt.steps ~effort (mig_of e) in
-  let asap = Core.Rram_cost.of_levels Core.Rram_cost.Maj (Core.Mig_schedule.asap mig) in
-  let bal =
-    Core.Rram_cost.of_levels Core.Rram_cost.Maj (Core.Mig_schedule.balanced mig)
-  in
-  (asap, bal)
-
 let boolean_rewrite_row ?(effort = 10) e =
   let mig = mig_of e in
   let area = Core.Mig_opt.area ~effort mig in

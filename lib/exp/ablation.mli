@@ -52,11 +52,6 @@ type plim_comparison = {
 
 val plim_row : ?effort:int -> Io.Benchmarks.entry -> plim_comparison
 
-val schedule_row : ?effort:int -> Io.Benchmarks.entry -> Core.Rram_cost.cost * Core.Rram_cost.cost
-(** (ASAP cost, slack-balanced cost) of the step-optimized MIG under the MAJ
-    realization — the free RRAM reduction that level scheduling provides at
-    unchanged (or better) step count. *)
-
 val boolean_rewrite_row :
   ?effort:int -> Io.Benchmarks.entry -> int * int * int
 (** (initial gates, after Alg. 1, after Alg. 1 + cut-based Boolean

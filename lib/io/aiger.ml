@@ -297,8 +297,3 @@ let write_file path aig =
   let oc = open_out path in
   output_string oc (write_aig aig);
   close_out oc
-
-let write_binary_file path aig =
-  let oc = open_out_bin path in
-  output_string oc (write_aig_binary aig);
-  close_out oc

@@ -8,9 +8,7 @@
     are [real PIs @ register outputs] and whose outputs are
     [real POs @ register inputs], together with the initial state.
 
-    {!simulate} gives the cycle-accurate reference semantics;
-    [Rram.Seq_exec] runs the same machine on the crossbar simulator, holding
-    the state in the in-memory program between clock ticks. *)
+    {!simulate} gives the cycle-accurate reference semantics. *)
 
 type t
 

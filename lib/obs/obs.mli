@@ -68,7 +68,6 @@ type gauge
 
 val gauge : string -> gauge
 val set_gauge : gauge -> float -> unit
-val gauge_value : gauge -> float
 
 (** {1 Histograms}
 

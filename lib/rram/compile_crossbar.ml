@@ -633,8 +633,8 @@ let fit_rows realization mig lv =
   in
   max 1 (max !widths (max compl_rows (Hashtbl.length readout)))
 
-let fit ?schedule ?rows realization mig =
-  let lv = match schedule with Some lv -> lv | None -> L.compute mig in
+let fit ?rows realization mig =
+  let lv = L.compute mig in
   let rows =
     match rows with
     | Some r -> max 1 r
@@ -645,7 +645,7 @@ let fit ?schedule ?rows realization mig =
   in
   RC.Crossbar { rows; columns = max max_col 1 }
 
-let compile ?schedule ~arch realization mig =
+let compile ~arch realization mig =
   match arch with
   | RC.Unbounded_serial ->
       Error "the crossbar backend needs a crossbar geometry, not 'serial'"
@@ -653,7 +653,7 @@ let compile ?schedule ~arch realization mig =
       match RC.validate_arch arch with
       | Error e -> Error e
       | Ok () -> (
-          let lv = match schedule with Some lv -> lv | None -> L.compute mig in
+          let lv = L.compute mig in
           match run_waves ~rows ~columns realization mig lv with
           | exception Too_small msg -> Error msg
           | program, row_of, column_of, waves, _ ->

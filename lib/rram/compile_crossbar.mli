@@ -57,7 +57,6 @@ type t = {
 }
 
 val compile :
-  ?schedule:Core.Mig_levels.t ->
   arch:Core.Rram_cost.arch ->
   Core.Rram_cost.realization ->
   Core.Mig.t ->
@@ -67,7 +66,6 @@ val compile :
     [arch] is [Unbounded_serial], which belongs to {!Compile_mig}. *)
 
 val fit :
-  ?schedule:Core.Mig_levels.t ->
   ?rows:int ->
   Core.Rram_cost.realization ->
   Core.Mig.t ->

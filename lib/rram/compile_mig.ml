@@ -12,8 +12,8 @@ let invert_micro realization ~src ~dst =
   | Core.Rram_cost.Imp -> Isa.Imp { src; dst }
   | Core.Rram_cost.Maj -> Isa.Maj_pulse { p = Isa.Const true; q = Isa.Reg src; dst }
 
-let compile_serial ?schedule realization mig =
-  let lv = match schedule with Some lv -> lv | None -> Core.Mig_levels.compute mig in
+let compile_serial realization mig =
+  let lv = Core.Mig_levels.compute mig in
   let depth = lv.Core.Mig_levels.depth in
   let analytic = Core.Rram_cost.of_levels realization lv in
   let b = Program.Builder.create ~num_inputs:(Core.Mig.num_pis mig) in
@@ -227,12 +227,12 @@ let compile_serial ?schedule realization mig =
       };
   }
 
-let compile ?schedule ?(arch = Core.Rram_cost.Unbounded_serial) realization mig
+let compile ?(arch = Core.Rram_cost.Unbounded_serial) realization mig
     =
   match arch with
-  | Core.Rram_cost.Unbounded_serial -> compile_serial ?schedule realization mig
+  | Core.Rram_cost.Unbounded_serial -> compile_serial realization mig
   | Core.Rram_cost.Crossbar _ -> (
-      match Compile_crossbar.compile ?schedule ~arch realization mig with
+      match Compile_crossbar.compile ~arch realization mig with
       | Error e -> invalid_arg e
       | Ok r ->
           {

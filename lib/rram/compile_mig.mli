@@ -31,13 +31,11 @@ type result = {
 }
 
 val compile :
-  ?schedule:Core.Mig_levels.t ->
   ?arch:Core.Rram_cost.arch ->
   Core.Rram_cost.realization ->
   Core.Mig.t ->
   result
-(** [schedule] overrides the default ASAP level assignment (see
-    {!Core.Mig_schedule}); it must be dependency-valid.  [arch] (default
+(** [arch] (default
     [Unbounded_serial], which reproduces the historical programs
     bit-identically) selects the execution target; a [Crossbar] geometry
     routes through {!Compile_crossbar}.

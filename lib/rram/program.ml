@@ -72,9 +72,6 @@ let pp ppf t =
        Isa.pp_operand)
     (Array.to_seq t.outputs)
 
-let pp_summary ppf t =
-  Format.fprintf ppf "rrams=%d steps=%d" t.num_regs (num_steps t)
-
 module Alloc = struct
   type a = { mutable next : int; mutable free_list : int list }
 

@@ -29,8 +29,6 @@ val validate : ?row_of:int array -> t -> (unit, string) result
 val pp : Format.formatter -> t -> unit
 (** Full listing (one line per step). *)
 
-val pp_summary : Format.formatter -> t -> unit
-
 (** Register allocator with free-list reuse; [peak] is the crossbar size. *)
 module Alloc : sig
   type a

@@ -256,34 +256,34 @@ let algebra_props =
             if not (Core.Mig.is_dead m g) then
               ignore (Core.Mig_algebra.try_distributivity_rl m g)));
     preserves "dist L->R preserves" (fun m ->
-        let cache = Core.Mig_algebra.Level_cache.make m in
+        let an = Core.Mig_analysis.of_mig m in
         Core.Mig.foreach_gate m (fun g ->
             if not (Core.Mig.is_dead m g) then
-              ignore (Core.Mig_algebra.try_distributivity_lr m cache g)));
+              ignore (Core.Mig_algebra.try_distributivity_lr m an g)));
     preserves "associativity preserves" (fun m ->
-        let cache = Core.Mig_algebra.Level_cache.make m in
+        let an = Core.Mig_analysis.of_mig m in
         Core.Mig.foreach_gate m (fun g ->
             if not (Core.Mig.is_dead m g) then
-              ignore (Core.Mig_algebra.try_associativity m cache g)));
+              ignore (Core.Mig_algebra.try_associativity m an g)));
     preserves "assoc non-strict preserves" (fun m ->
-        let cache = Core.Mig_algebra.Level_cache.make m in
+        let an = Core.Mig_analysis.of_mig m in
         Core.Mig.foreach_gate m (fun g ->
             if not (Core.Mig.is_dead m g) then
-              ignore (Core.Mig_algebra.try_associativity ~strict:false m cache g)));
+              ignore (Core.Mig_algebra.try_associativity ~strict:false m an g)));
     preserves "compl assoc preserves" (fun m ->
-        let cache = Core.Mig_algebra.Level_cache.make m in
+        let an = Core.Mig_analysis.of_mig m in
         Core.Mig.foreach_gate m (fun g ->
             if not (Core.Mig.is_dead m g) then
-              ignore (Core.Mig_algebra.try_compl_assoc m cache g)));
+              ignore (Core.Mig_algebra.try_compl_assoc m an g)));
     preserves "compl prop preserves" (fun m ->
         Core.Mig.foreach_gate m (fun g ->
             if not (Core.Mig.is_dead m g) then
               ignore (Core.Mig_algebra.try_compl_prop m g)));
     preserves "relevance preserves" (fun m ->
-        let cache = Core.Mig_algebra.Level_cache.make m in
+        let an = Core.Mig_analysis.of_mig m in
         Core.Mig.foreach_gate m (fun g ->
             if not (Core.Mig.is_dead m g) then
-              ignore (Core.Mig_algebra.try_relevance m cache g)));
+              ignore (Core.Mig_algebra.try_relevance m an g)));
     preserves "substitute-based cleanup is stable" (fun m -> ignore (Core.Mig.cleanup m));
   ]
 
@@ -774,80 +774,6 @@ let equiv_props =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Level scheduling                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let schedule_props =
-  [
-    QCheck.Test.make ~name:"alap and balanced schedules are dependency-valid" ~count:60
-      (QCheck.make QCheck.Gen.(int_bound 100000))
-      (fun seed ->
-        let mig = Core.Mig.cleanup (mig_of_seed seed) in
-        Core.Mig_schedule.is_valid mig (Core.Mig_schedule.asap mig)
-        && Core.Mig_schedule.is_valid mig (Core.Mig_schedule.alap mig)
-        && Core.Mig_schedule.is_valid mig (Core.Mig_schedule.balanced mig));
-    QCheck.Test.make ~name:"balanced schedule never deeper than ASAP" ~count:60
-      (QCheck.make QCheck.Gen.(int_bound 100000))
-      (fun seed ->
-        let mig = Core.Mig.cleanup (mig_of_seed seed) in
-        let a = Core.Mig_schedule.asap mig in
-        let b = Core.Mig_schedule.balanced mig in
-        b.Core.Mig_levels.depth <= a.Core.Mig_levels.depth);
-    QCheck.Test.make ~name:"balanced schedule never uses more RRAMs" ~count:60
-      (QCheck.make QCheck.Gen.(int_bound 100000))
-      (fun seed ->
-        let mig = Core.Mig.cleanup (mig_of_seed ~gates:60 seed) in
-        let a = Core.Rram_cost.of_levels Core.Rram_cost.Maj (Core.Mig_schedule.asap mig) in
-        let b =
-          Core.Rram_cost.of_levels Core.Rram_cost.Maj (Core.Mig_schedule.balanced mig)
-        in
-        (* width smoothing may shuffle complement levels, so allow a tiny
-           slack on R from the C_i terms while requiring the dominant
-           gate-width term not to regress *)
-        b.Core.Rram_cost.rrams <= a.Core.Rram_cost.rrams + 8);
-  ]
-
-let schedule_tests =
-  let open Alcotest in
-  [
-    test_case "balancing narrows a diamond" `Quick (fun () ->
-        (* wide ASAP level 1, empty later levels: balancing spreads it *)
-        let mig = Core.Mig.create () in
-        let pis = Array.init 9 (fun _ -> Core.Mig.add_pi mig) in
-        let g i = Core.Mig.maj mig pis.(3 * i) pis.((3 * i) + 1) pis.((3 * i) + 2) in
-        let a = g 0 and b = g 1 and c = g 2 in
-        let d = Core.Mig.maj mig a b c in
-        let e = Core.Mig.maj mig d pis.(0) pis.(1) in
-        ignore (Core.Mig.add_po mig e);
-        let asap = Core.Mig_schedule.asap mig in
-        let bal = Core.Mig_schedule.balanced mig in
-        let width lv = Array.fold_left max 0 lv.Core.Mig_levels.gates_per_level in
-        check bool "narrower or equal" true (width bal <= width asap);
-        check bool "same depth" true
-          (bal.Core.Mig_levels.depth = asap.Core.Mig_levels.depth));
-    test_case "compiled program with balanced schedule verifies" `Quick (fun () ->
-        let net = Funcgen.rd 5 3 in
-        let mig = Core.Mig_of_network.convert net in
-        let schedule = Core.Mig_schedule.balanced mig in
-        List.iter
-          (fun realization ->
-            let r = Rram.Compile_mig.compile ~schedule realization mig in
-            match Rram.Verify.against_network r.Rram.Compile_mig.program net with
-            | Ok () -> ()
-            | Error e -> Alcotest.fail e)
-          [ Core.Rram_cost.Imp; Core.Rram_cost.Maj ]);
-    test_case "balanced schedule reduces R on a wide-then-thin MIG" `Quick (fun () ->
-        let net = Funcgen.multiplier 4 in
-        let mig = Core.Mig_of_network.convert net in
-        let asap_cost = Core.Rram_cost.of_levels Core.Rram_cost.Maj (Core.Mig_schedule.asap mig) in
-        let bal_cost =
-          Core.Rram_cost.of_levels Core.Rram_cost.Maj (Core.Mig_schedule.balanced mig)
-        in
-        check bool "R reduced" true
-          (bal_cost.Core.Rram_cost.rrams <= asap_cost.Core.Rram_cost.rrams));
-  ]
-
-(* ------------------------------------------------------------------ *)
 (* Structural integrity under rewrite storms                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -855,18 +781,18 @@ let integrity_props =
   let storm mig seed =
     (* a randomized barrage of every rewrite kind *)
     let rng = Prng.create seed in
-    let cache = Core.Mig_algebra.Level_cache.make mig in
+    let an = Core.Mig_analysis.of_mig mig in
     for _ = 1 to 3 do
       Core.Mig.foreach_gate mig (fun g ->
           if not (Core.Mig.is_dead mig g) then
             ignore
               (match Prng.int rng 6 with
               | 0 -> Core.Mig_algebra.try_distributivity_rl mig g
-              | 1 -> Core.Mig_algebra.try_distributivity_lr mig cache g
-              | 2 -> Core.Mig_algebra.try_associativity ~strict:false mig cache g
-              | 3 -> Core.Mig_algebra.try_compl_assoc mig cache g
+              | 1 -> Core.Mig_algebra.try_distributivity_lr mig an g
+              | 2 -> Core.Mig_algebra.try_associativity ~strict:false mig an g
+              | 3 -> Core.Mig_algebra.try_compl_assoc mig an g
               | 4 -> Core.Mig_algebra.try_compl_prop mig g
-              | _ -> Core.Mig_algebra.try_relevance mig cache g))
+              | _ -> Core.Mig_algebra.try_relevance mig an g))
     done
   in
   [
@@ -910,8 +836,8 @@ let analysis_tests =
   [
     test_case "level cache tracks substitutions (staleness regression)" `Quick
       (fun () ->
-        (* A chain g1..g3 under the root puts the root at level 4.  The old
-           Level_cache memoized levels at first query and was never
+        (* A chain g1..g3 under the root puts the root at level 4.  An
+           earlier level cache memoized levels at first query and was never
            invalidated by [substitute], so after collapsing the chain
            mid-sweep it still reported 4 and depth-gated rules compared
            against a graph that no longer existed. *)
@@ -923,14 +849,14 @@ let analysis_tests =
         let g3 = Core.Mig.maj mig g2 a d in
         let root = Core.Mig.maj mig g3 b d in
         ignore (Core.Mig.add_po mig root);
-        let cache = Core.Mig_algebra.Level_cache.make mig in
+        let an = Core.Mig_analysis.of_mig mig in
         let rn = Core.Mig.node_of root in
         check int "root level before" 4
-          (Core.Mig_algebra.Level_cache.node_level cache mig rn);
+          (Core.Mig_analysis.level an rn);
         (* collapse the chain: root becomes M(a,b,d), level 1 *)
         Core.Mig.substitute mig (Core.Mig.node_of g3) a;
         check int "root level after substitute" 1
-          (Core.Mig_algebra.Level_cache.node_level cache mig rn);
+          (Core.Mig_analysis.level an rn);
         check (pair int int) "size and depth follow" (1, 1)
           (Core.Mig_passes.size_and_depth mig));
     test_case "maintained statistics equal from-scratch on a hand graph" `Quick
@@ -958,18 +884,18 @@ let analysis_props =
   in
   let barrage mig seed =
     let rng = Prng.create seed in
-    let cache = Core.Mig_algebra.Level_cache.make mig in
+    let an = Core.Mig_analysis.of_mig mig in
     for _ = 1 to 3 do
       Core.Mig.foreach_gate mig (fun g ->
           if not (Core.Mig.is_dead mig g) then
             ignore
               (match Prng.int rng 6 with
               | 0 -> Core.Mig_algebra.try_distributivity_rl mig g
-              | 1 -> Core.Mig_algebra.try_distributivity_lr mig cache g
-              | 2 -> Core.Mig_algebra.try_associativity ~strict:false mig cache g
-              | 3 -> Core.Mig_algebra.try_compl_assoc mig cache g
+              | 1 -> Core.Mig_algebra.try_distributivity_lr mig an g
+              | 2 -> Core.Mig_algebra.try_associativity ~strict:false mig an g
+              | 3 -> Core.Mig_algebra.try_compl_assoc mig an g
               | 4 -> Core.Mig_algebra.try_compl_prop mig g
-              | _ -> Core.Mig_algebra.try_relevance mig cache g))
+              | _ -> Core.Mig_algebra.try_relevance mig an g))
     done
   in
   [
@@ -1030,6 +956,35 @@ let analysis_props =
         Core.Mig_analysis.size an = Core.Mig.size compact);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Concurrent read-only traversals                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Traversals keep their visited set and stack per call, so domains may
+   walk one shared graph at once.  Only [Mig] reads run here: the
+   [Mig_analysis] queries repair levels lazily and are not read-only. *)
+let traversal_props =
+  let reads mig =
+    (Core.Mig.topo_order mig, Core.Mig.size mig, Core.Mig.fingerprint (Core.Mig.cleanup mig))
+  in
+  [
+    QCheck.Test.make ~name:"concurrent topo_order/size/cleanup match sequential" ~count:10
+      (QCheck.make QCheck.Gen.(pair (int_bound 100000) (int_range 2 4)))
+      (fun (seed, domains) ->
+        let mig = mig_of_seed ~pis:12 ~gates:500 ~pos:16 seed in
+        let want = reads mig in
+        let ready = Atomic.make 0 in
+        let worker () =
+          Atomic.incr ready;
+          while Atomic.get ready < domains do
+            Domain.cpu_relax ()
+          done;
+          List.init 30 (fun _ -> reads mig)
+        in
+        let spawned = List.init domains (fun _ -> Domain.spawn worker) in
+        List.for_all (List.for_all (( = ) want)) (List.map Domain.join spawned));
+  ]
+
 let () =
   Alcotest.run "mig"
     [
@@ -1048,6 +1003,5 @@ let () =
       ("sim-props", List.map QCheck_alcotest.to_alcotest mig_sim_props);
       ("equiv-props", List.map QCheck_alcotest.to_alcotest equiv_props);
       ("integrity-props", List.map QCheck_alcotest.to_alcotest integrity_props);
-      ("schedule", schedule_tests);
-      ("schedule-props", List.map QCheck_alcotest.to_alcotest schedule_props);
+      ("traversal-props", List.map QCheck_alcotest.to_alcotest traversal_props);
     ]

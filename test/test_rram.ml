@@ -64,6 +64,19 @@ let single_maj_mig () =
   ignore (Core.Mig.add_po mig (Core.Mig.maj mig a b c));
   mig
 
+(* Micro-ops of a program by kind: [loads; resets; imps; maj pulses]. *)
+let micro_ops (p : Rram.Program.t) =
+  let l, r, i, m =
+    List.fold_left
+      (List.fold_left (fun (l, r, i, m) -> function
+         | Rram.Isa.Load _ -> (l + 1, r, i, m)
+         | Rram.Isa.Reset _ -> (l, r + 1, i, m)
+         | Rram.Isa.Imp _ -> (l, r, i + 1, m)
+         | Rram.Isa.Maj_pulse _ -> (l, r, i, m + 1)))
+      (0, 0, 0, 0) p.Rram.Program.steps
+  in
+  [ l; r; i; m ]
+
 let sequence_tests =
   let open Alcotest in
   [
@@ -86,6 +99,18 @@ let sequence_tests =
         match Rram.Verify.against_mig r.Rram.Compile_mig.program mig with
         | Ok () -> ()
         | Error e -> fail e);
+    test_case "single-gate pulse counts" `Quick (fun () ->
+        let r = Rram.Compile_mig.compile Core.Rram_cost.Imp (single_maj_mig ()) in
+        (* the 10-step sequence: 3 loads + 3 presets + 1 mid-FALSE + 8 imps *)
+        check (list int) "loads, resets, imps, maj" [ 3; 4; 8; 0 ]
+          (micro_ops r.Rram.Compile_mig.program));
+    test_case "maj realization uses fewer pulses" `Quick (fun () ->
+        let mig = Core.Mig_of_network.convert (Logic.Funcgen.rd 5 3) in
+        let pulses realization =
+          List.fold_left ( + ) 0
+            (micro_ops (Rram.Compile_mig.compile realization mig).Rram.Compile_mig.program)
+        in
+        check bool "fewer" true (pulses Core.Rram_cost.Maj < pulses Core.Rram_cost.Imp));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -276,40 +301,8 @@ let baseline_tests =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Energy accounting and crossbar placement                            *)
+(* Crossbar placement                                                   *)
 (* ------------------------------------------------------------------ *)
-
-let energy_tests =
-  let open Alcotest in
-  [
-    test_case "single-gate pulse counts" `Quick (fun () ->
-        let r = Rram.Compile_mig.compile Core.Rram_cost.Imp (single_maj_mig ()) in
-        let c = Rram.Energy.static_counts r.Rram.Compile_mig.program in
-        (* the 10-step sequence: 3 loads + 3 presets + 1 mid-FALSE + 8 imps *)
-        check int "loads" 3 c.Rram.Energy.loads;
-        check int "resets" 4 c.Rram.Energy.resets;
-        check int "imps" 8 c.Rram.Energy.imps;
-        check int "maj" 0 c.Rram.Energy.maj_pulses);
-    test_case "maj realization uses fewer pulses" `Quick (fun () ->
-        let mig = Core.Mig_of_network.convert (Logic.Funcgen.rd 5 3) in
-        let imp = Rram.Compile_mig.compile Core.Rram_cost.Imp mig in
-        let maj = Rram.Compile_mig.compile Core.Rram_cost.Maj mig in
-        check bool "fewer" true
-          (Rram.Energy.total_pulses (Rram.Energy.static_counts maj.Rram.Compile_mig.program)
-          < Rram.Energy.total_pulses (Rram.Energy.static_counts imp.Rram.Compile_mig.program)));
-    test_case "switching activity bounded by pulses" `Quick (fun () ->
-        let r = Rram.Compile_mig.compile Core.Rram_cost.Maj (single_maj_mig ()) in
-        let flips = Rram.Energy.switching_activity r.Rram.Compile_mig.program in
-        let pulses = Rram.Energy.total_pulses (Rram.Energy.static_counts r.Rram.Compile_mig.program) in
-        check bool "bounded" true (flips <= float_of_int pulses));
-    test_case "static energy positive and weight-sensitive" `Quick (fun () ->
-        let r = Rram.Compile_mig.compile Core.Rram_cost.Imp (single_maj_mig ()) in
-        let e1 = Rram.Energy.static_energy r.Rram.Compile_mig.program in
-        let w = { Rram.Energy.default_weights with imp = 2.4 } in
-        let e2 = Rram.Energy.static_energy ~weights:w r.Rram.Compile_mig.program in
-        check bool "positive" true (e1 > 0.0);
-        check bool "sensitive" true (e2 > e1));
-  ]
 
 let placement_tests =
   let open Alcotest in
@@ -1403,7 +1396,6 @@ let () =
       ("mig-compile", mig_compile_tests);
       ("mig-compile-props", List.map QCheck_alcotest.to_alcotest mig_compile_props);
       ("baselines", baseline_tests);
-      ("energy", energy_tests);
       ("placement", placement_tests);
       ("crossbar", crossbar_tests);
       ("crossbar-props", List.map QCheck_alcotest.to_alcotest crossbar_props);

@@ -1,17 +1,7 @@
-(* Sequential circuits: the Seq wrapper, sequential parsing, the crossbar
-   FSM executor, and fault injection. *)
+(* Sequential circuits: the Seq wrapper, sequential parsing, and fault
+   injection. *)
 
 open Logic
-
-(* Deterministic random sequential machine: random combinational core over
-   pis + regs inputs. *)
-let random_seq seed ~pis ~regs ~pos =
-  let name = Printf.sprintf "seq-%d" seed in
-  let core =
-    Io.Gen.random_network ~name ~inputs:(pis + regs) ~gates:30 ~outputs:(pos + regs) ()
-  in
-  let rng = Prng.create seed in
-  Seq.create core ~num_pis:pis ~num_pos:pos ~init:(Array.init regs (fun _ -> Prng.bool rng))
 
 let seq_tests =
   let open Alcotest in
@@ -76,42 +66,6 @@ let parse_tests =
           (List.map (fun o -> o.(0)) outs));
   ]
 
-let exec_tests =
-  let open Alcotest in
-  [
-    test_case "crossbar FSM matches reference (both realizations)" `Quick (fun () ->
-        let seq = random_seq 42 ~pis:3 ~regs:2 ~pos:2 in
-        List.iter
-          (fun realization ->
-            let machine = Rram.Seq_exec.compile ~effort:4 realization seq in
-            match Rram.Seq_exec.verify machine seq () with
-            | Ok () -> ()
-            | Error e -> fail e)
-          [ Core.Rram_cost.Imp; Core.Rram_cost.Maj ]);
-    test_case "steps per cycle follows the cost model" `Quick (fun () ->
-        (* toggle flip-flop: one XOR -> 3 MIG gates at depth 2-3 *)
-        let net = Network.create () in
-        let en = Network.add_input net "en" in
-        let q = Network.add_input net "q" in
-        Network.add_output net "out" q;
-        Network.add_output net "next" (Network.xor2 net en q);
-        let seq = Seq.create net ~num_pis:1 ~num_pos:1 ~init:[| false |] in
-        let machine = Rram.Seq_exec.compile ~effort:4 Core.Rram_cost.Maj seq in
-        check bool "positive" true (Rram.Seq_exec.steps_per_cycle machine > 0);
-        (* MAJ realization: S = 3D + L, so a depth-2 core stays under 10 *)
-        check bool "small" true (Rram.Seq_exec.steps_per_cycle machine <= 10));
-  ]
-
-let exec_props =
-  [
-    QCheck.Test.make ~name:"random FSMs: crossbar = reference" ~count:25
-      (QCheck.make QCheck.Gen.(int_bound 100000))
-      (fun seed ->
-        let seq = random_seq seed ~pis:3 ~regs:3 ~pos:2 in
-        let machine = Rram.Seq_exec.compile ~effort:2 Core.Rram_cost.Maj seq in
-        Rram.Seq_exec.verify machine seq ~cycles:32 () = Ok ());
-  ]
-
 let fault_tests =
   let open Alcotest in
   [
@@ -140,7 +94,5 @@ let () =
     [
       ("seq", seq_tests);
       ("parsing", parse_tests);
-      ("exec", exec_tests);
-      ("exec-props", List.map QCheck_alcotest.to_alcotest exec_props);
       ("faults", fault_tests);
     ]
