@@ -1,7 +1,43 @@
-(* Sequential circuits: the Seq wrapper, sequential parsing, and fault
-   injection. *)
+(* Sequential circuits: the Seq wrapper, sequential parsing, the core
+   compiled to a crossbar and clocked cycle by cycle, and fault injection. *)
 
 open Logic
+
+(* Deterministic random sequential machine: random combinational core over
+   pis + regs inputs. *)
+let random_seq seed ~pis ~regs ~pos =
+  let name = Printf.sprintf "seq-%d" seed in
+  let core =
+    Io.Gen.random_network ~name ~inputs:(pis + regs) ~gates:30 ~outputs:(pos + regs) ()
+  in
+  let rng = Prng.create seed in
+  Seq.create core ~num_pis:pis ~num_pos:pos ~init:(Array.init regs (fun _ -> Prng.bool rng))
+
+(* Optimize the combinational profile (Alg. 4) and compile it once. *)
+let compile_core ~effort realization seq =
+  let mig =
+    Core.Mig_opt.run ~effort Core.Mig_opt.Steps
+      (Core.Mig_of_network.convert (Seq.combinational seq))
+  in
+  (Rram.Compile_mig.compile realization mig).Rram.Compile_mig.program
+
+(* One program run per clock tick: feed [pis @ state], read back
+   [pos @ next state] and latch the state. *)
+let run_clocked program seq stream =
+  let pos = Seq.num_pos seq in
+  let state = ref (Seq.initial_state seq) in
+  List.map
+    (fun inputs ->
+      let all = Rram.Interp.run program (Array.append inputs !state) in
+      state := Array.sub all pos (Seq.num_regs seq);
+      Array.sub all 0 pos)
+    stream
+
+(* The crossbar machine against Seq.simulate on a random input stream. *)
+let matches_reference program seq ~cycles =
+  let rng = Prng.create 0x5EC in
+  let stream = List.init cycles (fun _ -> Array.init (Seq.num_pis seq) (fun _ -> Prng.bool rng)) in
+  run_clocked program seq stream = Seq.simulate seq stream
 
 let seq_tests =
   let open Alcotest in
@@ -66,6 +102,39 @@ let parse_tests =
           (List.map (fun o -> o.(0)) outs));
   ]
 
+let exec_tests =
+  let open Alcotest in
+  [
+    test_case "crossbar FSM matches reference (both realizations)" `Quick (fun () ->
+        let seq = random_seq 42 ~pis:3 ~regs:2 ~pos:2 in
+        List.iter
+          (fun realization ->
+            let program = compile_core ~effort:4 realization seq in
+            check bool "matches" true (matches_reference program seq ~cycles:64))
+          [ Core.Rram_cost.Imp; Core.Rram_cost.Maj ]);
+    test_case "steps per cycle follows the cost model" `Quick (fun () ->
+        (* toggle flip-flop: one XOR -> 3 MIG gates at depth 2-3 *)
+        let net = Network.create () in
+        let en = Network.add_input net "en" in
+        let q = Network.add_input net "q" in
+        Network.add_output net "out" q;
+        Network.add_output net "next" (Network.xor2 net en q);
+        let seq = Seq.create net ~num_pis:1 ~num_pos:1 ~init:[| false |] in
+        let steps = Rram.Program.num_steps (compile_core ~effort:4 Core.Rram_cost.Maj seq) in
+        check bool "positive" true (steps > 0);
+        (* MAJ realization: S = 3D + L, so a depth-2 core stays under 10 *)
+        check bool "small" true (steps <= 10));
+  ]
+
+let exec_props =
+  [
+    QCheck.Test.make ~name:"random FSMs: crossbar = reference" ~count:25
+      (QCheck.make QCheck.Gen.(int_bound 100000))
+      (fun seed ->
+        let seq = random_seq seed ~pis:3 ~regs:3 ~pos:2 in
+        matches_reference (compile_core ~effort:2 Core.Rram_cost.Maj seq) seq ~cycles:32);
+  ]
+
 let fault_tests =
   let open Alcotest in
   [
@@ -94,5 +163,7 @@ let () =
     [
       ("seq", seq_tests);
       ("parsing", parse_tests);
+      ("exec", exec_tests);
+      ("exec-props", List.map QCheck_alcotest.to_alcotest exec_props);
       ("faults", fault_tests);
     ]
