@@ -247,58 +247,62 @@ let () =
 
   section "Ablations (design-choice studies; see DESIGN.md)";
   let pick name = Option.get (Io.Benchmarks.find name) in
-  Format.printf "@[<v>Effort sweep (Alg. 4, MAJ costs) — where effort=40 saturates:@,";
+  (* The section's vertical box lives on a formatter of its own: the first
+     Domain.spawn of the process (the campaigns below fan over Par) flushes
+     the standard formatters, which closes every box open on them. *)
+  let out = Format.formatter_of_out_channel stdout in
+  Format.fprintf out "@[<v>Effort sweep (Alg. 4, MAJ costs) — where effort=40 saturates:@,";
   List.iter
     (fun name ->
-      Format.printf "  %s:@,%a" name Exp.Ablation.pp_effort_sweep
+      Format.fprintf out "  %s:@,%a" name Exp.Ablation.pp_effort_sweep
         (Exp.Ablation.effort_sweep (pick name)))
     [ "b9"; "cordic"; "alu4" ];
-  Format.printf "@,Rule ablation (what each mechanism of Alg. 4 buys, MAJ costs):@,";
+  Format.fprintf out "@,Rule ablation (what each mechanism of Alg. 4 buys, MAJ costs):@,";
   List.iter
     (fun name ->
-      Format.printf "  %s:@,%a" name Exp.Ablation.pp_rule_ablation
+      Format.fprintf out "  %s:@,%a" name Exp.Ablation.pp_rule_ablation
         (Exp.Ablation.rule_ablation (pick name)))
     [ "b9"; "cordic"; "parity" ];
-  Format.printf
+  Format.fprintf out
     "@,Duplication bound of the multi-objective algorithm (R-vs-S trade-off):@,";
   List.iter
     (fun name ->
-      Format.printf "  %s:@,%a" name Exp.Ablation.pp_fanout_sweep
+      Format.fprintf out "  %s:@,%a" name Exp.Ablation.pp_fanout_sweep
         (Exp.Ablation.fanout_limit_sweep (pick name)))
     [ "b9"; "alu4" ];
-  Format.printf "@,BDD variable order (baseline sensitivity; nodes / levelized steps):@,";
+  Format.fprintf out "@,BDD variable order (baseline sensitivity; nodes / levelized steps):@,";
   List.iter
     (fun name ->
-      Format.printf "  %-8s" name;
+      Format.fprintf out "  %-8s" name;
       List.iter
         (fun (h, nodes, steps) ->
-          if nodes < 0 then Format.printf "  %s: overflow" h
-          else Format.printf "  %s: %d/%d" h nodes steps)
+          if nodes < 0 then Format.fprintf out "  %s: overflow" h
+          else Format.fprintf out "  %s: %d/%d" h nodes steps)
         (Exp.Ablation.bdd_order_sweep (pick name));
-      Format.printf "@,")
+      Format.fprintf out "@,")
     [ "alu4"; "cm150a"; "t481" ];
-  Format.printf
+  Format.fprintf out
     "@,Boolean cut rewriting (extension; gates: initial / Alg.1 / Alg.1+Boolean):@,";
   List.iter
     (fun name ->
       let init, area, boolean = Exp.Ablation.boolean_rewrite_row (pick name) in
-      Format.printf "  %-10s %4d / %4d / %4d@," name init area boolean)
+      Format.fprintf out "  %-10s %4d / %4d / %4d@," name init area boolean)
     [ "5xp1"; "cordic"; "misex1"; "x2"; "apex4" ];
-  Format.printf
+  Format.fprintf out
     "@,PLiM computer [15] (sequential RM3 stream) vs level-parallel realizations:@,";
   List.iter
     (fun name ->
       let r = Exp.Ablation.plim_row (pick name) in
-      Format.printf
+      Format.fprintf out
         "  %-8s gates=%4d  PLiM %5d RM3 / %4d cells   MAJ %4d steps   IMP %4d steps@,"
         name r.Exp.Ablation.gates r.Exp.Ablation.plim_instructions
         r.Exp.Ablation.plim_cells r.Exp.Ablation.maj_steps r.Exp.Ablation.imp_steps)
     [ "5xp1"; "alu4"; "b9"; "clip"; "cordic"; "t481" ];
-  Format.printf
+  Format.fprintf out
     "@,Fault tolerance (stuck-at campaigns on ideal devices; yield per arm):@,";
   List.iter
     (fun name ->
-      Format.printf "  %s:@," name;
+      Format.fprintf out "  %s:@," name;
       let config = { Exp.Montecarlo.default with trials = 100; effort = 10 } in
       let net = (pick name).Io.Benchmarks.build () in
       List.iter
@@ -308,12 +312,12 @@ let () =
           in
           List.iter
             (fun p ->
-              Format.printf "    rate %.4f%a@," rate Exp.Montecarlo.pp_arms
+              Format.fprintf out "    rate %.4f%a@," rate Exp.Montecarlo.pp_arms
                 p.Exp.Montecarlo.arms)
             t.Exp.Montecarlo.points)
         [ 0.003; 0.01; 0.03 ])
     [ "5xp1"; "b9" ];
-  Format.printf
+  Format.fprintf out
     "@,Statistical variability (Monte-Carlo yield vs sigma over the sampled@,\
      device physics; Wilson 95%% CIs; campaign fans across the Par pool):@,";
   List.iter
@@ -332,11 +336,11 @@ let () =
       let executions =
         float_of_int (t.Exp.Montecarlo.trials * List.length t.Exp.Montecarlo.points)
       in
-      Format.printf "  %a  (%.0f trials/s, --jobs %d)@," Exp.Montecarlo.pp t
+      Format.fprintf out "  %a  (%.0f trials/s, --jobs %d)@," Exp.Montecarlo.pp t
         (executions /. t.Exp.Montecarlo.wall_seconds)
         jobs)
     [ "5xp1"; "b9" ];
-  Format.printf
+  Format.fprintf out
     "@,Crossbar geometry of the serial programs:@,";
   List.iter
     (fun name ->
@@ -350,10 +354,10 @@ let () =
         Format.asprintf "%a %a" Core.Rram_cost.pp_realization realization
           Rram.Placement.pp place
       in
-      Format.printf "  %-8s %s | %s@," name (line Core.Rram_cost.Imp)
+      Format.fprintf out "  %-8s %s | %s@," name (line Core.Rram_cost.Imp)
         (line Core.Rram_cost.Maj))
     [ "alu4"; "b9"; "cordic"; "t481" ];
-  Format.printf "@]@.";
+  Format.fprintf out "@]@.";
 
   section "Crossbar-constrained mapping (serial vs parallel pulse waves)";
   let xbar_entries =

@@ -494,8 +494,8 @@ let flow_cmd =
           in
           Format.printf "  %a: %a, program %d RRAMs %d steps%s@."
             Core.Rram_cost.pp_realization realization Core.Rram_cost.pp
-            r.Rram.Compile_mig.analytic r.Rram.Compile_mig.measured_rrams
-            r.Rram.Compile_mig.measured_steps verdict)
+            r.Rram.Compile_mig.analytic r.Rram.Compile_mig.cost.Core.Rram_cost.devices
+            r.Rram.Compile_mig.cost.Core.Rram_cost.latency verdict)
         [ Core.Rram_cost.Imp; Core.Rram_cost.Maj ];
       if stats then begin
         (* O(1) reads off the maintained analysis of the result graph *)
@@ -543,14 +543,14 @@ let map_cmd =
       match arch with
       | Core.Rram_cost.Unbounded_serial ->
           let r = Rram.Compile_mig.compile realization mig in
-          res "rrams" (Obs.Json.Int r.Rram.Compile_mig.measured_rrams);
-          res "steps" (Obs.Json.Int r.Rram.Compile_mig.measured_steps);
+          res "rrams" (Obs.Json.Int r.Rram.Compile_mig.cost.Core.Rram_cost.devices);
+          res "steps" (Obs.Json.Int r.Rram.Compile_mig.cost.Core.Rram_cost.latency);
           Format.printf
             "%a realization after %s optimization:@.  Table I: %a@.  program: %d RRAMs, %d steps@."
             Core.Rram_cost.pp_realization realization
             label Core.Rram_cost.pp
-            r.Rram.Compile_mig.analytic r.Rram.Compile_mig.measured_rrams
-            r.Rram.Compile_mig.measured_steps;
+            r.Rram.Compile_mig.analytic r.Rram.Compile_mig.cost.Core.Rram_cost.devices
+            r.Rram.Compile_mig.cost.Core.Rram_cost.latency;
           (r.Rram.Compile_mig.program, Rram.Placement.place r.Rram.Compile_mig.program)
       | Core.Rram_cost.Crossbar _ -> (
           match Rram.Compile_crossbar.compile ~arch realization mig with
@@ -611,24 +611,27 @@ let compare_cmd =
     let maj = Rram.Compile_mig.compile Core.Rram_cost.Maj rram_maj in
     let imp = Rram.Compile_mig.compile Core.Rram_cost.Imp rram_imp in
     Format.printf "MIG-MAJ: %d RRAMs %d steps@.MIG-IMP: %d RRAMs %d steps@."
-      maj.Rram.Compile_mig.measured_rrams maj.Rram.Compile_mig.measured_steps
-      imp.Rram.Compile_mig.measured_rrams imp.Rram.Compile_mig.measured_steps;
+      maj.Rram.Compile_mig.cost.Core.Rram_cost.devices
+      maj.Rram.Compile_mig.cost.Core.Rram_cost.latency
+      imp.Rram.Compile_mig.cost.Core.Rram_cost.devices
+      imp.Rram.Compile_mig.cost.Core.Rram_cost.latency;
     (try
        let built = bdd_of_network net in
        let lev = Rram.Compile_bdd.compile ~mode:`Levelized built in
        let seq = Rram.Compile_bdd.compile ~mode:`Sequential built in
        Format.printf "BDD [11]: %d nodes, %d RRAMs %d steps (levelized), %d steps (sequential)@."
-         lev.Rram.Compile_bdd.bdd_nodes lev.Rram.Compile_bdd.measured_rrams
-         lev.Rram.Compile_bdd.measured_steps seq.Rram.Compile_bdd.measured_steps
+         lev.Rram.Compile_bdd.bdd_nodes lev.Rram.Compile_bdd.program.Rram.Program.num_regs
+         (Rram.Program.num_steps lev.Rram.Compile_bdd.program)
+         (Rram.Program.num_steps seq.Rram.Compile_bdd.program)
      with Bdd_lib.Bdd.Limit_exceeded -> Format.printf "BDD [11]: overflow (> 1M nodes)@.");
     let aig =
       Aig_lib.Aig_balance.balance
         (Aig_lib.Aig_rewrite.rewrite (Aig_lib.Aig_of_network.convert net))
     in
-    let a = Rram.Compile_aig.compile ~mode:`Sequential aig in
+    let a = Rram.Compile_aig.compile aig in
     Format.printf "AIG [12]: %d ANDs, %d RRAMs %d steps (sequential)@."
-      a.Rram.Compile_aig.aig_nodes a.Rram.Compile_aig.measured_rrams
-      a.Rram.Compile_aig.measured_steps;
+      a.Rram.Compile_aig.aig_nodes a.Rram.Compile_aig.program.Rram.Program.num_regs
+      (Rram.Program.num_steps a.Rram.Compile_aig.program);
     0
   in
   subcommand "compare" ~doc:"Compare the MIG flow against the BDD and AIG baselines"
@@ -638,22 +641,24 @@ let compare_cmd =
 
 let plim_cmd =
   let dump_arg =
-    Arg.(value & flag & info [ "p"; "program" ] ~doc:"Dump the RM3 instruction stream.")
+    Arg.(value & flag & info [ "p"; "program" ] ~doc:"Dump the RM3 program listing.")
   in
   let run path opt dump () =
     let label, optimize = optimizer opt in
     let _, _, mig = optimize_netlist path ~effort:opt.effort optimize in
-    let c = Rram.Plim.compile mig in
-    res "rm3_instructions" (Obs.Json.Int c.Rram.Plim.instructions);
-    res "cells_used" (Obs.Json.Int c.Rram.Plim.cells_used);
+    let program = Rram.Plim.compile mig in
+    let rm3 = Rram.Plim.rm3_count program and gates = Core.Mig.size mig in
+    res "rm3_instructions" (Obs.Json.Int rm3);
+    res "cells_used" (Obs.Json.Int program.Rram.Program.num_regs);
     Format.printf
       "PLiM compilation after %s optimization:@.  %d RM3 instructions, %d cells (%.2f RM3/gate over %d gates)@."
-      label c.Rram.Plim.instructions c.Rram.Plim.cells_used
-      c.Rram.Plim.rm3_per_gate (Core.Mig.size mig);
-    (match Rram.Plim.verify c.Rram.Plim.program mig with
+      label rm3 program.Rram.Program.num_regs
+      (if gates = 0 then 0.0 else float_of_int rm3 /. float_of_int gates)
+      gates;
+    (match Rram.Verify.against_mig program mig with
     | Ok () -> Format.printf "  verified on the PLiM machine model@."
     | Error e -> failwith ("verification failed: " ^ e));
-    if dump then Format.printf "@.%a@." Rram.Plim.pp_program c.Rram.Plim.program;
+    if dump then Format.printf "@.%a@." Rram.Program.pp program;
     0
   in
   subcommand "plim"

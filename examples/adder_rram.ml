@@ -18,8 +18,9 @@ let report name net =
   | Ok () -> ()
   | Error e -> failwith (name ^ ": " ^ e));
   Format.printf "%-14s | %5d -> %5d steps (MAJ) | %5d steps (IMP) | %5d RRAMs (MAJ)@."
-    name before.Core.Rram_cost.steps maj.Rram.Compile_mig.measured_steps
-    imp.Rram.Compile_mig.measured_steps maj.Rram.Compile_mig.measured_rrams
+    name before.Core.Rram_cost.steps maj.Rram.Compile_mig.cost.Core.Rram_cost.latency
+    imp.Rram.Compile_mig.cost.Core.Rram_cost.latency
+    maj.Rram.Compile_mig.cost.Core.Rram_cost.devices
 
 let () =
   Format.printf "RRAM in-memory adders (steps before -> after step optimization)@.@.";

@@ -28,8 +28,8 @@ let () =
       let r = Rram.Compile_mig.compile realization optimized in
       Format.printf "@.%a realization: Table I cost %a; compiled program uses %d RRAMs, %d steps@."
         Core.Rram_cost.pp_realization realization Core.Rram_cost.pp
-        r.Rram.Compile_mig.analytic r.Rram.Compile_mig.measured_rrams
-        r.Rram.Compile_mig.measured_steps;
+        r.Rram.Compile_mig.analytic r.Rram.Compile_mig.cost.Core.Rram_cost.devices
+        r.Rram.Compile_mig.cost.Core.Rram_cost.latency;
       (* 4. Execute the program on the crossbar simulator for all 8 inputs. *)
       Format.printf "  a b c | sum carry@.";
       for m = 0 to 7 do

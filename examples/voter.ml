@@ -53,8 +53,10 @@ let () =
       let imp = Rram.Compile_mig.compile Core.Rram_cost.Imp mig in
       let maj = Rram.Compile_mig.compile Core.Rram_cost.Maj mig in
       Format.printf "%5d | %5d %6d | %5d %6d@." width
-        imp.Rram.Compile_mig.measured_rrams imp.Rram.Compile_mig.measured_steps
-        maj.Rram.Compile_mig.measured_rrams maj.Rram.Compile_mig.measured_steps;
+        imp.Rram.Compile_mig.cost.Core.Rram_cost.devices
+        imp.Rram.Compile_mig.cost.Core.Rram_cost.latency
+        maj.Rram.Compile_mig.cost.Core.Rram_cost.devices
+        maj.Rram.Compile_mig.cost.Core.Rram_cost.latency;
       (match Rram.Verify.against_mig maj.Rram.Compile_mig.program mig with
       | Ok () -> ()
       | Error e -> Format.printf "  MAJ verification failed: %s@." e))
@@ -72,8 +74,10 @@ let () =
     (fun realization ->
       let r = Rram.Compile_mig.compile realization optimized in
       Format.printf "  %a: %d RRAMs, %d steps (Table I: %a)@."
-        Core.Rram_cost.pp_realization realization r.Rram.Compile_mig.measured_rrams
-        r.Rram.Compile_mig.measured_steps Core.Rram_cost.pp r.Rram.Compile_mig.analytic)
+        Core.Rram_cost.pp_realization realization
+        r.Rram.Compile_mig.cost.Core.Rram_cost.devices
+        r.Rram.Compile_mig.cost.Core.Rram_cost.latency Core.Rram_cost.pp
+        r.Rram.Compile_mig.analytic)
     [ Core.Rram_cost.Imp; Core.Rram_cost.Maj ];
   (* inject a fault and watch the flags on the simulator *)
   let program = (Rram.Compile_mig.compile Core.Rram_cost.Maj optimized).Rram.Compile_mig.program in

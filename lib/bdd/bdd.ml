@@ -71,10 +71,6 @@ let var t i =
   if i < 0 || i >= t.nvars then invalid_arg "Bdd.var";
   mk t i bfalse btrue
 
-let nvar t i =
-  if i < 0 || i >= t.nvars then invalid_arg "Bdd.nvar";
-  mk t i btrue bfalse
-
 let level t n = t.var_of.(n)
 let low t n = t.low_of.(n)
 let high t n = t.high_of.(n)

@@ -32,9 +32,6 @@ val btrue : node
 val var : t -> int -> node
 (** The projection of variable [i]. *)
 
-val nvar : t -> int -> node
-(** Complemented projection. *)
-
 val ite : t -> node -> node -> node -> node
 (** If-then-else — the universal ternary operator. *)
 

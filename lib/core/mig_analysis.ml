@@ -346,8 +346,6 @@ let of_mig mig =
       Mig.on_event mig (Some (handle a));
       a
 
-let refresh a = rebuild a
-
 (* ---- queries ---- *)
 
 let size a =

@@ -64,9 +64,6 @@ val levels_with_compl : t -> int
 (** Number of levels, including the readout stage, with at least one
     complemented edge — the L term of Table I. *)
 
-val refresh : t -> unit
-(** Force a full from-scratch recomputation (normally automatic). *)
-
 val check : t -> unit
 (** Validate every maintained quantity against a from-scratch recomputation;
     raises [Failure] on any mismatch.  For tests. *)

@@ -1,35 +1,22 @@
 open Logic
 
-(* Resynthesis cache: canonical truth-table bits -> minimized SOP.  The SOP
-   is rebuilt per site over the site's (possibly negated) leaf signals.
-   The cache is shared by every domain (a portfolio race or a parallel
-   bench sweep may run cut_rewrite concurrently), so lookups and inserts
-   are mutex-guarded; minimization itself runs outside the lock, and a
-   duplicated miss just recomputes the same idempotent entry. *)
-let sop_cache : (string, Sop.t) Hashtbl.t = Hashtbl.create 997
-let sop_cache_lock = Mutex.create ()
-
 let c_cache_hit = Obs.counter "mig.cut_rewrite/npn_cache.hits"
 and c_cache_miss = Obs.counter "mig.cut_rewrite/npn_cache.misses"
 
-let minimized_sop canonical =
+(* Resynthesis cache of one [rewrite] call: canonical truth-table bits ->
+   minimized SOP.  The SOP is rebuilt per site over the site's (possibly
+   negated) leaf signals.  Each call owns its table, so concurrent calls on
+   other domains share nothing. *)
+let minimized_sop cache canonical =
   let key = Truth_table.to_bits canonical in
-  let cached =
-    Mutex.lock sop_cache_lock;
-    let v = Hashtbl.find_opt sop_cache key in
-    Mutex.unlock sop_cache_lock;
-    v
-  in
-  match cached with
+  match Hashtbl.find_opt cache key with
   | Some sop ->
       Obs.incr c_cache_hit;
       sop
   | None ->
       Obs.incr c_cache_miss;
       let sop = Espresso.minimize (Sop.of_truth_table canonical) in
-      Mutex.lock sop_cache_lock;
-      Hashtbl.replace sop_cache key sop;
-      Mutex.unlock sop_cache_lock;
+      Hashtbl.replace cache key sop;
       sop
 
 let rec balanced_fold f = function
@@ -60,7 +47,7 @@ let build_sop mig sop operands =
   | [] -> Mig.const0
   | cubes -> balanced_fold (Mig.or_ mig) (List.map cube_signal cubes)
 
-let one_pass ?(k = 4) mig =
+let one_pass ~k cache mig =
   let cuts = Mig_cuts.enumerate ~k mig in
   let changed = ref false in
   Mig.foreach_gate mig (fun g ->
@@ -82,7 +69,7 @@ let one_pass ?(k = 4) mig =
                 if mffc >= 2 then begin
                   let tt = Mig_cuts.cut_function mig g cut in
                   let canonical, transform = Npn.canonize tt in
-                  let sop = minimized_sop canonical in
+                  let sop = minimized_sop cache canonical in
                   (* cheap size estimate: AND-tree per cube + OR-tree *)
                   let estimate =
                     List.fold_left
@@ -123,9 +110,10 @@ let one_pass ?(k = 4) mig =
 
 let rewrite ?(k = 4) ?(passes = 2) mig =
   let current = ref (Mig.cleanup mig) in
+  let cache = Hashtbl.create 997 in
   let continue_ = ref true and n = ref 0 in
   while !continue_ && !n < passes do
-    if not (one_pass ~k !current) then continue_ := false;
+    if not (one_pass ~k cache !current) then continue_ := false;
     current := Mig.cleanup !current;
     incr n
   done;

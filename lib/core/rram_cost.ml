@@ -73,9 +73,6 @@ let of_mig realization mig =
   in
   { rrams; steps }
 
-let pareto_better a b =
-  a.rrams <= b.rrams && a.steps <= b.steps && (a.rrams < b.rrams || a.steps < b.steps)
-
 type triple = { devices : int; latency : int; utilization : float }
 
 (* Analytic crossbar model.  Each level is executed in

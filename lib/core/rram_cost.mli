@@ -46,9 +46,6 @@ type cost = { rrams : int; steps : int }
 val of_levels : realization -> Mig_levels.t -> cost
 val of_mig : realization -> Mig.t -> cost
 
-val pareto_better : cost -> cost -> bool
-(** [pareto_better a b]: [a] dominates [b] (≤ in both metrics, < in one). *)
-
 (** {1 The crossbar cost triple} *)
 
 type triple = {

@@ -81,7 +81,7 @@ let bdd_order_sweep e =
       with
       | built ->
           let c = Rram.Compile_bdd.compile ~mode:`Levelized built in
-          (name, c.Rram.Compile_bdd.bdd_nodes, c.Rram.Compile_bdd.measured_steps)
+          (name, c.Rram.Compile_bdd.bdd_nodes, Rram.Program.num_steps c.Rram.Compile_bdd.program)
       | exception Bdd_lib.Bdd.Limit_exceeded -> (name, -1, -1))
     [
       ("natural", Bdd_lib.Bdd_order.Natural);
@@ -104,10 +104,10 @@ let plim_row ?(effort = 20) e =
   let imp = Rram.Compile_mig.compile Core.Rram_cost.Imp mig in
   {
     gates = Core.Mig.size mig;
-    plim_instructions = plim.Rram.Plim.instructions;
-    plim_cells = plim.Rram.Plim.cells_used;
-    maj_steps = maj.Rram.Compile_mig.measured_steps;
-    imp_steps = imp.Rram.Compile_mig.measured_steps;
+    plim_instructions = Rram.Plim.rm3_count plim;
+    plim_cells = plim.Rram.Program.num_regs;
+    maj_steps = maj.Rram.Compile_mig.cost.Core.Rram_cost.latency;
+    imp_steps = imp.Rram.Compile_mig.cost.Core.Rram_cost.latency;
   }
 
 let boolean_rewrite_row ?(effort = 10) e =

@@ -156,8 +156,9 @@ let table3_bdd_row ?effort ?(bdd_max_nodes = 2_000_000) (e : Io.Benchmarks.entry
     name = e.Io.Benchmarks.name;
     bdd_nodes = lev.Rram.Compile_bdd.bdd_nodes;
     bdd_levelized =
-      (lev.Rram.Compile_bdd.measured_rrams, lev.Rram.Compile_bdd.measured_steps);
-    bdd_sequential_steps = seq.Rram.Compile_bdd.measured_steps;
+      ( lev.Rram.Compile_bdd.program.Rram.Program.num_regs,
+        Rram.Program.num_steps lev.Rram.Compile_bdd.program );
+    bdd_sequential_steps = Rram.Program.num_steps seq.Rram.Compile_bdd.program;
     mig_imp = Core.Rram_cost.of_mig Core.Rram_cost.Imp rram_i;
     mig_maj = Core.Rram_cost.of_mig Core.Rram_cost.Maj rram_m;
     paper = paper_t2 e;
@@ -233,14 +234,14 @@ let table3_aig_row ?effort (e : Io.Benchmarks.entry) =
   let aig =
     Aig_lib.Aig_balance.balance (Aig_lib.Aig_rewrite.rewrite (Aig_lib.Aig_of_network.convert net))
   in
-  let compiled = Rram.Compile_aig.compile ~mode:`Sequential aig in
+  let compiled = Rram.Compile_aig.compile aig in
   let mig = Core.Mig_of_network.convert net in
   let rram_i = Core.Mig_opt.rram_costs ?effort Core.Rram_cost.Imp mig in
   let rram_m = Core.Mig_opt.rram_costs ?effort Core.Rram_cost.Maj mig in
   {
     name = e.Io.Benchmarks.name;
     aig_nodes = compiled.Rram.Compile_aig.aig_nodes;
-    aig_steps = compiled.Rram.Compile_aig.measured_steps;
+    aig_steps = Rram.Program.num_steps compiled.Rram.Compile_aig.program;
     mig_imp = Core.Rram_cost.of_mig Core.Rram_cost.Imp rram_i;
     mig_maj = Core.Rram_cost.of_mig Core.Rram_cost.Maj rram_m;
     paper = paper_t3 e;
@@ -425,8 +426,8 @@ let pp_table1_check ppf () =
       Format.fprintf ppf
         "  single majority gate, %a: formula %a, program rrams=%d steps=%d@,"
         Core.Rram_cost.pp_realization realization Core.Rram_cost.pp
-        r.Rram.Compile_mig.analytic r.Rram.Compile_mig.measured_rrams
-        r.Rram.Compile_mig.measured_steps)
+        r.Rram.Compile_mig.analytic r.Rram.Compile_mig.cost.Core.Rram_cost.devices
+        r.Rram.Compile_mig.cost.Core.Rram_cost.latency)
     [ Core.Rram_cost.Imp; Core.Rram_cost.Maj ];
   List.iter
     (fun (name, net) ->
@@ -442,8 +443,8 @@ let pp_table1_check ppf () =
           Format.fprintf ppf
             "  %-12s %a: formula %a, program rrams=%d steps=%d (%s)@," name
             Core.Rram_cost.pp_realization realization Core.Rram_cost.pp
-            r.Rram.Compile_mig.analytic r.Rram.Compile_mig.measured_rrams
-            r.Rram.Compile_mig.measured_steps ok)
+            r.Rram.Compile_mig.analytic r.Rram.Compile_mig.cost.Core.Rram_cost.devices
+            r.Rram.Compile_mig.cost.Core.Rram_cost.latency ok)
         [ Core.Rram_cost.Imp; Core.Rram_cost.Maj ])
     [
       ("full_adder", Logic.Funcgen.full_adder ());

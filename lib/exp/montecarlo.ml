@@ -145,10 +145,9 @@ let run ?(config = default) ~name net =
       (fun i _ -> i < config.vectors)
       (Rram.Verify.vectors ~seed:config.seed primary.Rram.Program.num_inputs)
   in
-  (* Tabulate the reference before fanning out: the MIG simulator walks the
-     graph with scratch marks inside the graph record, so calling it from
-     worker domains would race.  Every reference lookup of a trial hits this
-     table — campaigns only ever evaluate the fixed vector set. *)
+  (* Tabulate the reference once, before fanning out: campaigns only ever
+     evaluate the fixed vector set, so every reference lookup of a trial
+     hits this table instead of simulating the MIG again. *)
   let reference =
     let table = Hashtbl.create (List.length vectors) in
     List.iter2 (Hashtbl.replace table) vectors (Core.Mig_sim.eval_all mig vectors);

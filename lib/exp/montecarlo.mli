@@ -65,10 +65,6 @@ type estimate = {
   hi : float;  (** Wilson 95% upper bound *)
 }
 
-val wilson : successes:int -> trials:int -> estimate
-(** Wilson score interval at 95% confidence — non-degenerate even at
-    observed yields of exactly 0 or 1. *)
-
 type arm_result = {
   arm : string;  (** one of imp / maj / resilient / wear / tmr *)
   cells : int;  (** registers of that arm's program (before remapping) *)

@@ -14,6 +14,8 @@ type source = {
   src_rows : row list;
 }
 
+(* A wall-time measurement (threshold comparison) rather than a
+   deterministic quantity (exact comparison). *)
 let noisy_metric name =
   String.ends_with ~suffix:"seconds" name || String.ends_with ~suffix:"_ns" name
 

@@ -38,20 +38,12 @@ type source = {
   src_rows : row list;  (** unique keys; for ledgers the last run wins *)
 }
 
-val noisy_metric : string -> bool
-(** Whether a metric name denotes a wall-time measurement (threshold
-    comparison) rather than a deterministic quantity (exact comparison). *)
-
-val rows_of_json : path:string -> Obs.Json.t -> source
-(** Flatten one parsed document into comparable rows.  Supported schemas:
-    ["migsyn-bench-opt/2"], ["migsyn-montecarlo/1"], ["migsyn-crossbar/1"],
-    ["migsyn-bench/3"], ["migsyn-serve-bench/2"] and ["migsyn-run/1"].
-    @raise Failure on an unknown or missing schema (earlier versions of
-    these schemas, which carried wall-clock fields, are unsupported). *)
-
 val load : string -> source
 (** Read [path] and flatten it: a single JSON document is dispatched on its
-    ["schema"]; a file that does not parse as one document is loaded as a
+    ["schema"] (["migsyn-bench-opt/2"], ["migsyn-montecarlo/1"],
+    ["migsyn-crossbar/1"], ["migsyn-bench/3"], ["migsyn-serve-bench/2"] or
+    ["migsyn-run/1"]; earlier versions of these schemas, which carried
+    wall-clock fields, are unsupported); a file that does not parse as one document is loaded as a
     JSON-lines ledger of ["migsyn-run/1"] records ({!Obs.Ledger.load}),
     with rows of later records superseding earlier ones under the same key.
     @raise Failure on unreadable, empty or unrecognized input. *)

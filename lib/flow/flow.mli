@@ -52,8 +52,6 @@ val find : 'g registry -> string -> 'g pass option
 val passes : 'g registry -> 'g pass list
 (** In registration order. *)
 
-val pass_names : 'g registry -> string list
-
 (** {1 Flows} *)
 
 type 'g t =

@@ -12,7 +12,6 @@ val create : int -> t
 val num_vars : t -> int
 val cubes : t -> Cube.t list
 val num_cubes : t -> int
-val add_cube : t -> Cube.t -> t
 
 val of_cubes : int -> Cube.t list -> t
 

@@ -147,9 +147,6 @@ val span_tree : unit -> span_node list
     that never completed as an event of its own (a span still open at
     export time) appears with [sn_count = 0] and its children's total. *)
 
-val fold_span_tree : ('a -> span_node -> 'a) -> 'a -> span_node -> 'a
-(** Pre-order fold over a node and its descendants. *)
-
 val collapsed_stacks : ?weight:[ `Calls | `Time_us ] -> unit -> string
 (** The span forest in the collapsed-stack format flamegraph.pl consumes:
     one ["a;b;c WEIGHT\n"] line per path, lexicographically sorted, zero
@@ -157,11 +154,6 @@ val collapsed_stacks : ?weight:[ `Calls | `Time_us ] -> unit -> string
     in microseconds; [`Calls] weights by call count, which is deterministic
     for a deterministic workload — byte-identical output for every
     [--jobs] (the CI and test suite pin this). *)
-
-val span_tree_json : unit -> Json.t
-(** {!span_tree} as nested objects
-    [{name; count; total_ns; self_ns; children?}] — the ["spans"] member of
-    a run manifest. *)
 
 (** {1 Worker-domain buffers}
 

@@ -1,15 +1,8 @@
 open Aig_lib
 
-type mode = [ `Sequential | `Levelized ]
+type result = { program : Program.t; aig_nodes : int }
 
-type result = {
-  program : Program.t;
-  aig_nodes : int;
-  measured_rrams : int;
-  measured_steps : int;
-}
-
-let compile ?(mode = `Sequential) aig =
+let compile aig =
   let num_inputs = Aig.num_pis aig in
   let b = Program.Builder.create ~num_inputs in
   let order = Aig.topo_order aig in
@@ -49,8 +42,8 @@ let compile ?(mode = `Sequential) aig =
       if c = 0 then Program.Builder.free b (Hashtbl.find result_reg n)
     end
   in
-  (* Emit one AND node; returns (load, pre_inv, s1, s2, s3, temps) where the
-     step slots may be empty lists. *)
+  (* Emit one AND node: load, optional pre-inversion of [a], then the
+     implications; empty steps are dropped. *)
   let emit_node n =
     let f0, f1 = Aig.fanins aig n in
     (* prefer a complemented fanin in the b role: its ¬b is a plain copy *)
@@ -83,61 +76,20 @@ let compile ?(mode = `Sequential) aig =
       end
       else node_reg (Aig.node_of a_sig)
     in
-    let s2 = [ Isa.Imp { src = a_reg; dst = r1 } ] in
-    let s3 = [ Isa.Imp { src = r1; dst = r2 } ] in
     Hashtbl.replace result_reg n r2;
-    (List.rev !load, !pre_inv, s1, s2, s3, !temps)
+    List.iter (Program.Builder.push_step b)
+      [
+        List.rev !load;
+        !pre_inv;
+        s1;
+        [ Isa.Imp { src = a_reg; dst = r1 } ];
+        [ Isa.Imp { src = r1; dst = r2 } ];
+      ];
+    List.iter (Program.Builder.free b) !temps;
+    release f0;
+    release f1
   in
-  (match mode with
-  | `Sequential ->
-      List.iter
-        (fun n ->
-          let load, pre_inv, s1, s2, s3, temps = emit_node n in
-          Program.Builder.push_step b load;
-          Program.Builder.push_step b pre_inv;
-          Program.Builder.push_step b s1;
-          Program.Builder.push_step b s2;
-          Program.Builder.push_step b s3;
-          List.iter (Program.Builder.free b) temps;
-          let f0, f1 = Aig.fanins aig n in
-          release f0;
-          release f1)
-        order
-  | `Levelized ->
-      let levels, _depth = Aig.levels aig in
-      let by_level = Hashtbl.create 97 in
-      List.iter
-        (fun n ->
-          let l = levels.(n) in
-          Hashtbl.replace by_level l (n :: (try Hashtbl.find by_level l with Not_found -> [])))
-        order;
-      let max_level = List.fold_left (fun acc n -> max acc levels.(n)) 0 order in
-      for l = 1 to max_level do
-        match Hashtbl.find_opt by_level l with
-        | None -> ()
-        | Some nodes ->
-            let nodes = List.rev nodes in
-            let slots = Array.make 5 [] in
-            let temps = ref [] in
-            List.iter
-              (fun n ->
-                let load, pre_inv, s1, s2, s3, t = emit_node n in
-                slots.(0) <- slots.(0) @ load;
-                slots.(1) <- slots.(1) @ pre_inv;
-                slots.(2) <- slots.(2) @ s1;
-                slots.(3) <- slots.(3) @ s2;
-                slots.(4) <- slots.(4) @ s3;
-                temps := t @ !temps)
-              nodes;
-            Array.iter (fun s -> Program.Builder.push_step b s) slots;
-            List.iter (Program.Builder.free b) !temps;
-            List.iter
-              (fun n ->
-                let f0, f1 = Aig.fanins aig n in
-                release f0;
-                release f1)
-              nodes
-      done);
+  List.iter emit_node order;
   (* Outputs: complemented drivers get a shared final inversion. *)
   let final_preset = ref [] and final_inv = ref [] in
   let memo = Hashtbl.create 17 in
@@ -168,10 +120,4 @@ let compile ?(mode = `Sequential) aig =
   in
   Program.Builder.push_step b !final_preset;
   Program.Builder.push_step b !final_inv;
-  let program = Program.Builder.finish b ~outputs in
-  {
-    program;
-    aig_nodes;
-    measured_rrams = program.Program.num_regs;
-    measured_steps = Program.num_steps program;
-  }
+  { program = Program.Builder.finish b ~outputs; aig_nodes }

@@ -12,16 +12,8 @@
     A complemented fanin playing the [b] role is free ([¬b] is then just a
     copy of the source); a complemented [a] needs one extra inversion.  The
     compiler always assigns a complemented fanin to [b] when possible.
-    [`Sequential] emits ≈ 4–5 steps per node ([12]'s accounting);
-    [`Levelized] runs each AIG level in parallel. *)
+    Nodes run one at a time, ≈ 4–5 steps per node ([12]'s accounting). *)
 
-type mode = [ `Sequential | `Levelized ]
+type result = { program : Program.t; aig_nodes : int }
 
-type result = {
-  program : Program.t;
-  aig_nodes : int;
-  measured_rrams : int;
-  measured_steps : int;
-}
-
-val compile : ?mode:mode -> Aig_lib.Aig.t -> result
+val compile : Aig_lib.Aig.t -> result

@@ -2,12 +2,7 @@ open Bdd_lib
 
 type mode = [ `Sequential | `Levelized ]
 
-type result = {
-  program : Program.t;
-  bdd_nodes : int;
-  measured_rrams : int;
-  measured_steps : int;
-}
+type result = { program : Program.t; bdd_nodes : int }
 
 let compile ?(mode = `Levelized) (built : Bdd_of_network.result) =
   let man = built.Bdd_of_network.manager in
@@ -123,10 +118,4 @@ let compile ?(mode = `Levelized) (built : Bdd_of_network.result) =
             nodes)
     levels_desc;
   let outputs = Array.of_list (List.map value_operand roots) in
-  let program = Program.Builder.finish b ~outputs in
-  {
-    program;
-    bdd_nodes;
-    measured_rrams = program.Program.num_regs;
-    measured_steps = Program.num_steps program;
-  }
+  { program = Program.Builder.finish b ~outputs; bdd_nodes }

@@ -26,12 +26,7 @@
 
 type mode = [ `Sequential | `Levelized ]
 
-type result = {
-  program : Program.t;
-  bdd_nodes : int;
-  measured_rrams : int;
-  measured_steps : int;
-}
+type result = { program : Program.t; bdd_nodes : int }
 
 val compile : ?mode:mode -> Bdd_lib.Bdd_of_network.result -> result
 (** The program's inputs are the {e network's} inputs (the permutation is

@@ -1,9 +1,6 @@
 type result = {
   program : Program.t;
   analytic : Core.Rram_cost.cost;
-  measured_rrams : int;
-  measured_steps : int;
-  placement : Placement.t option;
   cost : Core.Rram_cost.triple;
 }
 
@@ -216,9 +213,6 @@ let compile_serial realization mig =
   {
     program;
     analytic;
-    measured_rrams = program.Program.num_regs;
-    measured_steps = Program.num_steps program;
-    placement = None;
     cost =
       {
         Core.Rram_cost.devices = program.Program.num_regs;
@@ -238,8 +232,5 @@ let compile ?(arch = Core.Rram_cost.Unbounded_serial) realization mig
           {
             program = r.Compile_crossbar.program;
             analytic = r.Compile_crossbar.serial;
-            measured_rrams = r.Compile_crossbar.measured.Core.Rram_cost.devices;
-            measured_steps = r.Compile_crossbar.measured.Core.Rram_cost.latency;
-            placement = Some r.Compile_crossbar.placement;
             cost = r.Compile_crossbar.measured;
           })

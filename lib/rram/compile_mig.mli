@@ -18,16 +18,10 @@
 type result = {
   program : Program.t;
   analytic : Core.Rram_cost.cost;  (** Table I formula *)
-  measured_rrams : int;
-  measured_steps : int;
-  placement : Placement.t option;
-      (** the row/column assignment the crossbar backend used; [None] for
-          the unbounded-serial target (use {!Placement.place} to derive a
-          worst-case report) *)
   cost : Core.Rram_cost.triple;
       (** measured (devices, latency, utilization); under
-          [Unbounded_serial] this mirrors [measured_rrams] /
-          [measured_steps] with utilization 1 *)
+          [Unbounded_serial] devices and latency are the program's
+          [num_regs] and {!Program.num_steps}, with utilization 1 *)
 }
 
 val compile :

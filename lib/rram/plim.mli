@@ -13,6 +13,10 @@
     [RM3(v, 0, 0-cell)], negation is [RM3(1, v, 0-cell)], and a majority
     gate [M(x,y,z)] is [RM3(x, ¬y, z-cell)].
 
+    RM3 is [Isa.Maj_pulse], so a PLiM program is an ordinary
+    {!Program.t}: it runs on {!Interp} (with or without defects) and is
+    checked by {!Verify} like every other compiled program.
+
     The compiler maps a MIG to a sequential RM3 stream, choosing the operand
     roles so complemented fanins land in the [q] slot (where the built-in
     negation makes them free) and destroying single-use operand cells in
@@ -20,37 +24,11 @@
     comparable with the step counts of the level-parallel realizations —
     the [bench] ablation section contrasts them. *)
 
-type operand = Imm of bool | Cell of int
+val compile : Core.Mig.t -> Program.t
+(** One parallel step loads input [i] into cell [i] (omitted when the MIG
+    has no inputs); every later step is one RM3 ([Maj_pulse]), mapping the
+    constant rails to [Const] operands and cells to [Reg]s.  [num_regs] is
+    the number of memory cells used. *)
 
-type instr = { p : operand; q : operand; z : int }
-
-type program = {
-  cells : int;  (** memory size *)
-  num_inputs : int;
-  input_cells : int array;  (** where the host loads the inputs *)
-  instrs : instr list;
-  outputs : operand array;
-}
-
-type compiled = {
-  program : program;
-  instructions : int;
-  cells_used : int;
-  rm3_per_gate : float;
-}
-
-val compile : Core.Mig.t -> compiled
-
-val run :
-  ?defects:(int * Device.defect) list ->
-  program ->
-  bool array ->
-  bool array
-(** Execute the RM3 stream.  Ideal by default (a plain boolean memory, all
-    cells 0); with [defects] every memory cell is a {!Device} and each RM3
-    lands as one {!Device.maj_pulse}, so the stuck cells apply. *)
-
-val verify : program -> Core.Mig.t -> (unit, string) result
-
-val pp_instr : Format.formatter -> instr -> unit
-val pp_program : Format.formatter -> program -> unit
+val rm3_count : Program.t -> int
+(** The number of RM3 instructions ([Maj_pulse] micro-operations). *)

@@ -41,16 +41,25 @@ case_() {
 case_ map c17.bench --arch 2x2
 case_ map c17.bench --arch 0x8
 case_ map c17.bench --arch 8x4611686018427387903
+case_ map c17.bench --arch 8x0
+case_ map c17.bench --arch 8xx
+case_ map c17.bench --arch=-2x8
+case_ map c17.bench --arch bogus
 case_ flow c17.bench -s pushup
 case_ flow c17.bench -s push_up --arch 1x1
 case_ flow c17.bench -s 'cycle(99999999999999999999){eliminate}'
 case_ map c17.bench -s bogus
 case_ crossbar no_such_bench
 case_ montecarlo c17.bench --trials 0
+case_ montecarlo c17.bench --sigma=-1
+case_ montecarlo c17.bench --vectors 0
 case_ faults c17.bench --rate 1.5
+case_ faults c17.bench --trials 0
+case_ faults c17.bench --rate=-0.1
 case_ bench no_such_bench
 case_ gen --gates 10 -o x.txt
 case_ report --baseline bogus.json --current bogus.json
+case_ report --baseline bogus.json --current bogus.json --threshold=-1
 # malformed netlists are parse errors at their line, never an exception
 case_ flow dup_input.bench -s push_up
 case_ flow not2.bench -s push_up

@@ -75,52 +75,62 @@ let ablation_tests =
 let plim_tests =
   let open Alcotest in
   let mig_of name = Core.Mig_of_network.convert ((find name).Io.Benchmarks.build ()) in
+  let verified name mig =
+    match Rram.Verify.against_mig (Rram.Plim.compile mig) mig with
+    | Ok () -> ()
+    | Error e -> fail (name ^ ": " ^ e)
+  in
   [
     test_case "RM3 identities" `Quick (fun () ->
         (* z <- 0 via RM3(0,1,z); set via RM3(1,0,z); copy via RM3(v,0,0);
            negate via RM3(1,v,0) — exercised through a tiny program *)
+        let rm3 p q z = [ Rram.Isa.Maj_pulse { p; q; dst = z } ] in
         let program =
           {
-            Rram.Plim.cells = 3;
-            num_inputs = 1;
-            input_cells = [| 0 |];
-            instrs =
+            Rram.Program.num_inputs = 1;
+            num_regs = 3;
+            steps =
               [
-                { Rram.Plim.p = Rram.Plim.Cell 0; q = Rram.Plim.Imm false; z = 1 };
+                [ Rram.Isa.Load (0, Rram.Isa.Input 0) ];
+                rm3 (Rram.Isa.Reg 0) (Rram.Isa.Const false) 1;
                 (* cell1 = copy of input *)
-                { Rram.Plim.p = Rram.Plim.Imm true; q = Rram.Plim.Cell 0; z = 2 };
+                rm3 (Rram.Isa.Const true) (Rram.Isa.Reg 0) 2;
                 (* cell2 = not input *)
               ];
-            outputs = [| Rram.Plim.Cell 1; Rram.Plim.Cell 2 |];
+            outputs = [| Rram.Isa.Reg 1; Rram.Isa.Reg 2 |];
           }
         in
-        check (array bool) "v=1" [| true; false |] (Rram.Plim.run program [| true |]);
-        check (array bool) "v=0" [| false; true |] (Rram.Plim.run program [| false |]));
+        check (array bool) "v=1" [| true; false |] (Rram.Interp.run program [| true |]);
+        check (array bool) "v=0" [| false; true |] (Rram.Interp.run program [| false |]));
     test_case "compiled programs verified" `Quick (fun () ->
         List.iter
-          (fun name ->
-            let mig = mig_of name in
-            let c = Rram.Plim.compile mig in
-            match Rram.Plim.verify c.Rram.Plim.program mig with
-            | Ok () -> ()
-            | Error e -> fail (name ^ ": " ^ e))
+          (fun name -> verified name (mig_of name))
           [ "clip"; "cm150a"; "t481"; "rd53f2"; "xor5_d" ]);
     test_case "optimized MIGs compile correctly" `Quick (fun () ->
-        let mig = Core.Mig_opt.steps ~effort:6 (mig_of "cm162a") in
-        let c = Rram.Plim.compile mig in
-        match Rram.Plim.verify c.Rram.Plim.program mig with
-        | Ok () -> ()
-        | Error e -> fail e);
+        verified "cm162a" (Core.Mig_opt.steps ~effort:6 (mig_of "cm162a")));
     test_case "instruction economy" `Quick (fun () ->
         (* the operand-role selection keeps RM3-per-gate low *)
         let mig = mig_of "clip" in
-        let c = Rram.Plim.compile mig in
-        check bool "under 3 RM3 per gate" true (c.Rram.Plim.rm3_per_gate < 3.0));
+        let rm3 = Rram.Plim.rm3_count (Rram.Plim.compile mig) in
+        check bool "under 3 RM3 per gate" true (rm3 < 3 * Core.Mig.size mig));
     test_case "cell reuse bounds memory" `Quick (fun () ->
         let mig = mig_of "alu4" in
-        let c = Rram.Plim.compile mig in
         check bool "fewer cells than gates" true
-          (c.Rram.Plim.cells_used < Core.Mig.size mig));
+          ((Rram.Plim.compile mig).Rram.Program.num_regs < Core.Mig.size mig));
+    test_case "ablation rows are pinned" `Quick (fun () ->
+        List.iter
+          (fun (name, rm3, cells) ->
+            let r = Exp.Ablation.plim_row (find name) in
+            check (pair int int) name (rm3, cells)
+              (r.Exp.Ablation.plim_instructions, r.Exp.Ablation.plim_cells))
+          [
+            ("5xp1", 366, 53);
+            ("alu4", 360, 37);
+            ("b9", 746, 52);
+            ("clip", 34, 10);
+            ("cordic", 321, 29);
+            ("t481", 42, 17);
+          ]);
   ]
 
 let plim_props =
@@ -146,8 +156,9 @@ let plim_props =
           ignore (Core.Mig.add_po mig (Logic.Prng.pick rng !signals))
         done;
         let mig = Core.Mig.cleanup mig in
-        let c = Rram.Plim.compile mig in
-        Rram.Plim.verify c.Rram.Plim.program mig = Ok ());
+        let program = Rram.Plim.compile mig in
+        Rram.Program.validate program = Ok ()
+        && Rram.Verify.against_mig program mig = Ok ());
   ]
 
 let () =

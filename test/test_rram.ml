@@ -83,8 +83,8 @@ let sequence_tests =
     test_case "IMP majority gate: 6 RRAMs, 10 steps, correct" `Quick (fun () ->
         let mig = single_maj_mig () in
         let r = Rram.Compile_mig.compile Core.Rram_cost.Imp mig in
-        check int "steps" 10 r.Rram.Compile_mig.measured_steps;
-        check int "rrams" 6 r.Rram.Compile_mig.measured_rrams;
+        check int "steps" 10 r.Rram.Compile_mig.cost.Core.Rram_cost.latency;
+        check int "rrams" 6 r.Rram.Compile_mig.cost.Core.Rram_cost.devices;
         (match Rram.Program.validate r.Rram.Compile_mig.program with
         | Ok () -> ()
         | Error e -> fail e);
@@ -94,8 +94,8 @@ let sequence_tests =
     test_case "MAJ majority gate: 4 RRAMs, 3 steps, correct" `Quick (fun () ->
         let mig = single_maj_mig () in
         let r = Rram.Compile_mig.compile Core.Rram_cost.Maj mig in
-        check int "steps" 3 r.Rram.Compile_mig.measured_steps;
-        check int "rrams" 4 r.Rram.Compile_mig.measured_rrams;
+        check int "steps" 3 r.Rram.Compile_mig.cost.Core.Rram_cost.latency;
+        check int "rrams" 4 r.Rram.Compile_mig.cost.Core.Rram_cost.devices;
         match Rram.Verify.against_mig r.Rram.Compile_mig.program mig with
         | Ok () -> ()
         | Error e -> fail e);
@@ -126,10 +126,11 @@ let check_mig_compile ?(realizations = [ Core.Rram_cost.Imp; Core.Rram_cost.Maj 
       | Error e -> Alcotest.fail ("invalid program: " ^ e));
       Alcotest.(check int)
         "measured steps = Table I formula" r.Rram.Compile_mig.analytic.Core.Rram_cost.steps
-        r.Rram.Compile_mig.measured_steps;
+        r.Rram.Compile_mig.cost.Core.Rram_cost.latency;
       Alcotest.(check bool)
         "measured rrams >= analytic" true
-        (r.Rram.Compile_mig.measured_rrams >= r.Rram.Compile_mig.analytic.Core.Rram_cost.rrams);
+        (r.Rram.Compile_mig.cost.Core.Rram_cost.devices
+        >= r.Rram.Compile_mig.analytic.Core.Rram_cost.rrams);
       match Rram.Verify.against_mig r.Rram.Compile_mig.program mig with
       | Ok () -> ()
       | Error e -> Alcotest.fail e)
@@ -229,8 +230,8 @@ let mig_compile_props =
                level whose load step can absorb the staging copies, costing
                one extra step over the formula (documented corner). *)
             if depth = 0 then
-              r.Rram.Compile_mig.measured_steps <= analytic + 1
-            else r.Rram.Compile_mig.measured_steps = analytic)
+              r.Rram.Compile_mig.cost.Core.Rram_cost.latency <= analytic + 1
+            else r.Rram.Compile_mig.cost.Core.Rram_cost.latency = analytic)
           [ Core.Rram_cost.Imp; Core.Rram_cost.Maj ]);
   ]
 
@@ -248,13 +249,24 @@ let check_bdd mode net =
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 
-let check_aig mode net =
+let check_aig net =
   let aig = Aig_lib.Aig_of_network.convert net in
-  let r = Rram.Compile_aig.compile ~mode aig in
+  let r = Rram.Compile_aig.compile aig in
   (match Rram.Program.validate r.Rram.Compile_aig.program with
   | Ok () -> ()
   | Error e -> Alcotest.fail ("invalid AIG program: " ^ e));
   match Rram.Verify.against_network r.Rram.Compile_aig.program net with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e
+
+(* PLiM compiles the MIG of the same net: its RM3 stream is a plain
+   program, checked like the baselines. *)
+let check_plim net =
+  let r = Rram.Plim.compile (Core.Mig_of_network.convert net) in
+  (match Rram.Program.validate r with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail ("invalid PLiM program: " ^ e));
+  match Rram.Verify.against_network r net with
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 
@@ -276,8 +288,8 @@ let baseline_tests =
       [
         test_case (name ^ " / BDD sequential") `Quick (fun () -> check_bdd `Sequential net);
         test_case (name ^ " / BDD levelized") `Quick (fun () -> check_bdd `Levelized net);
-        test_case (name ^ " / AIG sequential") `Quick (fun () -> check_aig `Sequential net);
-        test_case (name ^ " / AIG levelized") `Quick (fun () -> check_aig `Levelized net);
+        test_case (name ^ " / AIG sequential") `Quick (fun () -> check_aig net);
+        test_case (name ^ " / PLiM") `Quick (fun () -> check_plim net);
       ])
     nets
   @ [
@@ -287,7 +299,7 @@ let baseline_tests =
           let nodes = Bdd_lib.Bdd_of_network.node_count built in
           let r = Rram.Compile_bdd.compile ~mode:`Sequential built in
           check bool "at least 5 steps per node" true
-            (r.Rram.Compile_bdd.measured_steps >= 5 * nodes));
+            (Rram.Program.num_steps r.Rram.Compile_bdd.program >= 5 * nodes));
       test_case "MAJ-MIG beats sequential BDD on steps" `Quick (fun () ->
           (* the headline comparison, in miniature *)
           let net = Funcgen.rd 7 3 in
@@ -297,7 +309,8 @@ let baseline_tests =
             Rram.Compile_bdd.compile ~mode:`Sequential (Bdd_lib.Bdd_of_network.build net)
           in
           check bool "MIG-MAJ faster" true
-            (mig_r.Rram.Compile_mig.measured_steps < bdd_r.Rram.Compile_bdd.measured_steps));
+            (mig_r.Rram.Compile_mig.cost.Core.Rram_cost.latency
+            < Rram.Program.num_steps bdd_r.Rram.Compile_bdd.program));
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -370,7 +383,7 @@ let crossbar_check mig =
           | Ok () -> ()
           | Error e -> Alcotest.fail ("crossbar program diverges: " ^ e));
           let latency = r.Rram.Compile_crossbar.measured.Core.Rram_cost.latency in
-          let serial_steps = serial.Rram.Compile_mig.measured_steps in
+          let serial_steps = serial.Rram.Compile_mig.cost.Core.Rram_cost.latency in
           (match realization with
           | Core.Rram_cost.Maj ->
               Alcotest.(check int)
@@ -1114,7 +1127,7 @@ let random_program rng =
     outputs = Array.init (1 + Prng.int rng 3) (fun _ -> operand ());
   }
 
-(* The serial, crossbar, BDD, AIG and TMR programs of rd53. *)
+(* The serial, crossbar, BDD, AIG, PLiM and TMR programs of rd53. *)
 let rd53_programs () =
   let net = Funcgen.rd 5 3 in
   let mig = Core.Mig_of_network.convert net in
@@ -1130,8 +1143,7 @@ let rd53_programs () =
       .Rram.Compile_bdd.program
   in
   let aig =
-    (Rram.Compile_aig.compile ~mode:`Levelized (Aig_lib.Aig_of_network.convert net))
-      .Rram.Compile_aig.program
+    (Rram.Compile_aig.compile (Aig_lib.Aig_of_network.convert net)).Rram.Compile_aig.program
   in
   [
     ("serial IMP", serial Core.Rram_cost.Imp);
@@ -1139,6 +1151,7 @@ let rd53_programs () =
     ("crossbar MAJ", crossbar);
     ("BDD", bdd);
     ("AIG", aig);
+    ("PLiM", Rram.Plim.compile mig);
     ("TMR", (Rram.Tmr.protect (serial Core.Rram_cost.Maj)).Rram.Tmr.program);
   ]
 
