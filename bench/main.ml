@@ -303,7 +303,9 @@ let () =
   List.iter
     (fun name ->
       Format.fprintf out "  %s:@," name;
-      let config = { Exp.Montecarlo.default with trials = 100; effort = 10 } in
+      let config =
+        { Exp.Montecarlo.default with trials = 100; effort = 10; jobs = Some jobs }
+      in
       let net = (pick name).Io.Benchmarks.build () in
       List.iter
         (fun rate ->

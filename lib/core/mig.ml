@@ -1,32 +1,30 @@
 type signal = int
 type kind = Const | Pi of int | Gate
 
-type node = {
-  mutable kind : kind;
-  mutable fanin : signal array;
-  (* Counted fanout: the first [nfo] entries of [fanout] are the users, in
-     insertion order (oldest first) with removals tombstoned as [-1], so a
-     detach is O(1) instead of an order-preserving shift (which made heavy
-     substitution cascades quadratic on high-fanout nodes — the constant
-     node fans out to every AND/OR gate).  Holes are squeezed out, order
-     preserved, when an append finds the array at least half empty.  The
-     public view ({!fanout}) presents live users newest-first to preserve
-     the historical cons-list order that level-balancing heuristics
-     iterate. *)
-  mutable fanout : int array;
-  mutable nfo : int;
-  mutable nlive : int;
-  (* For a gate, [fo_slot.(i)] is the index of this gate inside
-     [fanin.(i)]'s fanout array — the back-pointers that make tombstoning
-     O(1).  Kept current by compaction; [[||]] for constants and inputs. *)
-  mutable fo_slot : int array;
-  mutable dead : bool;
-}
+(* The node store is a struct of arrays indexed by node id, with no block
+   per node besides its fanout array.  Slots [3n], [3n+1] and [3n+2] of
+   [fanin] hold gate [n]'s sorted fanin triple, and the same slots of
+   [fo_slot] its back-pointers: the index of [n] inside each fanin's
+   fanout array, which make a detach an O(1) tombstone.  Both are
+   meaningless for constants and inputs.
+
+   Counted fanout: the first [nfo.(n)] entries of [fanouts.(n)] are the
+   users, in insertion order (oldest first) with removals tombstoned as
+   [-1], so a detach is O(1) instead of an order-preserving shift (which
+   made heavy substitution cascades quadratic on high-fanout nodes — the
+   constant node fans out to every AND/OR gate).  [nlive.(n)] counts the
+   live entries.  Holes are squeezed out, order preserved, when an append
+   finds the array at least half empty.  The public view ({!fanout})
+   presents live users newest-first to preserve the historical cons-list
+   order that level-balancing heuristics iterate.
+
+   Every per-node array has the same capacity; ids are never reused, so a
+   slot past [n] still holds its initial value. *)
 
 (* Mutation events, emitted after the graph is consistent again so a
    listener can read the post-state (fanins, fanouts, outputs).  [Refanin]
-   hands over the pre-rewrite fanin array (ownership transferred: the node
-   now holds a fresh array). *)
+   hands over a fresh copy of the pre-rewrite fanin triple, built only when
+   a listener is installed. *)
 type event =
   | Gate_added of int
   | Gate_killed of int
@@ -37,14 +35,20 @@ type event =
 type attachment = ..
 
 type t = {
-  mutable nodes : node array;
+  mutable kinds : kind array;
+  mutable fanin : signal array;
+  mutable fo_slot : int array;
+  mutable fanouts : int array array;
+  mutable nfo : int array;
+  mutable nlive : int array;
+  mutable dead : Bytes.t;
+  mutable porefs : int array;
   mutable n : int;
   mutable pis : int array;
   mutable npis : int;
   mutable pout : signal array;
   mutable npos : int;
   strash : Logic.Triple_table.t;
-  mutable porefs : int array;
   mutable ngates : int;
   mutable listener : (event -> unit) option;
   mutable attachment : attachment option;
@@ -57,29 +61,35 @@ let node_of s = s lsr 1
 let is_compl s = s land 1 = 1
 let signal_of n c = (n lsl 1) lor if c then 1 else 0
 
-let fresh_node kind =
-  { kind; fanin = [||]; fanout = [||]; nfo = 0; nlive = 0; fo_slot = [||]; dead = false }
+let no_users : int array = [||]
 
-let create () =
-  let t =
-    {
-      nodes = Array.make 64 (fresh_node Const);
-      n = 0;
-      pis = Array.make 8 0;
-      npis = 0;
-      pout = Array.make 8 0;
-      npos = 0;
-      strash = Logic.Triple_table.create 64;
-      porefs = Array.make 64 0;
-      ngates = 0;
-      listener = None;
-      attachment = None;
-    }
-  in
-  (* node 0 is the constant-false node *)
-  t.nodes.(0) <- fresh_node Const;
-  t.n <- 1;
-  t
+(* A store with room for [cap] nodes, [npis] inputs and [npos] outputs and
+   a strash table sized for [ngates] gates; node 0 is the constant-false
+   node. *)
+let alloc ~cap ~npis ~npos ~ngates =
+  {
+    kinds = Array.make cap Const;
+    fanin = Array.make (3 * cap) 0;
+    fo_slot = Array.make (3 * cap) 0;
+    fanouts = Array.make cap no_users;
+    nfo = Array.make cap 0;
+    nlive = Array.make cap 0;
+    dead = Bytes.make cap '\000';
+    porefs = Array.make cap 0;
+    n = 1;
+    pis = Array.make npis 0;
+    npis = 0;
+    pout = Array.make npos 0;
+    npos = 0;
+    strash = Logic.Triple_table.create ngates;
+    ngates = 0;
+    listener = None;
+    attachment = None;
+  }
+
+let create ?(capacity = 64) () =
+  let cap = max 2 capacity in
+  alloc ~cap ~npis:8 ~npos:8 ~ngates:cap
 
 let[@inline] emit t e = match t.listener with None -> () | Some f -> f e
 let on_event t f = t.listener <- f
@@ -94,20 +104,41 @@ let grow arr n default =
   end
   else arr
 
-let push_node t node =
-  t.nodes <- grow t.nodes t.n (fresh_node Const);
-  t.porefs <- grow t.porefs t.n 0;
-  t.nodes.(t.n) <- node;
-  t.porefs.(t.n) <- 0;
-  t.n <- t.n + 1;
-  t.n - 1
+(* Double every per-node array at once, so they keep one capacity. *)
+let grow_nodes t =
+  let cap = Array.length t.kinds in
+  let widen arr default =
+    let bigger = Array.make (2 * Array.length arr) default in
+    Array.blit arr 0 bigger 0 (Array.length arr);
+    bigger
+  in
+  t.kinds <- widen t.kinds Const;
+  t.fanin <- widen t.fanin 0;
+  t.fo_slot <- widen t.fo_slot 0;
+  t.fanouts <- widen t.fanouts no_users;
+  t.nfo <- widen t.nfo 0;
+  t.nlive <- widen t.nlive 0;
+  t.porefs <- widen t.porefs 0;
+  let dead = Bytes.make (2 * cap) '\000' in
+  Bytes.blit t.dead 0 dead 0 cap;
+  t.dead <- dead
+
+let push_node t kind =
+  if t.n >= Array.length t.kinds then grow_nodes t;
+  let id = t.n in
+  t.kinds.(id) <- kind;
+  t.n <- id + 1;
+  id
 
 let add_pi t =
-  let id = push_node t (fresh_node (Pi t.npis)) in
+  let id = push_node t (Pi t.npis) in
   t.pis <- grow t.pis t.npis 0;
   t.pis.(t.npis) <- id;
   t.npis <- t.npis + 1;
   signal_of id false
+
+let[@inline] is_dead t n = Bytes.get t.dead n <> '\000'
+let[@inline] fanin t n i = t.fanin.((3 * n) + i)
 
 (* The sorted fanin triple, one component at a time so that sorting
    allocates nothing. *)
@@ -132,40 +163,43 @@ let[@inline] simplify3 a b c =
    order of the live entries, and re-aim the survivors' back-pointers (each
    survivor is a gate with [n] as exactly one of its three distinct fanins). *)
 let compact_fanout t n =
-  let node = t.nodes.(n) in
+  let fo = t.fanouts.(n) in
   let w = ref 0 in
-  for r = 0 to node.nfo - 1 do
-    let g = node.fanout.(r) in
+  for r = 0 to t.nfo.(n) - 1 do
+    let g = fo.(r) in
     if g >= 0 then begin
-      node.fanout.(!w) <- g;
-      let gn = t.nodes.(g) in
-      let fi = gn.fanin in
-      if node_of fi.(0) = n then gn.fo_slot.(0) <- !w
-      else if node_of fi.(1) = n then gn.fo_slot.(1) <- !w
-      else gn.fo_slot.(2) <- !w;
+      fo.(!w) <- g;
+      let b = 3 * g in
+      if node_of t.fanin.(b) = n then t.fo_slot.(b) <- !w
+      else if node_of t.fanin.(b + 1) = n then t.fo_slot.(b + 1) <- !w
+      else t.fo_slot.(b + 2) <- !w;
       incr w
     end
   done;
-  node.nfo <- !w
+  t.nfo.(n) <- !w
 
 (* [add_fanout t n f i] appends user [f] to [n]'s fanout and records the slot
    in [f]'s back-pointer for fanin position [i].  When the append needs room
    and at least half the occupied prefix is tombstones, compact instead of
    growing — amortized O(1) and the array never exceeds ~2x the live count. *)
 let add_fanout t n f i =
-  let node = t.nodes.(n) in
-  if node.nfo >= Array.length node.fanout then begin
-    if node.nfo >= 8 && 2 * node.nlive <= node.nfo then compact_fanout t n
+  let k = t.nfo.(n) in
+  let fo = t.fanouts.(n) in
+  if k >= Array.length fo then begin
+    (* The first array is a literal: an inline allocation, not a call. *)
+    if Array.length fo = 0 then t.fanouts.(n) <- [| 0; 0; 0; 0 |]
+    else if k >= 8 && 2 * t.nlive.(n) <= k then compact_fanout t n
     else begin
-      let bigger = Array.make (max 4 (2 * Array.length node.fanout)) 0 in
-      Array.blit node.fanout 0 bigger 0 node.nfo;
-      node.fanout <- bigger
+      let bigger = Array.make (2 * Array.length fo) 0 in
+      Array.blit fo 0 bigger 0 k;
+      t.fanouts.(n) <- bigger
     end
   end;
-  node.fanout.(node.nfo) <- f;
-  t.nodes.(f).fo_slot.(i) <- node.nfo;
-  node.nfo <- node.nfo + 1;
-  node.nlive <- node.nlive + 1
+  let k = t.nfo.(n) in
+  t.fanouts.(n).(k) <- f;
+  t.fo_slot.((3 * f) + i) <- k;
+  t.nfo.(n) <- k + 1;
+  t.nlive.(n) <- t.nlive.(n) + 1
 
 (* A gate's three fanins are distinct nodes (the sorted triple survived Ω.M),
    so a user appears at most once; its back-pointer names the slot and removal
@@ -173,16 +207,16 @@ let add_fanout t n f i =
    detaches a whole fanout array at once, which leaves the back-pointers of
    the captured users stale until the cascade rewrites them. *)
 let remove_fanout t n f slot =
-  let node = t.nodes.(n) in
-  if slot < node.nfo && node.fanout.(slot) = f then begin
-    node.fanout.(slot) <- -1;
-    node.nlive <- node.nlive - 1
+  let fo = t.fanouts.(n) in
+  if slot < t.nfo.(n) && fo.(slot) = f then begin
+    fo.(slot) <- -1;
+    t.nlive.(n) <- t.nlive.(n) - 1
   end
 
 (* The live gate strashed under a sorted triple, or [-1]. *)
 let find_gate t a b c =
   let n = Logic.Triple_table.find t.strash a b c in
-  if n >= 0 && not t.nodes.(n).dead then n else -1
+  if n >= 0 && not (is_dead t n) then n else -1
 
 let lookup t a b c =
   let a = lo3 a b c and b = mid3 a b c and c = hi3 a b c in
@@ -196,6 +230,18 @@ let lookup t a b c =
    counting it here covers every construction and rewrite path. *)
 let c_omega_m_hit = Obs.counter "mig.rule/omega_m.hits"
 
+(* Store [a <= b <= c] as gate [g]'s fanin triple, strash it and append [g]
+   to the three fanins' fanout arrays. *)
+let wire t g a b c =
+  let base = 3 * g in
+  t.fanin.(base) <- a;
+  t.fanin.(base + 1) <- b;
+  t.fanin.(base + 2) <- c;
+  Logic.Triple_table.replace t.strash a b c g;
+  add_fanout t (node_of a) g 0;
+  add_fanout t (node_of b) g 1;
+  add_fanout t (node_of c) g 2
+
 let maj t a b c =
   let a = lo3 a b c and b = mid3 a b c and c = hi3 a b c in
   let s = simplify3 a b c in
@@ -207,14 +253,8 @@ let maj t a b c =
     let n = find_gate t a b c in
     if n >= 0 then signal_of n false
     else begin
-      let node = fresh_node Gate in
-      node.fanin <- [| a; b; c |];
-      node.fo_slot <- Array.make 3 0;
-      let id = push_node t node in
-      Logic.Triple_table.replace t.strash a b c id;
-      add_fanout t (node_of a) id 0;
-      add_fanout t (node_of b) id 1;
-      add_fanout t (node_of c) id 2;
+      let id = push_node t Gate in
+      wire t id a b c;
       t.ngates <- t.ngates + 1;
       emit t (Gate_added id);
       signal_of id false
@@ -242,7 +282,7 @@ let add_po t s =
   emit t (Po_added i);
   i
 
-let kind t n = t.nodes.(n).kind
+let kind t n = t.kinds.(n)
 let num_pis t = t.npis
 let num_pos t = t.npos
 let num_nodes t = t.n
@@ -260,57 +300,61 @@ let set_po t i s =
   end
 
 let pos t = Array.sub t.pout 0 t.npos
-let fanins t n = t.nodes.(n).fanin
+
+let fanins t n =
+  match t.kinds.(n) with
+  | Gate -> Array.sub t.fanin (3 * n) 3
+  | Const | Pi _ -> [||]
 
 let fanout t n =
-  let node = t.nodes.(n) in
+  let fo = t.fanouts.(n) in
   let acc = ref [] in
-  for i = 0 to node.nfo - 1 do
-    let f = node.fanout.(i) in
-    if f >= 0 && not t.nodes.(f).dead then acc := f :: !acc
+  for i = 0 to t.nfo.(n) - 1 do
+    let f = fo.(i) in
+    if f >= 0 && not (is_dead t f) then acc := f :: !acc
   done;
   !acc
 
-let fanout_size t n = t.nodes.(n).nlive
+let fanout_size t n = t.nlive.(n)
 
 let fanout_iter t n f =
-  let node = t.nodes.(n) in
-  for i = 0 to node.nfo - 1 do
-    let g = node.fanout.(i) in
-    if g >= 0 && not t.nodes.(g).dead then f g
+  let fo = t.fanouts.(n) in
+  for i = 0 to t.nfo.(n) - 1 do
+    let g = fo.(i) in
+    if g >= 0 && not (is_dead t g) then f g
   done
 
-let is_dead t n = t.nodes.(n).dead
 let po_refs t n = t.porefs.(n)
 
 let unregister t n =
-  let f = t.nodes.(n).fanin in
-  if Logic.Triple_table.find t.strash f.(0) f.(1) f.(2) = n then
-    Logic.Triple_table.remove t.strash f.(0) f.(1) f.(2)
+  let base = 3 * n in
+  let a = t.fanin.(base) and b = t.fanin.(base + 1) and c = t.fanin.(base + 2) in
+  if Logic.Triple_table.find t.strash a b c = n then
+    Logic.Triple_table.remove t.strash a b c
 
 (* Kill a gate node: drop its strash entry and detach it from its fanins'
    fanout lists.  The fanout list of [n] itself is the caller's business.
    Inputs and constants are never killed: substituting one merely redirects
    its users while the node itself stays alive.  The [Gate_killed] event
-   fires with the fanin array still intact so listeners can walk it. *)
+   fires with the fanin triple still intact so listeners can walk it. *)
 let kill t n =
-  let node = t.nodes.(n) in
-  if node.kind = Gate && not node.dead then begin
-    unregister t n;
-    for i = 0 to 2 do
-      remove_fanout t (node_of node.fanin.(i)) n node.fo_slot.(i)
-    done;
-    node.dead <- true;
-    t.ngates <- t.ngates - 1;
-    emit t (Gate_killed n)
-  end
+  match t.kinds.(n) with
+  | Const | Pi _ -> ()
+  | Gate when is_dead t n -> ()
+  | Gate ->
+      unregister t n;
+      for i = 0 to 2 do
+        remove_fanout t (node_of (fanin t n i)) n t.fo_slot.((3 * n) + i)
+      done;
+      Bytes.set t.dead n '\001';
+      t.ngates <- t.ngates - 1;
+      emit t (Gate_killed n)
 
 (* Fanin [g] with node [n] replaced by signal [s], keeping [g]'s polarity. *)
 let[@inline] rewire n s g = if node_of g = n then s lxor (g land 1) else g
 
 let rec substitute t n s =
-  let node = t.nodes.(n) in
-  if not node.dead then begin
+  if not (is_dead t n) then begin
     assert (node_of s <> n);
     (* The maintained PO reference count gates the output scan: substitution
        runs thousands of times per sweep and scanning every output each time
@@ -326,18 +370,18 @@ let rec substitute t n s =
           emit t (Po_redirected { index = i; old_po = old })
         end
       done;
-    let fos = node.fanout in
-    let nfos = node.nfo in
-    node.fanout <- [||];
-    node.nfo <- 0;
-    node.nlive <- 0;
+    let fos = t.fanouts.(n) in
+    let nfos = t.nfo.(n) in
+    t.fanouts.(n) <- no_users;
+    t.nfo.(n) <- 0;
+    t.nlive.(n) <- 0;
     kill t n;
     (* The historical fanout order was a cons list (newest first); iterate
        the array back-to-front, skipping tombstones, to keep the cascade
        order bit-identical. *)
     for i = nfos - 1 downto 0 do
       let f = fos.(i) in
-      if f >= 0 && not t.nodes.(f).dead then refanin t f n s
+      if f >= 0 && not (is_dead t f) then refanin t f n s
     done
   end
 
@@ -346,10 +390,9 @@ let rec substitute t n s =
    gate) and re-hash (the new triple may collide with an existing gate); both
    cases cascade into a further substitution of [f] itself. *)
 and refanin t f n s =
-  let fnode = t.nodes.(f) in
-  let old_fanins = fnode.fanin in
-  let u0 = rewire n s old_fanins.(0) and u1 = rewire n s old_fanins.(1) in
-  let u2 = rewire n s old_fanins.(2) in
+  let base = 3 * f in
+  let o0 = t.fanin.(base) and o1 = t.fanin.(base + 1) and o2 = t.fanin.(base + 2) in
+  let u0 = rewire n s o0 and u1 = rewire n s o1 and u2 = rewire n s o2 in
   let a = lo3 u0 u1 u2 and b = mid3 u0 u1 u2 and c = hi3 u0 u1 u2 in
   let r = simplify3 a b c in
   if r >= 0 then substitute t f r
@@ -358,16 +401,13 @@ and refanin t f n s =
     if g >= 0 && g <> f then substitute t f (signal_of g false)
     else begin
       unregister t f;
-      for i = 0 to 2 do
-        let g = old_fanins.(i) in
-        if node_of g <> n then remove_fanout t (node_of g) f fnode.fo_slot.(i)
-      done;
-      fnode.fanin <- [| a; b; c |];
-      Logic.Triple_table.replace t.strash a b c f;
-      add_fanout t (node_of a) f 0;
-      add_fanout t (node_of b) f 1;
-      add_fanout t (node_of c) f 2;
-      emit t (Refanin { node = f; old_fanins })
+      if node_of o0 <> n then remove_fanout t (node_of o0) f t.fo_slot.(base);
+      if node_of o1 <> n then remove_fanout t (node_of o1) f t.fo_slot.(base + 1);
+      if node_of o2 <> n then remove_fanout t (node_of o2) f t.fo_slot.(base + 2);
+      wire t f a b c;
+      match t.listener with
+      | None -> ()
+      | Some l -> l (Refanin { node = f; old_fanins = [| o0; o1; o2 |] })
     end
 
 (* Iterative post-order DFS from the outputs; calls [f] on each reachable
@@ -397,9 +437,7 @@ let iter_topo_gen t ~rev_fanins f =
     let root = node_of t.pout.(i) in
     if Bytes.get seen root = '\000' then begin
       Bytes.set seen root '\001';
-      (match t.nodes.(root).kind with
-      | Const | Pi _ -> ()
-      | Gate -> push (root * 4));
+      (match t.kinds.(root) with Const | Pi _ -> () | Gate -> push (root * 4));
       while !sp > 0 do
         let v = !stack.(!sp - 1) in
         let n = v lsr 2 and idx = v land 3 in
@@ -410,10 +448,10 @@ let iter_topo_gen t ~rev_fanins f =
         else begin
           !stack.(!sp - 1) <- v + 1;
           let idx = if rev_fanins then 2 - idx else idx in
-          let m = node_of t.nodes.(n).fanin.(idx) in
+          let m = node_of (fanin t n idx) in
           if Bytes.get seen m = '\000' then begin
             Bytes.set seen m '\001';
-            match t.nodes.(m).kind with Const | Pi _ -> () | Gate -> push (m * 4)
+            match t.kinds.(m) with Const | Pi _ -> () | Gate -> push (m * 4)
           end
         end
       done
@@ -434,10 +472,18 @@ let size t =
 
 let foreach_gate t f =
   let order = topo_order t in
-  List.iter (fun n -> if not t.nodes.(n).dead then f n) order
+  List.iter (fun n -> if not (is_dead t n) then f n) order
 
+(* The store is sized once, from the number of gates the copy keeps, so
+   the copy allocates no per-node blocks besides fanout arrays.  [ngates]
+   would be a cheaper bound, but it counts the unreachable gates rewriting
+   leaves behind, often several times the reachable ones. *)
 let cleanup t =
-  let fresh = create () in
+  let kept = size t in
+  let fresh =
+    alloc ~cap:(1 + t.npis + kept) ~npis:(max 8 t.npis) ~npos:(max 8 t.npos)
+      ~ngates:(max 64 kept)
+  in
   let map = Array.make t.n (-1) in
   map.(0) <- 0;
   for i = 0 to t.npis - 1 do
@@ -445,8 +491,7 @@ let cleanup t =
   done;
   let[@inline] copy s = signal_of map.(node_of s) (is_compl s) in
   iter_topo_gen t ~rev_fanins:true (fun n ->
-      let f = t.nodes.(n).fanin in
-      let s = maj fresh (copy f.(0)) (copy f.(1)) (copy f.(2)) in
+      let s = maj fresh (copy (fanin t n 0)) (copy (fanin t n 1)) (copy (fanin t n 2)) in
       (* A live gate triple cannot simplify, and strashing in the fresh graph
          only merges identical gates, so the copy is a positive signal. *)
       assert (not (is_compl s));
@@ -473,18 +518,44 @@ let fingerprint t =
   varint t.n;
   varint t.npos;
   for i = 1 to t.n - 1 do
-    let node = t.nodes.(i) in
-    match node.kind with
+    match t.kinds.(i) with
     | Const | Pi _ -> varint 0
-    | Gate when node.dead -> varint 1
+    | Gate when is_dead t i -> varint 1
     | Gate ->
         varint 2;
-        Array.iter varint node.fanin
+        varint (fanin t i 0);
+        varint (fanin t i 1);
+        varint (fanin t i 2)
   done;
   for i = 0 to t.npos - 1 do
     varint t.pout.(i)
   done;
   Buffer.contents b
+
+let check_store t =
+  let errors = ref [] in
+  let fail fmt = Printf.ksprintf (fun e -> errors := e :: !errors) fmt in
+  for n = 0 to t.n - 1 do
+    let fo = t.fanouts.(n) and k = t.nfo.(n) in
+    if k > Array.length fo then fail "node %d: %d fanout entries in %d slots" n k (Array.length fo)
+    else begin
+      let live = ref 0 in
+      for r = 0 to k - 1 do
+        if fo.(r) >= 0 then incr live
+      done;
+      if !live <> t.nlive.(n) then
+        fail "node %d: %d untombstoned fanout entries, count %d" n !live t.nlive.(n)
+    end;
+    match t.kinds.(n) with
+    | Gate when not (is_dead t n) ->
+        for i = 0 to 2 do
+          let m = node_of (fanin t n i) and slot = t.fo_slot.((3 * n) + i) in
+          if not (slot < t.nfo.(m) && t.fanouts.(m).(slot) = n) then
+            fail "gate %d: fanin %d (node %d) back-pointer %d is not its slot" n i m slot
+        done
+    | Const | Pi _ | Gate -> ()
+  done;
+  match !errors with [] -> Ok () | es -> Error (String.concat "; " (List.rev es))
 
 let pp_stats ppf t =
   Format.fprintf ppf "pis=%d pos=%d gates=%d" t.npis t.npos (size t)

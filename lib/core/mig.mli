@@ -12,7 +12,14 @@
     hashing keys on the *sorted fanin triple with polarities*: no polarity
     canonicalization is performed, because the placement of complement
     attributes is itself an optimization dimension for RRAM mapping (each
-    complemented edge costs one RRAM and contributes to the step count). *)
+    complemented edge costs one RRAM and contributes to the step count).
+
+    The store is a struct of arrays indexed by node id: one kind array, the
+    fanin triples in one flat [int] array (three slots per node), their
+    fanout back-pointers in a second flat array, the fanout counts, a dead
+    flag per node, and one fanout array per node.  There is no per-node
+    record, so {!cleanup} sizes a fresh store once and the hot readers use
+    the non-allocating {!fanin}. *)
 
 type t
 
@@ -30,7 +37,10 @@ val signal_of : int -> bool -> signal
 
 (** {1 Construction} *)
 
-val create : unit -> t
+val create : ?capacity:int -> unit -> t
+(** An empty graph (only the constant node) with room for [capacity]
+    nodes, 64 by default, before its arrays first grow.  The capacity is a
+    sizing hint: it changes no result. *)
 
 val add_pi : t -> signal
 (** Append a primary input; returns its (positive) signal. *)
@@ -63,7 +73,7 @@ val kind : t -> int -> kind
 val num_pis : t -> int
 val num_pos : t -> int
 val num_nodes : t -> int
-(** Allocated node records, including dead ones (an upper bound on ids). *)
+(** Allocated node ids, including dead ones (an upper bound on ids). *)
 
 val num_gates : t -> int
 (** O(1) maintained count of live majority gates, including gates no longer
@@ -78,9 +88,16 @@ val pi : t -> int -> signal
 val po : t -> int -> signal
 val set_po : t -> int -> signal -> unit
 val pos : t -> signal array
+val fanin : t -> int -> int -> signal
+(** [fanin t g i] is fanin [i] (0, 1 or 2) of gate [g]; the triple is sorted
+    ascending.  Reads the store without allocating.  Meaningless when [g] is
+    a constant or an input.  A dead gate keeps the triple it had when it was
+    killed. *)
+
 val fanins : t -> int -> signal array
-(** The three fanin signals of a gate (sorted ascending); [[||]] for
-    constants and inputs. *)
+(** The three fanin signals of a gate (sorted ascending) as a fresh array,
+    which later rewrites of the graph do not change; [[||]] for constants
+    and inputs.  Allocates: loops over many gates use {!fanin}. *)
 
 val fanout : t -> int -> int list
 (** Live gate nodes that use this node as a fanin, newest first. *)
@@ -142,10 +159,10 @@ val foreach_gate : t -> (int -> unit) -> unit
     A single listener slot (one load-and-branch when absent) lets an analysis
     layer such as {!Mig_analysis} track the graph incrementally.  Events fire
     after the graph is consistent: [Gate_added] once the node is strashed and
-    wired, [Gate_killed] with the dead node's fanin array still readable,
-    [Refanin] with the superseded fanin array (ownership passes to the
-    listener), [Po_redirected]/[Po_added] after the output array is
-    updated. *)
+    wired, [Gate_killed] with the dead node's fanin triple still readable,
+    [Refanin] with a fresh copy of the superseded fanin triple (built only
+    while a listener is installed), [Po_redirected]/[Po_added] after the
+    output array is updated. *)
 
 type event =
   | Gate_added of int
@@ -163,5 +180,11 @@ type attachment = ..
 
 val attachment : t -> attachment option
 val set_attachment : t -> attachment option -> unit
+
+val check_store : t -> (unit, string) result
+(** The node store's own bookkeeping, for tests: every node's live-user
+    count matches its fanout array, and every fanin of a live gate has a
+    back-pointer naming the gate's slot in that fanin's fanout array.  The
+    error lists every violation. *)
 
 val pp_stats : Format.formatter -> t -> unit

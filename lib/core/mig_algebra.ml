@@ -16,12 +16,9 @@ let uses_at_most mig s k =
    complemented fanin triple.  Rewriting through these "virtual" fanins lets
    the structural rules (Ω.A, Ω.D, Ψ.C) cross complemented edges, which is
    essential on XOR-rich logic. *)
-(* The positive case borrows the node's fanin array: callers only read it,
-   and {!Mig} replaces fanin arrays wholesale on refanin (never writes them
-   in place), so the borrowed array keeps its snapshot contents. *)
 let virtual_fanins mig s =
-  let f = Mig.fanins mig (Mig.node_of s) in
-  if Mig.is_compl s then Array.map (fun g -> Mig.not_ g) f else f
+  let n = Mig.node_of s and c = s land 1 in
+  [| Mig.fanin mig n 0 lxor c; Mig.fanin mig n 1 lxor c; Mig.fanin mig n 2 lxor c |]
 
 (* Whether a rule may look through a (possibly complemented) gate edge.
    The conventional algorithms (Algs. 1–2) have no Ω.I in their listings, so
@@ -43,9 +40,12 @@ let shared_signals fa fb =
 let pairs_with_third f =
   [ (f.(0), f.(1), f.(2)); (f.(0), f.(2), f.(1)); (f.(1), f.(2), f.(0)) ]
 
+(* The fanin triple of gate [g], read without copying it. *)
+let[@inline] triple mig g = (Mig.fanin mig g 0, Mig.fanin mig g 1, Mig.fanin mig g 2)
+
 (* Ω.D right-to-left: M(M(x,y,u), M(x,y,v), r) → M(x, y, M(u,v,r)). *)
 let try_distributivity_rl mig g =
-  let f = Mig.fanins mig g in
+  let f0, f1, f2 = triple mig g in
   let attempt (p, q, r) =
     if is_gate mig p && is_gate mig q && single_use mig p && single_use mig q then begin
       let fp = virtual_fanins mig p and fq = virtual_fanins mig q in
@@ -69,14 +69,14 @@ let try_distributivity_rl mig g =
     end
     else false
   in
-  List.exists attempt (pairs_with_third f)
+  List.exists attempt [ (f0, f1, f2); (f0, f2, f1); (f1, f2, f0) ]
 
 (* Ω.D left-to-right: M(x, y, M(u,v,z)) → M(M(x,y,u), M(x,y,v), z); apply
    when the root level strictly drops (z is on the critical path). *)
 let try_distributivity_lr ?(through_compl = true) ?(fanout_limit = max_int) mig an g =
   let lv s = Mig_analysis.level an (Mig.node_of s) in
   let root_level = Mig_analysis.level an g in
-  let f = Mig.fanins mig g in
+  let f0, f1, f2 = triple mig g in
   let attempt (p, x, y) =
     (* prefilter: inner1 alone puts new_level at least 2 + max(lv x, lv y) *)
     if gate_edge_ok mig through_compl p && uses_at_most mig p fanout_limit
@@ -109,7 +109,7 @@ let try_distributivity_lr ?(through_compl = true) ?(fanout_limit = max_int) mig 
   in
   (* positions: each fanin may play the inner-gate role *)
   List.exists attempt
-    [ (f.(0), f.(1), f.(2)); (f.(1), f.(0), f.(2)); (f.(2), f.(0), f.(1)) ]
+    [ (f0, f1, f2); (f1, f0, f2); (f2, f0, f1) ]
 
 (* Ω.A: M(x, u, M(y,u,z)) → M(z, u, M(y,u,x)); swap the deep inner operand
    with the shallow outer one.  With [strict] (the default) the root level
@@ -121,7 +121,7 @@ let try_associativity ?(strict = true) ?(through_compl = true) ?(fanout_limit = 
   let accepts new_level =
     if strict then new_level < root_level else new_level <= root_level
   in
-  let f = Mig.fanins mig g in
+  let f0, f1, f2 = triple mig g in
   let attempt (p, a1, a2) =
     (* prefilter: {u, x} = {a1, a2} feed new_inner, so new_level is at
        least 2 + max(lv a1, lv a2), and [accepts] is monotone *)
@@ -161,13 +161,13 @@ let try_associativity ?(strict = true) ?(through_compl = true) ?(fanout_limit = 
     else false
   in
   List.exists attempt
-    [ (f.(0), f.(1), f.(2)); (f.(1), f.(0), f.(2)); (f.(2), f.(0), f.(1)) ]
+    [ (f0, f1, f2); (f1, f0, f2); (f2, f0, f1) ]
 
 (* Ψ.C: M(x, u, M(y,¬u,z)) → M(x, u, M(y,x,z)). *)
 let try_compl_assoc ?(require_gain = true) ?(through_compl = true) ?(fanout_limit = max_int) mig an g =
   let lv s = Mig_analysis.level an (Mig.node_of s) in
   let root_level = Mig_analysis.level an g in
-  let f = Mig.fanins mig g in
+  let f0, f1, f2 = triple mig g in
   let attempt (p, a1, a2) =
     (* prefilter: x is a1 or a2 and feeds new_inner, so with a level
        requirement new_level is at least 2 + min(lv a1, lv a2) *)
@@ -202,21 +202,22 @@ let try_compl_assoc ?(require_gain = true) ?(through_compl = true) ?(fanout_limi
     else false
   in
   List.exists attempt
-    [ (f.(0), f.(1), f.(2)); (f.(1), f.(0), f.(2)); (f.(2), f.(0), f.(1)) ]
+    [ (f0, f1, f2); (f1, f0, f2); (f2, f0, f1) ]
 
 let compl_fanins mig g =
   let count = ref 0 in
-  Array.iter
-    (fun s -> if Mig.is_compl s && Mig.node_of s <> 0 then incr count)
-    (Mig.fanins mig g);
+  for i = 0 to 2 do
+    let s = Mig.fanin mig g i in
+    if Mig.is_compl s && Mig.node_of s <> 0 then incr count
+  done;
   !count
 
 (* Ω.I right-to-left (extension of §III-C.3): flip all fanin polarities and
    complement the node's output everywhere. *)
 let try_compl_prop ?(min_compl = 2) mig g =
   if compl_fanins mig g >= min_compl then begin
-    let f = Mig.fanins mig g in
-    let flipped = Mig.maj mig (Mig.not_ f.(0)) (Mig.not_ f.(1)) (Mig.not_ f.(2)) in
+    let f0, f1, f2 = triple mig g in
+    let flipped = Mig.maj mig (Mig.not_ f0) (Mig.not_ f1) (Mig.not_ f2) in
     if Mig.node_of flipped = g then false
     else begin
       Mig.substitute mig g (Mig.not_ flipped);
@@ -227,7 +228,7 @@ let try_compl_prop ?(min_compl = 2) mig g =
 
 (* Ψ.R: M(x,y,z) = M(x, y, z[x ↦ ¬y]). *)
 let try_relevance ?(max_cone = 64) mig an g =
-  let f = Mig.fanins mig g in
+  let f0, f1, f2 = triple mig g in
   (* Bounded cone of z: gates only, stop at PIs/constants.  Collection is
      pure and failed attempts only append speculative (unreferenced) nodes,
      so the cone is shared between the attempt orderings with the same [z]. *)
@@ -248,7 +249,9 @@ let try_relevance ?(max_cone = 64) mig an g =
           else begin
             Hashtbl.add cone n ();
             cone_nodes := n :: !cone_nodes;
-            Array.iter (fun s -> collect (Mig.node_of s)) (Mig.fanins mig n)
+            for i = 0 to 2 do
+              collect (Mig.node_of (Mig.fanin mig n i))
+            done
           end
         end
       in
@@ -264,7 +267,10 @@ let try_relevance ?(max_cone = 64) mig an g =
       let occurs =
         (not !too_big)
         && List.exists
-             (fun n -> Array.exists (fun s -> Mig.node_of s = xn) (Mig.fanins mig n))
+             (fun n ->
+               Mig.node_of (Mig.fanin mig n 0) = xn
+               || Mig.node_of (Mig.fanin mig n 1) = xn
+               || Mig.node_of (Mig.fanin mig n 2) = xn)
              !cone_nodes
       in
       if not occurs then false
@@ -281,8 +287,10 @@ let try_relevance ?(max_cone = 64) mig an g =
             | Some s -> s
             | None ->
                 let app s = rebuild_node (Mig.node_of s) lxor (s land 1) in
-                let fn = Mig.fanins mig n in
-                let s = Mig.maj mig (app fn.(0)) (app fn.(1)) (app fn.(2)) in
+                let s =
+                  Mig.maj mig (app (Mig.fanin mig n 0)) (app (Mig.fanin mig n 1))
+                    (app (Mig.fanin mig n 2))
+                in
                 if Mig.node_of s = g then hit_root := true;
                 Hashtbl.add memo n s;
                 s
@@ -303,7 +311,7 @@ let try_relevance ?(max_cone = 64) mig an g =
   in
   List.exists attempt
     [
-      (f.(0), f.(1), f.(2)); (f.(1), f.(0), f.(2));
-      (f.(0), f.(2), f.(1)); (f.(2), f.(0), f.(1));
-      (f.(1), f.(2), f.(0)); (f.(2), f.(1), f.(0));
+      (f0, f1, f2); (f1, f0, f2);
+      (f0, f2, f1); (f2, f0, f1);
+      (f1, f2, f0); (f2, f1, f0);
     ]

@@ -72,9 +72,11 @@ let ensure_level a l =
   end
 
 let compl_fanins mig g =
-  let f = Mig.fanins mig g in
   let count = ref 0 in
-  Array.iter (fun s -> if Mig.is_compl s && Mig.node_of s <> 0 then incr count) f;
+  for i = 0 to 2 do
+    let s = Mig.fanin mig g i in
+    if Mig.is_compl s && Mig.node_of s <> 0 then incr count
+  done;
   !count
 
 let bucket_add a n =
@@ -150,14 +152,13 @@ let count_cascade a n0 =
     let n = v lsr 2 and idx = v land 3 in
     if idx = 3 then begin
       decr sp;
-      let f = Mig.fanins mig n in
       let m = ref 0 in
       let dead_fanin = ref false in
-      Array.iter
-        (fun s ->
-          if Mig.is_dead mig (Mig.node_of s) then dead_fanin := true;
-          m := max !m (fanin_level a mig s))
-        f;
+      for i = 0 to 2 do
+        let s = Mig.fanin mig n i in
+        if Mig.is_dead mig (Mig.node_of s) then dead_fanin := true;
+        m := max !m (fanin_level a mig s)
+      done;
       a.lvl.(n) <- !m + 1;
       a.cmp.(n) <- compl_fanins mig n;
       bucket_add a n;
@@ -168,7 +169,7 @@ let count_cascade a n0 =
     end
     else begin
       a.stk.(!sp - 1) <- v + 1;
-      let m = Mig.node_of (Mig.fanins mig n).(idx) in
+      let m = Mig.node_of (Mig.fanin mig n idx) in
       a.refs.(m) <- a.refs.(m) + 1;
       if
         (not a.cnt.(m))
@@ -195,12 +196,10 @@ let uncount a n =
   a.cnt.(n) <- false;
   a.nsize <- a.nsize - 1;
   if a.inb.(n) then bucket_remove a n;
-  let sp = ref 0 in
-  Array.iter
-    (fun s ->
-      stk_push a !sp (Mig.node_of s);
-      incr sp)
-    (Mig.fanins a.mig n);
+  for i = 0 to 2 do
+    stk_push a i (Mig.node_of (Mig.fanin a.mig n i))
+  done;
+  let sp = ref 3 in
   while !sp > 0 do
     decr sp;
     let m = a.stk.(!sp) in
@@ -209,11 +208,10 @@ let uncount a n =
       a.cnt.(m) <- false;
       a.nsize <- a.nsize - 1;
       if a.inb.(m) then bucket_remove a m;
-      Array.iter
-        (fun s ->
-          stk_push a !sp (Mig.node_of s);
-          incr sp)
-        (Mig.fanins a.mig m)
+      for i = 0 to 2 do
+        stk_push a !sp (Mig.node_of (Mig.fanin a.mig m i));
+        incr sp
+      done
     end
   done
 
@@ -242,13 +240,12 @@ let rebuild a =
   a.nsize <- 0;
   a.invalid <- false;
   Mig.iter_topo mig (fun g ->
-      let f = Mig.fanins mig g in
       let m = ref 0 in
-      Array.iter
-        (fun s ->
-          a.refs.(Mig.node_of s) <- a.refs.(Mig.node_of s) + 1;
-          m := max !m (fanin_level a mig s))
-        f;
+      for i = 0 to 2 do
+        let s = Mig.fanin mig g i in
+        a.refs.(Mig.node_of s) <- a.refs.(Mig.node_of s) + 1;
+        m := max !m (fanin_level a mig s)
+      done;
       a.cnt.(g) <- true;
       a.nsize <- a.nsize + 1;
       a.lvl.(g) <- !m + 1;
@@ -272,9 +269,10 @@ let flush a =
       incr processed;
       if a.cnt.(n) && not (Mig.is_dead a.mig n) then begin
         if a.inb.(n) then bucket_remove a n;
-        let f = Mig.fanins a.mig n in
         let m = ref 0 in
-        Array.iter (fun s -> m := max !m (fanin_level a a.mig s)) f;
+        for i = 0 to 2 do
+          m := max !m (fanin_level a a.mig (Mig.fanin a.mig n i))
+        done;
         let newl = !m + 1 in
         let oldl = a.lvl.(n) in
         a.lvl.(n) <- newl;
@@ -305,7 +303,9 @@ let handle a ev =
         a.cmp.(f) <- compl_fanins a.mig f;
         (* incref before decref so fanins shared between the old and new
            triples never transit through zero. *)
-        Array.iter (fun s -> incref a (Mig.node_of s)) (Mig.fanins a.mig f);
+        for i = 0 to 2 do
+          incref a (Mig.node_of (Mig.fanin a.mig f i))
+        done;
         Array.iter (fun s -> decref a (Mig.node_of s)) old_fanins
       end
   | Mig.Po_added i -> incref a (Mig.node_of (Mig.po a.mig i))
@@ -379,14 +379,15 @@ let uncounted_level a n0 =
     let n = v lsr 2 and idx = v land 3 in
     if idx = 3 then begin
       decr sp;
-      let f = Mig.fanins mig n in
       let m = ref 0 in
-      Array.iter (fun s -> m := max !m (fanin_level a mig s)) f;
+      for i = 0 to 2 do
+        m := max !m (fanin_level a mig (Mig.fanin mig n i))
+      done;
       a.lvl.(n) <- !m + 1
     end
     else begin
       a.stk.(!sp - 1) <- v + 1;
-      let m = Mig.node_of (Mig.fanins mig n).(idx) in
+      let m = Mig.node_of (Mig.fanin mig n idx) in
       if
         a.vmark.(m) <> ep
         && (not a.cnt.(m))

@@ -23,10 +23,9 @@ let enumerate ?(k = 4) ?(max_cuts = 12) mig =
   in
   List.iter
     (fun g ->
-      let f = Mig.fanins mig g in
-      let ca = cuts_of_node (Mig.node_of f.(0)) in
-      let cb = cuts_of_node (Mig.node_of f.(1)) in
-      let cc = cuts_of_node (Mig.node_of f.(2)) in
+      let ca = cuts_of_node (Mig.node_of (Mig.fanin mig g 0)) in
+      let cb = cuts_of_node (Mig.node_of (Mig.fanin mig g 1)) in
+      let cc = cuts_of_node (Mig.node_of (Mig.fanin mig g 2)) in
       let merged = ref [] in
       List.iter
         (fun a ->
@@ -78,7 +77,9 @@ let cone_nodes mig root cut =
       Hashtbl.replace visited n ();
       (match Mig.kind mig n with
       | Mig.Gate ->
-          Array.iter (fun s -> visit (Mig.node_of s)) (Mig.fanins mig n);
+          for i = 0 to 2 do
+            visit (Mig.node_of (Mig.fanin mig n i))
+          done;
           acc := n :: !acc
       | _ -> ())
     end
@@ -96,9 +97,11 @@ let cut_function mig root cut =
   in
   List.iter
     (fun n ->
-      let f = Mig.fanins mig n in
       Hashtbl.replace values n
-        (Truth_table.maj3 (value_of f.(0)) (value_of f.(1)) (value_of f.(2))))
+        (Truth_table.maj3
+           (value_of (Mig.fanin mig n 0))
+           (value_of (Mig.fanin mig n 1))
+           (value_of (Mig.fanin mig n 2))))
     (cone_nodes mig root cut);
   Hashtbl.find values root
 

@@ -48,7 +48,10 @@ let signal_of_sop mig sop literal_signal =
   | cubes -> balanced_fold (Mig.or_ mig) (List.map cube_signal cubes)
 
 let convert net =
-  let mig = Mig.create () in
+  (* One MIG node per network node is the common case (a two-input gate
+     becomes one majority node, an inverter or buffer none), so sizing the
+     store by the network saves growing it while converting. *)
+  let mig = Mig.create ~capacity:(Network.num_nodes net + 1) () in
   let pi_signals = Array.init (Network.num_inputs net) (fun _ -> Mig.add_pi mig) in
   let n = Network.num_nodes net in
   let signals = Array.make n Mig.const0 in

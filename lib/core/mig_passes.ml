@@ -192,9 +192,9 @@ let strash mig =
   let merges = ref 0 in
   Mig.foreach_gate mig (fun g ->
       if not (Mig.is_dead mig g) then begin
-        let f = Mig.fanins mig g in
-        let first = Triple_table.find seen f.(0) f.(1) f.(2) in
-        if first < 0 then Triple_table.replace seen f.(0) f.(1) f.(2) g
+        let a = Mig.fanin mig g 0 and b = Mig.fanin mig g 1 and c = Mig.fanin mig g 2 in
+        let first = Triple_table.find seen a b c in
+        if first < 0 then Triple_table.replace seen a b c g
         else if first <> g && not (Mig.is_dead mig first) then begin
           incr merges;
           Mig.substitute mig g (Mig.signal_of first false)

@@ -18,7 +18,12 @@ let simulate mig =
       | None ->
           let order = Array.of_list (Mig.topo_order mig) in
           let fans = Array.make (3 * Array.length order) 0 in
-          Array.iteri (fun k g -> Array.blit (Mig.fanins mig g) 0 fans (3 * k) 3) order;
+          Array.iteri
+            (fun k g ->
+              for i = 0 to 2 do
+                fans.((3 * k) + i) <- Mig.fanin mig g i
+              done)
+            order;
           cache := Some (order, fans);
           (order, fans)
     in

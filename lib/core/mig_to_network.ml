@@ -19,8 +19,11 @@ let export mig =
     end
   in
   Mig.iter_topo mig (fun g ->
-      let f = Mig.fanins mig g in
-      map.(g) <- Network.maj net (value f.(0)) (value f.(1)) (value f.(2)));
+      map.(g) <-
+        Network.maj net
+          (value (Mig.fanin mig g 0))
+          (value (Mig.fanin mig g 1))
+          (value (Mig.fanin mig g 2)));
   Array.iteri
     (fun i s -> Network.add_output net (Printf.sprintf "y%d" i) (value s))
     (Mig.pos mig);

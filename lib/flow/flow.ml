@@ -53,7 +53,16 @@ let rec cycle_invariant = function
 (* Engine                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* The graph copies a flow makes between passes, in spans of their own so
+   their time shows as a named layer. *)
+let cleanup ~ops ~span_prefix g =
+  Obs.with_span ~cat:span_prefix (span_prefix ^ "/cleanup") (fun () -> ops.cleanup g)
+
+let fingerprint ~ops ~span_prefix g =
+  Obs.with_span ~cat:span_prefix (span_prefix ^ "/fingerprint") (fun () -> ops.fingerprint g)
+
 let changed_run ~ops ?(span_prefix = "flow") ?name flow g =
+  let cleanup = cleanup ~ops ~span_prefix in
   let flow =
     match name with Some n -> Named { name = n; body = flow } | None -> flow
   in
@@ -122,7 +131,7 @@ let changed_run ~ops ?(span_prefix = "flow") ?name flow g =
           match !seen with
           | None -> j
           | Some states -> (
-              let key = ops.fingerprint g in
+              let key = fingerprint ~ops ~span_prefix g in
               match Hashtbl.find_opt states key with
               | None ->
                   Hashtbl.add states key j;
@@ -141,7 +150,7 @@ let changed_run ~ops ?(span_prefix = "flow") ?name flow g =
               Obs.with_span ~cat:span_prefix (scope ^ "/cycle") (fun () ->
                   exec ~name ~cycle:n g body)
             in
-            let g = ops.cleanup g in
+            let g = cleanup g in
             (* a no-change cycle stops the loop before any orbit lookup *)
             let n = if changed then next_index (n + 1) g else n + 1 in
             record traj n g;
@@ -150,9 +159,9 @@ let changed_run ~ops ?(span_prefix = "flow") ?name flow g =
         in
         loop 0 g false
   in
-  let g = ops.cleanup g in
+  let g = cleanup g in
   let g, changed = exec ~name:(Option.value name ~default:"flow") ~cycle:0 g flow in
-  (ops.cleanup g, changed)
+  (cleanup g, changed)
 
 let run ~ops ?span_prefix ?name flow g =
   fst (changed_run ~ops ?span_prefix ?name flow g)
@@ -175,7 +184,7 @@ let portfolio ~ops ?(span_prefix = "flow") ?jobs ~cost entrants g =
   if entrants = [] then invalid_arg "Flow.portfolio: empty entrant list";
   (* Copies are taken on the calling domain, before any worker touches the
      graph, so tasks never share mutable state. *)
-  let base = ops.cleanup g in
+  let base = cleanup ~ops ~span_prefix g in
   let tasks =
     List.mapi (fun i e -> (i, e.label, e.flow, ops.copy base)) entrants
   in

@@ -13,20 +13,59 @@ exception Parse_error of string
 (* Printing                                                            *)
 (* ------------------------------------------------------------------ *)
 
+let hex_digit = "0123456789abcdef"
+
+external get64 : string -> int -> int64 = "%caml_string_get64u"
+
+(* Whether none of the eight bytes of [w] is a control byte (below 0x20), a
+   quote or a backslash: the bytes the printer escapes.  Each term is the
+   word-at-a-time "some byte is below k" test, (w - k*ones) & ~w & highs,
+   with k = 0x20 directly and k = 1 on [w] xor the byte; it can misreport
+   bytes above a match, never whether one exists.  Byte order does not
+   matter. *)
+let[@inline] plain_word w =
+  let open Int64 in
+  let ones = 0x0101010101010101L and highs = 0x8080808080808080L in
+  let control = logand (logand (sub w 0x2020202020202020L) (logxor w (-1L))) highs in
+  let q = logxor w 0x2222222222222222L in
+  let quote = logand (logand (sub q ones) (logxor q (-1L))) highs in
+  let b = logxor w 0x5c5c5c5c5c5c5c5cL in
+  let backslash = logand (logand (sub b ones) (logxor b (-1L))) highs in
+  logor control (logor quote backslash) = 0L
+
+let[@inline] plain_byte c = not (c = '"' || c = '\\' || Char.code c < 0x20)
+
+(* The first index from [i] of a byte [escape] rewrites, or [len]; eight
+   bytes at a time. *)
+let plain_run s i len =
+  let rec words i = if i + 8 <= len && plain_word (get64 s i) then words (i + 8) else bytes i
+  and bytes i = if i < len && plain_byte (String.unsafe_get s i) then bytes (i + 1) else i in
+  words i
+
+(* Runs of bytes that need no escape are copied whole; only ['"'], ['\\']
+   and the control bytes below 0x20 are rewritten. *)
 let escape buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  let len = String.length s in
+  let rec copy start =
+    let i = plain_run s start len in
+    if i > start then Buffer.add_substring buf s start (i - start);
+    if i < len then begin
+      let c = String.unsafe_get s i in
+      Buffer.add_char buf '\\';
+      (match c with
+      | '"' | '\\' -> Buffer.add_char buf c
+      | '\n' -> Buffer.add_char buf 'n'
+      | '\r' -> Buffer.add_char buf 'r'
+      | '\t' -> Buffer.add_char buf 't'
+      | c ->
+          Buffer.add_string buf "u00";
+          Buffer.add_char buf hex_digit.[Char.code c lsr 4];
+          Buffer.add_char buf hex_digit.[Char.code c land 0xf]);
+      copy (i + 1)
+    end
+  in
+  copy 0;
   Buffer.add_char buf '"'
 
 let float_repr f =
@@ -38,8 +77,7 @@ let float_repr f =
     (* keep a float marker so the value parses back as Float, not Int *)
     if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s then s else s ^ ".0"
 
-let to_string ?(pretty = false) json =
-  let buf = Buffer.create 1024 in
+let to_buffer ?(pretty = false) buf json =
   let indent n = if pretty then Buffer.add_string buf ("\n" ^ String.make (2 * n) ' ') in
   let rec emit depth = function
     | Null -> Buffer.add_string buf "null"
@@ -73,7 +111,11 @@ let to_string ?(pretty = false) json =
         indent depth;
         Buffer.add_char buf '}'
   in
-  emit 0 json;
+  emit 0 json
+
+let to_string ?pretty json =
+  let buf = Buffer.create 1024 in
+  to_buffer ?pretty buf json;
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
@@ -106,65 +148,73 @@ let of_string text =
     end
     else fail ("expected " ^ word)
   in
+  (* Advance [pos] over bytes that are neither a quote nor a backslash,
+     eight at a time while no control byte is among them either. *)
+  let skip_plain () =
+    let rec bytes i =
+      if i < len && match String.unsafe_get text i with '"' | '\\' -> false | _ -> true
+      then bytes (i + 1)
+      else i
+    in
+    pos := bytes (plain_run text !pos len)
+  in
   let parse_string () =
     expect '"';
-    let buf = Buffer.create 16 in
-    let rec loop () =
-      if !pos >= len then fail "unterminated string"
-      else
+    let start = !pos in
+    skip_plain ();
+    if !pos < len && text.[!pos] = '"' then begin
+      (* No escape: the string is one run of the input. *)
+      advance ();
+      String.sub text start (!pos - 1 - start)
+    end
+    else begin
+      let buf = Buffer.create (max 16 (2 * (!pos - start))) in
+      Buffer.add_substring buf text start (!pos - start);
+      (* [pos] is at a quote, at a backslash or at the end. *)
+      let rec loop () =
+        if !pos >= len then fail "unterminated string";
         let c = text.[!pos] in
         advance ();
-        match c with
-        | '"' -> Buffer.contents buf
-        | '\\' -> (
-            if !pos >= len then fail "unterminated escape";
-            let e = text.[!pos] in
-            advance ();
-            match e with
-            | '"' | '\\' | '/' ->
-                Buffer.add_char buf e;
-                loop ()
-            | 'n' ->
-                Buffer.add_char buf '\n';
-                loop ()
-            | 't' ->
-                Buffer.add_char buf '\t';
-                loop ()
-            | 'r' ->
-                Buffer.add_char buf '\r';
-                loop ()
-            | 'b' ->
-                Buffer.add_char buf '\b';
-                loop ()
-            | 'f' ->
-                Buffer.add_char buf '\012';
-                loop ()
-            | 'u' ->
-                if !pos + 4 > len then fail "truncated \\u escape";
-                let hex = String.sub text !pos 4 in
-                pos := !pos + 4;
-                let code =
-                  try int_of_string ("0x" ^ hex) with _ -> fail "bad \\u escape"
-                in
-                (* Encode the code point as UTF-8 (no surrogate-pair
-                   handling; the printer never emits them). *)
-                if code < 0x80 then Buffer.add_char buf (Char.chr code)
-                else if code < 0x800 then begin
-                  Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-                  Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-                end
-                else begin
-                  Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-                  Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-                  Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-                end;
-                loop ()
-            | _ -> fail "unknown escape")
-        | c ->
-            Buffer.add_char buf c;
-            loop ()
-    in
-    loop ()
+        if c = '"' then Buffer.contents buf
+        else begin
+          if !pos >= len then fail "unterminated escape";
+          let e = text.[!pos] in
+          advance ();
+          (match e with
+          | '"' | '\\' | '/' -> Buffer.add_char buf e
+          | 'n' -> Buffer.add_char buf '\n'
+          | 't' -> Buffer.add_char buf '\t'
+          | 'r' -> Buffer.add_char buf '\r'
+          | 'b' -> Buffer.add_char buf '\b'
+          | 'f' -> Buffer.add_char buf '\012'
+          | 'u' ->
+              if !pos + 4 > len then fail "truncated \\u escape";
+              let hex = String.sub text !pos 4 in
+              pos := !pos + 4;
+              let code =
+                try int_of_string ("0x" ^ hex) with _ -> fail "bad \\u escape"
+              in
+              (* Encode the code point as UTF-8 (no surrogate-pair
+                 handling; the printer never emits them). *)
+              if code < 0x80 then Buffer.add_char buf (Char.chr code)
+              else if code < 0x800 then begin
+                Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
+                Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+              end
+              else begin
+                Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
+                Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+                Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+              end
+          | _ -> fail "unknown escape");
+          let run = !pos in
+          skip_plain ();
+          Buffer.add_substring buf text run (!pos - run);
+          loop ()
+        end
+      in
+      loop ()
+    end
   in
   let parse_number () =
     let start = !pos in

@@ -23,6 +23,9 @@ val to_string : ?pretty:bool -> t -> string
 (** Non-finite floats are emitted as [null] (JSON has no representation for
     them). *)
 
+val to_buffer : ?pretty:bool -> Buffer.t -> t -> unit
+(** {!to_string}'s text, appended to a buffer. *)
+
 val of_string : string -> t
 (** @raise Parse_error on malformed input. *)
 

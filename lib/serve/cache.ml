@@ -80,40 +80,67 @@ let remove_entry t e =
    flood of tiny entries cannot grow the table unboundedly. *)
 let entry_overhead = 128
 
+(* Decimal digits of [x >= 0]. *)
+let digits x =
+  let rec go d p = if x < p then d else go (d + 1) (10 * p) in
+  go 1 10
+
+(* Write [x >= 0] in decimal at [pos] of [b]; returns the position after
+   it.  The key spells about four numbers per gate, and this writer skips
+   the string that [string_of_int] allocates for each. *)
+let put_uint b pos x =
+  let stop = pos + digits x in
+  let rec go i x =
+    Bytes.unsafe_set b i (Char.unsafe_chr (48 + (x mod 10)));
+    if x >= 10 then go (i - 1) (x / 10)
+  in
+  go (stop - 1) x;
+  stop
+
 let canonical_key ~flow ~arch ~realization ~verify mig =
+  let module M = Core.Mig in
   let canon, _changed = Core.Mig_passes.strash mig in
-  let buf = Buffer.create (32 * (Core.Mig.num_nodes canon + 16)) in
-  Buffer.add_string buf "migsyn-serve-key/1\n";
-  Printf.bprintf buf "pis=%d\n" (Core.Mig.num_pis canon);
+  let head = Printf.sprintf "migsyn-serve-key/1\npis=%d\n" (M.num_pis canon) in
+  let tail =
+    Printf.sprintf "flow=%s\narch=%s\nrealization=%s\nverify=%b\n" flow arch realization
+      verify
+  in
+  let nodes = M.num_nodes canon and npos = M.num_pos canon in
+  (* Every id and signal has at most [w] digits, so a gate line takes at
+     most [5 + 4w] bytes and an output line [2 + w]. *)
+  let w = digits ((2 * nodes) + 1) in
+  let b =
+    Bytes.create
+      (String.length head + (nodes * (5 + (4 * w))) + (npos * (2 + w)) + String.length tail)
+  in
+  let put_string pos s =
+    Bytes.blit_string s 0 b pos (String.length s);
+    pos + String.length s
+  in
+  let put_char pos c =
+    Bytes.unsafe_set b pos c;
+    pos + 1
+  in
+  let pos = ref (put_string 0 head) in
   (* The canonical graph is densely numbered and fully live (strash's
      postcondition), so an id-order scan is a complete, deterministic
      serialization of the signed fanin triples. *)
-  for n = 0 to Core.Mig.num_nodes canon - 1 do
-    match Core.Mig.kind canon n with
-    | Core.Mig.Gate when not (Core.Mig.is_dead canon n) ->
-        let f = Core.Mig.fanins canon n in
-        Buffer.add_char buf 'g';
-        Buffer.add_string buf (string_of_int n);
-        Buffer.add_char buf ':';
-        Buffer.add_string buf (string_of_int f.(0));
-        Buffer.add_char buf ',';
-        Buffer.add_string buf (string_of_int f.(1));
-        Buffer.add_char buf ',';
-        Buffer.add_string buf (string_of_int f.(2));
-        Buffer.add_char buf '\n'
+  for n = 0 to nodes - 1 do
+    match M.kind canon n with
+    | M.Gate when not (M.is_dead canon n) ->
+        let p = put_uint b (put_char !pos 'g') n in
+        let p = put_uint b (put_char p ':') (M.fanin canon n 0) in
+        let p = put_uint b (put_char p ',') (M.fanin canon n 1) in
+        let p = put_uint b (put_char p ',') (M.fanin canon n 2) in
+        pos := put_char p '\n'
     | _ -> ()
   done;
-  Array.iter
-    (fun s ->
-      Buffer.add_char buf 'o';
-      Buffer.add_string buf (string_of_int s);
-      Buffer.add_char buf '\n')
-    (Core.Mig.pos canon);
-  Printf.bprintf buf "flow=%s\n" flow;
-  Printf.bprintf buf "arch=%s\n" arch;
-  Printf.bprintf buf "realization=%s\n" realization;
-  Printf.bprintf buf "verify=%b\n" verify;
-  (canon, Buffer.contents buf)
+  for i = 0 to npos - 1 do
+    let p = put_uint b (put_char !pos 'o') (M.po canon i) in
+    pos := put_char p '\n'
+  done;
+  let len = put_string !pos tail in
+  (canon, Bytes.sub_string b 0 len)
 
 let fingerprint key = Digest.to_hex (Digest.string key)
 

@@ -246,7 +246,11 @@ let error_response ~id ~code msg =
         );
       ])
 
-let response_line json = Json.to_string json ^ "\n"
+let response_line json =
+  let buf = Buffer.create 1024 in
+  Json.to_buffer buf json;
+  Buffer.add_char buf '\n';
+  Buffer.contents buf
 
 let strip_volatile = function
   | Json.Assoc kvs ->

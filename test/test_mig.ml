@@ -322,6 +322,110 @@ let strash_canonicalizes mig reference =
   && (not changed_again)
   && twice == once
 
+(* Interleave fresh gates over live signals with substitutions of a live
+   gate by a signal of its own fanin cone (so no cycle forms); each
+   substitution cascades Ω.M collapses and strash merges. *)
+let substitute_cascades rng mig =
+  let live () = List.filter (fun g -> not (Core.Mig.is_dead mig g)) (Core.Mig.topo_order mig) in
+  let signal n = Core.Mig.signal_of n (Prng.bool rng) in
+  for _ = 1 to 30 do
+    match live () with
+    | [] -> ()
+    | gates ->
+        let gates = Array.of_list gates in
+        if Prng.bool rng then begin
+          let pick () =
+            if Prng.bool rng then signal (Prng.pick rng gates)
+            else signal (Core.Mig.node_of (Core.Mig.pi mig (Prng.int rng (Core.Mig.num_pis mig))))
+          in
+          ignore (Core.Mig.add_po mig (Core.Mig.maj mig (pick ()) (pick ()) (pick ())))
+        end
+        else begin
+          let g = Prng.pick rng gates in
+          let cone = ref [] and stack = ref [ g ] in
+          let seen = Hashtbl.create 16 in
+          while !stack <> [] do
+            let n = List.hd !stack in
+            stack := List.tl !stack;
+            Array.iter
+              (fun f ->
+                let m = Core.Mig.node_of f in
+                if not (Hashtbl.mem seen m) then begin
+                  Hashtbl.add seen m ();
+                  cone := m :: !cone;
+                  if Core.Mig.kind mig m = Core.Mig.Gate then stack := m :: !stack
+                end)
+              (Core.Mig.fanins mig n)
+          done;
+          Core.Mig.substitute mig g (signal (Prng.pick rng (Array.of_list !cone)))
+        end
+  done
+
+(* [Mig.cleanup] rebuilt through the public constructors, on a store that
+   starts small and grows: the post-order DFS from the outputs that
+   explores fanin 2 first, one [maj] per gate reached. *)
+let reference_cleanup mig =
+  let module M = Core.Mig in
+  let fresh = M.create () in
+  let map = Array.make (M.num_nodes mig) (-1) in
+  map.(0) <- 0;
+  for i = 0 to M.num_pis mig - 1 do
+    map.(M.node_of (M.pi mig i)) <- M.node_of (M.add_pi fresh)
+  done;
+  let seen = Array.make (M.num_nodes mig) false in
+  let copy s = M.signal_of map.(M.node_of s) (M.is_compl s) in
+  let rec reach m =
+    if not seen.(m) then begin
+      seen.(m) <- true;
+      if M.kind mig m = M.Gate then begin
+        List.iter (fun i -> reach (M.node_of (M.fanin mig m i))) [ 2; 1; 0 ];
+        let s = M.maj fresh (copy (M.fanin mig m 0)) (copy (M.fanin mig m 1)) (copy (M.fanin mig m 2)) in
+        map.(m) <- M.node_of s
+      end
+    end
+  in
+  Array.iter (fun s -> reach (M.node_of s)) (M.pos mig);
+  Array.iter (fun s -> ignore (M.add_po fresh (copy s))) (M.pos mig);
+  fresh
+
+let node_store_props =
+  [
+    QCheck.Test.make ~name:"flat fanins, back-pointers and cleanup after cascades" ~count:200
+      (QCheck.make QCheck.Gen.(int_bound 100000))
+      (fun seed ->
+        let rng = Prng.create seed in
+        let mig = mig_of_seed ~gates:(20 + Prng.int rng 60) seed in
+        substitute_cascades rng mig;
+        let fanins_agree = ref true in
+        for n = 0 to Core.Mig.num_nodes mig - 1 do
+          if Core.Mig.kind mig n = Core.Mig.Gate && not (Core.Mig.is_dead mig n) then
+            Array.iteri
+              (fun i s -> if Core.Mig.fanin mig n i <> s then fanins_agree := false)
+              (Core.Mig.fanins mig n)
+        done;
+        let store_ok m =
+          match Core.Mig.check_store m with
+          | Ok () -> true
+          | Error e -> QCheck.Test.fail_reportf "seed %d: %s" seed e
+        in
+        let once = Core.Mig.cleanup mig in
+        let fp = Core.Mig.fingerprint in
+        !fanins_agree && store_ok mig && store_ok once
+        && fp once = fp (reference_cleanup mig)
+        && fp (Core.Mig.cleanup once) = fp (reference_cleanup once));
+    QCheck.Test.make ~name:"fanins is a snapshot the graph does not change" ~count:100
+      (QCheck.make QCheck.Gen.(int_bound 100000))
+      (fun seed ->
+        let rng = Prng.create seed in
+        let mig = mig_of_seed seed in
+        let before =
+          List.map (fun g -> (g, Core.Mig.fanins mig g)) (Core.Mig.topo_order mig)
+        in
+        let copies = List.map (fun (g, f) -> (g, Array.copy f)) before in
+        substitute_cascades rng mig;
+        List.for_all2 (fun (_, f) (_, f') -> f = f') before copies);
+  ]
+
 let strash_props =
   [
     QCheck.Test.make ~name:"strash preserves equivalence and is idempotent"
@@ -337,47 +441,9 @@ let strash_props =
       ~count:100
       (QCheck.make QCheck.Gen.(int_bound 100000))
       (fun seed ->
-        (* Interleave fresh gates over live signals with substitutions of a
-           live gate by a signal of its own fanin cone (so no cycle forms);
-           each substitution cascades Ω.M collapses and strash merges. *)
         let rng = Prng.create seed in
         let mig = mig_of_seed ~gates:(20 + Prng.int rng 60) seed in
-        let live () =
-          List.filter (fun g -> not (Core.Mig.is_dead mig g)) (Core.Mig.topo_order mig)
-        in
-        let signal n = Core.Mig.signal_of n (Prng.bool rng) in
-        for _ = 1 to 30 do
-          match live () with
-          | [] -> ()
-          | gates ->
-              let gates = Array.of_list gates in
-              if Prng.bool rng then begin
-                let pick () =
-                  if Prng.bool rng then signal (Prng.pick rng gates)
-                  else signal (Core.Mig.node_of (Core.Mig.pi mig (Prng.int rng (Core.Mig.num_pis mig))))
-                in
-                ignore (Core.Mig.add_po mig (Core.Mig.maj mig (pick ()) (pick ()) (pick ())))
-              end
-              else begin
-                let g = Prng.pick rng gates in
-                let cone = ref [] and stack = ref [ g ] in
-                let seen = Hashtbl.create 16 in
-                while !stack <> [] do
-                  let n = List.hd !stack in
-                  stack := List.tl !stack;
-                  Array.iter
-                    (fun f ->
-                      let m = Core.Mig.node_of f in
-                      if not (Hashtbl.mem seen m) then begin
-                        Hashtbl.add seen m ();
-                        cone := m :: !cone;
-                        if Core.Mig.kind mig m = Core.Mig.Gate then stack := m :: !stack
-                      end)
-                    (Core.Mig.fanins mig n)
-                done;
-                Core.Mig.substitute mig g (signal (Prng.pick rng (Array.of_list !cone)))
-              end
-        done;
+        substitute_cascades rng mig;
         let lookups_exact () =
           let ok = ref true in
           for g = 0 to Core.Mig.num_nodes mig - 1 do
@@ -996,6 +1062,7 @@ let () =
       ("pass-props", List.map QCheck_alcotest.to_alcotest pass_props);
       ("strash", strash_tests);
       ("strash-props", List.map QCheck_alcotest.to_alcotest strash_props);
+      ("node-store-props", List.map QCheck_alcotest.to_alcotest node_store_props);
       ("optimizer-props", List.map QCheck_alcotest.to_alcotest optimizer_props);
       ("optimizers", optimizer_tests);
       ("conversion", conversion_tests);

@@ -88,6 +88,93 @@ let json_tests =
         Alcotest.(check bool) "missing member is Null" true (Json.member "zz" j = Json.Null));
   ]
 
+(* The printer's escaper as it was first written, one byte at a time: the
+   run-copying escaper must produce the same bytes. *)
+let reference_escape s =
+  let buf = Buffer.create (String.length s + 2) in
+  Buffer.add_char buf '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.add_char buf '"';
+  Buffer.contents buf
+
+(* [s] printed as a string and as an object key matches the reference, and
+   parses back to itself. *)
+let codec_agrees s =
+  let printed = Json.to_string (Json.String s) in
+  printed = reference_escape s
+  && Json.to_string (Json.Assoc [ (s, Json.Null) ]) = "{" ^ reference_escape s ^ ":null}"
+  && Json.of_string printed = Json.String s
+  && Json.of_string ("[" ^ printed ^ "," ^ printed ^ "]") = Json.List [ Json.String s; Json.String s ]
+
+(* Byte strings where escapes fall at run boundaries: runs of plain bytes
+   separated by bytes that need escaping, and any byte at all. *)
+let byte_string_gen =
+  let open QCheck.Gen in
+  let special = oneofl [ '"'; '\\'; '\n'; '\r'; '\t'; '\x00'; '\x01'; '\x1f'; '\x7f' ] in
+  let byte = map Char.chr (int_bound 255) in
+  let piece =
+    frequency
+      [
+        (3, string_size ~gen:(map Char.chr (int_range 0x20 0x7e)) (int_bound 12));
+        (2, map (String.make 1) special);
+        (2, map (String.make 1) byte);
+      ]
+  in
+  map (String.concat "") (list_size (int_bound 40) piece)
+
+let codec_props =
+  [
+    QCheck.Test.make ~name:"escaper matches the reference and round-trips" ~count:500
+      (QCheck.make ~print:(Printf.sprintf "%S") byte_string_gen)
+      codec_agrees;
+  ]
+
+let codec_tests =
+  let check_agrees name s = Alcotest.(check bool) name true (codec_agrees s) in
+  [
+    Alcotest.test_case "every byte value, alone and at run boundaries" `Quick (fun () ->
+        check_agrees "all 256 bytes in order" (String.init 256 Char.chr);
+        for b = 0 to 255 do
+          let c = String.make 1 (Char.chr b) in
+          List.iter
+            (fun s -> check_agrees (Printf.sprintf "byte %d in %S" b s) s)
+            [ c; c ^ c; "ab" ^ c; c ^ "yz"; "ab" ^ c ^ "yz"; "a" ^ c ^ "\n" ^ c ^ "z" ]
+        done);
+    Alcotest.test_case "\\u escapes" `Quick (fun () ->
+        Alcotest.(check string)
+          "control bytes print as lowercase \\u00XX" "\"a\\u0001\\u001fb\\u0000\""
+          (Json.to_string (Json.String "a\x01\x1fb\x00"));
+        List.iter
+          (fun (text, want) ->
+            Alcotest.(check bool) text true (Json.of_string text = Json.String want))
+          [
+            ("\"\\u0041\"", "A");
+            ("\"x\\u0000y\"", "x\x00y");
+            ("\"\\u00e9\"", "\xc3\xa9");
+            ("\"\\u20AC!\"", "\xe2\x82\xac!");
+            ("\"\\u001F\\u001f\"", "\x1f\x1f");
+            ("\"ab\\/cd\\b\\f\"", "ab/cd\b\012");
+          ]);
+    Alcotest.test_case "strings of 64 KB and more" `Quick (fun () ->
+        let rng = Random.State.make [| 28 |] in
+        let random n = String.init n (fun _ -> Char.chr (Random.State.int rng 256)) in
+        check_agrees "random 70000 bytes" (random 70_000);
+        check_agrees "one plain run of 65536 bytes" (String.make 65_536 'x');
+        check_agrees "escapes only at both ends" ("\n" ^ String.make 65_536 'y' ^ "\"");
+        check_agrees "a BLIF-like payload"
+          (String.concat "\n" (List.init 4_000 (fun i -> Printf.sprintf ".names n%d n%d y%d\n11 1" i (i + 1) i))));
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* The Obs registry                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -413,6 +500,8 @@ let () =
   Alcotest.run "obs"
     [
       ("json", json_tests);
+      ("json-codec", codec_tests);
+      ("json-codec-props", List.map QCheck_alcotest.to_alcotest codec_props);
       ("obs", obs_tests);
       ("spans", span_tests);
       ("clock", clock_tests);

@@ -328,6 +328,52 @@ let key_unit_tests =
             check bool "hex" true
               ((ch >= '0' && ch <= '9') || (ch >= 'a' && ch <= 'f')))
           fp);
+    test_case "key digits match string_of_int across digit boundaries" `Quick (fun () ->
+        (* The key as first written, with [string_of_int] for every number. *)
+        let reference canon =
+          let buf = Buffer.create 4096 in
+          Buffer.add_string buf "migsyn-serve-key/1\n";
+          Printf.bprintf buf "pis=%d\n" (Core.Mig.num_pis canon);
+          for n = 0 to Core.Mig.num_nodes canon - 1 do
+            match Core.Mig.kind canon n with
+            | Core.Mig.Gate when not (Core.Mig.is_dead canon n) ->
+                let f = Core.Mig.fanins canon n in
+                Buffer.add_string buf
+                  ("g" ^ string_of_int n ^ ":" ^ string_of_int f.(0) ^ "," ^ string_of_int f.(1)
+                 ^ "," ^ string_of_int f.(2) ^ "\n")
+            | _ -> ()
+          done;
+          Array.iter
+            (fun s -> Buffer.add_string buf ("o" ^ string_of_int s ^ "\n"))
+            (Core.Mig.pos canon);
+          Buffer.add_string buf "flow=push_up\narch=serial\nrealization=maj\nverify=true\n";
+          Buffer.contents buf
+        in
+        (* [gates] chained AND gates over three inputs: ids run to
+           [gates + 3] and signals to twice that, plus one. *)
+        let chain gates =
+          let mig = Core.Mig.create () in
+          let pis = Array.init 3 (fun _ -> Core.Mig.add_pi mig) in
+          let s = ref pis.(0) in
+          for i = 1 to gates do
+            let p = pis.(i mod 3) in
+            s := Core.Mig.and_ mig (if i mod 2 = 0 then Core.Mig.not_ !s else !s) p
+          done;
+          ignore (Core.Mig.add_po mig !s);
+          ignore (Core.Mig.add_po mig (Core.Mig.not_ !s));
+          mig
+        in
+        List.iter
+          (fun gates ->
+            let canon, key =
+              Serve.Cache.canonical_key ~flow:"push_up" ~arch:"serial" ~realization:"maj"
+                ~verify:true (chain gates)
+            in
+            check string (Printf.sprintf "%d gates" gates) (reference canon) key)
+          (* ids cross 9/10, 99/100, 999/1000 and 99999/100000 at 6/7, 96/97,
+             996/997 and 99996/99997 gates; signals cross them near half that *)
+          [ 1; 2; 3; 4; 5; 6; 7; 47; 48; 96; 97; 497; 498; 996; 997; 4_997; 4_998; 49_997;
+            49_998; 99_996; 99_997 ]);
     test_case "Table II key bytes are pinned" `Quick (fun () ->
         let keys = Buffer.create 4096 in
         List.iter
