@@ -1062,7 +1062,7 @@ let () =
       ("pass-props", List.map QCheck_alcotest.to_alcotest pass_props);
       ("strash", strash_tests);
       ("strash-props", List.map QCheck_alcotest.to_alcotest strash_props);
-      ("node-store-props", List.map QCheck_alcotest.to_alcotest node_store_props);
+      ("store-props", List.map QCheck_alcotest.to_alcotest node_store_props);
       ("optimizer-props", List.map QCheck_alcotest.to_alcotest optimizer_props);
       ("optimizers", optimizer_tests);
       ("conversion", conversion_tests);

@@ -500,8 +500,7 @@ let () =
   Alcotest.run "obs"
     [
       ("json", json_tests);
-      ("json-codec", codec_tests);
-      ("json-codec-props", List.map QCheck_alcotest.to_alcotest codec_props);
+      ("codec", codec_tests @ List.map QCheck_alcotest.to_alcotest codec_props);
       ("obs", obs_tests);
       ("spans", span_tests);
       ("clock", clock_tests);
