@@ -316,6 +316,8 @@ let fanout t n =
   !acc
 
 let fanout_size t n = t.nlive.(n)
+let uses t n = t.nlive.(n) + t.porefs.(n)
+let is_gate t n = match t.kinds.(n) with Gate -> true | Const | Pi _ -> false
 
 let fanout_iter t n f =
   let fo = t.fanouts.(n) in
@@ -470,16 +472,46 @@ let size t =
   iter_topo t (fun _ -> incr count);
   !count
 
-let foreach_gate t f =
-  let order = topo_order t in
-  List.iter (fun n -> if not (is_dead t n) then f n) order
+(* The snapshot goes into an [int array] that each domain keeps for its
+   next call: a sweep allocates nothing in steady state, where a fresh
+   array per call would be a major-heap block per sweep.  The buffer is
+   taken for the duration of the call, so a nested call (from [f]) or a
+   call that raises makes a fresh one.  It doubles as the traversal
+   needs, so it stays within twice the largest reachable count; sized
+   from [ngates], which counts the unreachable gates rewriting leaves
+   behind, it would hold several times that. *)
+let snapshot_buffer = Domain.DLS.new_key (fun () -> [||])
+
+let foreach_gate_n t f =
+  let buf = Domain.DLS.get snapshot_buffer in
+  Domain.DLS.set snapshot_buffer [||];
+  let order = ref (if Array.length buf > 0 then buf else Array.make 64 0) in
+  let k = ref 0 in
+  iter_topo t (fun n ->
+      if !k = Array.length !order then begin
+        let bigger = Array.make (2 * !k) 0 in
+        Array.blit !order 0 bigger 0 !k;
+        order := bigger
+      end;
+      !order.(!k) <- n;
+      incr k);
+  let order = !order in
+  for i = 0 to !k - 1 do
+    let n = order.(i) in
+    if not (is_dead t n) then f n
+  done;
+  Domain.DLS.set snapshot_buffer order;
+  !k
+
+let foreach_gate t f = ignore (foreach_gate_n t f)
 
 (* The store is sized once, from the number of gates the copy keeps, so
    the copy allocates no per-node blocks besides fanout arrays.  [ngates]
    would be a cheaper bound, but it counts the unreachable gates rewriting
-   leaves behind, often several times the reachable ones. *)
-let cleanup t =
-  let kept = size t in
+   leaves behind, often several times the reachable ones.  A caller that
+   already holds that count passes it as [size] and saves the DFS. *)
+let cleanup ?size:kept t =
+  let kept = match kept with Some k -> k | None -> size t in
   let fresh =
     alloc ~cap:(1 + t.npis + kept) ~npis:(max 8 t.npis) ~npos:(max 8 t.npos)
       ~ngates:(max 64 kept)

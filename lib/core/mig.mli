@@ -113,6 +113,14 @@ val po_refs : t -> int -> int
 (** How many primary outputs are driven (possibly complemented) by the
     node.  O(1): maintained alongside the output array. *)
 
+val uses : t -> int -> int
+(** [fanout_size t n + po_refs t n]: every gate and output that reads the
+    node.  O(1). *)
+
+val is_gate : t -> int -> bool
+(** Whether node [n] is a majority gate (live or dead): [kind t n = Gate]
+    without building or comparing a [kind]. *)
+
 val is_dead : t -> int -> bool
 
 val lookup : t -> signal -> signal -> signal -> signal option
@@ -128,9 +136,11 @@ val substitute : t -> int -> signal -> unit
     (majority-rule simplification and strash merging).  [s]'s cone must not
     contain [n]. *)
 
-val cleanup : t -> t
+val cleanup : ?size:int -> t -> t
 (** Compacted copy containing only nodes reachable from the outputs, in
-    topological order.  Primary inputs and outputs keep their indices. *)
+    topological order.  Primary inputs and outputs keep their indices.
+    [size], when given, must be {!size} of the graph: the copy is sized
+    from it instead of counting again. *)
 
 val fingerprint : t -> string
 (** An exact, compact encoding (varints) of the node store: every node's
@@ -152,7 +162,12 @@ val iter_topo : t -> (int -> unit) -> unit
 
 val foreach_gate : t -> (int -> unit) -> unit
 (** Iterate {!topo_order} (snapshot taken before the first call, so the
-    callback may rewrite the graph). *)
+    callback may rewrite the graph), skipping the gates that are dead when
+    their turn comes. *)
+
+val foreach_gate_n : t -> (int -> unit) -> int
+(** {!foreach_gate}, returning the length of its snapshot: {!size} as it
+    was when the call began. *)
 
 (** {1 Mutation events}
 

@@ -403,12 +403,13 @@ let uncounted_level a n0 =
     a.lvl.(n0)
   end
 
+(* The hottest query of the rewriting sweeps: [flush] is called only when
+   it has work, and the node's kind is read as a flag. *)
 let level a n =
-  flush a;
-  match Mig.kind a.mig n with
-  | Mig.Const | Mig.Pi _ -> 0
-  | Mig.Gate ->
-      if a.cnt.(n) || Mig.is_dead a.mig n then a.lvl.(n) else uncounted_level a n
+  if a.invalid || a.qlen > 0 then flush a;
+  if not (Mig.is_gate a.mig n) then 0
+  else if a.cnt.(n) || Mig.is_dead a.mig n then a.lvl.(n)
+  else uncounted_level a n
 
 let depth a =
   flush a;

@@ -118,6 +118,46 @@ let to_string ?pretty json =
   to_buffer ?pretty buf json;
   Buffer.contents buf
 
+(* [String.length (to_string json)] without building the text: [escape]'s
+   output length (quotes, two bytes per short escape, six per [\u00XX]),
+   [string_of_int]'s digit count and the separators.  Only a float
+   allocates, its representation being measured as printed. *)
+let escaped_length s =
+  let len = String.length s in
+  let rec go start acc =
+    let i = plain_run s start len in
+    let acc = acc + (i - start) in
+    if i >= len then acc
+    else
+      match String.unsafe_get s i with
+      | '"' | '\\' | '\n' | '\r' | '\t' -> go (i + 1) (acc + 2)
+      | _ -> go (i + 1) (acc + 6)
+  in
+  go 0 2
+
+let int_length i =
+  (* digits of a non-positive number, so [min_int] needs no negation *)
+  let rec digits n acc = if n > -10 then acc else digits (n / 10) (acc + 1) in
+  if i < 0 then 1 + digits i 1 else digits (-i) 1
+
+let rec encoded_length = function
+  | Null -> 4
+  | Bool b -> if b then 4 else 5
+  | Int i -> int_length i
+  | Float f -> String.length (float_repr f)
+  | String s -> escaped_length s
+  | List [] | Assoc [] -> 2
+  | List (e :: rest) -> list_length (1 + encoded_length e) rest
+  | Assoc ((k, v) :: rest) -> fields_length (2 + escaped_length k + encoded_length v) rest
+
+and list_length acc = function
+  | [] -> acc + 1
+  | e :: rest -> list_length (acc + 1 + encoded_length e) rest
+
+and fields_length acc = function
+  | [] -> acc + 1
+  | (k, v) :: rest -> fields_length (acc + 2 + escaped_length k + encoded_length v) rest
+
 (* ------------------------------------------------------------------ *)
 (* Parsing                                                             *)
 (* ------------------------------------------------------------------ *)

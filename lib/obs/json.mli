@@ -26,6 +26,10 @@ val to_string : ?pretty:bool -> t -> string
 val to_buffer : ?pretty:bool -> Buffer.t -> t -> unit
 (** {!to_string}'s text, appended to a buffer. *)
 
+val encoded_length : t -> int
+(** [String.length (to_string json)], computed without building the text;
+    only [Float] values allocate. *)
+
 val of_string : string -> t
 (** @raise Parse_error on malformed input. *)
 

@@ -181,7 +181,7 @@ let store t key payload =
   | Some old -> remove_entry t old
   | None -> ());
   let bytes =
-    String.length key + String.length (Json.to_string payload) + entry_overhead
+    String.length key + Json.encoded_length payload + entry_overhead
   in
   let e = { key; payload; bytes; prev = None; next = None } in
   Hashtbl.replace t.table key e;

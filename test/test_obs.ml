@@ -107,12 +107,17 @@ let reference_escape s =
   Buffer.add_char buf '"';
   Buffer.contents buf
 
-(* [s] printed as a string and as an object key matches the reference, and
-   parses back to itself. *)
+(* [Json.encoded_length] is the length of the printed text. *)
+let measures json = Json.encoded_length json = String.length (Json.to_string json)
+
+(* [s] printed as a string and as an object key matches the reference, is
+   measured exactly, and parses back to itself. *)
 let codec_agrees s =
   let printed = Json.to_string (Json.String s) in
   printed = reference_escape s
   && Json.to_string (Json.Assoc [ (s, Json.Null) ]) = "{" ^ reference_escape s ^ ":null}"
+  && measures (Json.String s)
+  && measures (Json.Assoc [ (s, Json.String s); ("k", Json.List [ Json.String s ]) ])
   && Json.of_string printed = Json.String s
   && Json.of_string ("[" ^ printed ^ "," ^ printed ^ "]") = Json.List [ Json.String s; Json.String s ]
 
@@ -173,6 +178,27 @@ let codec_tests =
         check_agrees "escapes only at both ends" ("\n" ^ String.make 65_536 'y' ^ "\"");
         check_agrees "a BLIF-like payload"
           (String.concat "\n" (List.init 4_000 (fun i -> Printf.sprintf ".names n%d n%d y%d\n11 1" i (i + 1) i))));
+    Alcotest.test_case "encoded_length of numbers, floats and trees" `Quick (fun () ->
+        let check name json = Alcotest.(check bool) name true (measures json) in
+        List.iter
+          (fun i -> check (string_of_int i) (Json.Int i))
+          [ 0; 1; 9; 10; 99; 100; -1; -9; -10; -11; 123456789; max_int; min_int; min_int + 1 ];
+        List.iter
+          (fun f -> check (Printf.sprintf "%h" f) (Json.Float f))
+          [ 0.0; -0.0; 1.0; 3.0; 0.1; -2.5; 1e300; 1e-300; 123456.789; Float.nan; Float.infinity;
+            Float.neg_infinity; Float.pi; max_float; min_float ];
+        check "null" Json.Null;
+        check "true" (Json.Bool true);
+        check "false" (Json.Bool false);
+        check "empty containers" (Json.List [ Json.List []; Json.Assoc []; Json.List [ Json.Assoc [] ] ]);
+        let payload = String.init 70_000 (fun i -> Char.chr (i * 7 mod 256)) in
+        check "a nested 70 KB payload"
+          (Json.Assoc
+             [
+               ("ok", Json.Bool true);
+               ("result", Json.Assoc [ ("blif", Json.String payload); ("size", Json.Int 798) ]);
+               ("costs", Json.List [ Json.Float 1.5; Json.Int (-3); Json.Null; Json.String "\x01\"" ]);
+             ]));
   ]
 
 (* ------------------------------------------------------------------ *)
