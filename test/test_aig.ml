@@ -122,6 +122,63 @@ let rewrite_tests =
         check int "constant detected" 0 (A.size rewritten));
   ]
 
+(* Table III (right): the AIG baseline [12] on each entry after
+   [Aig_rewrite] and [Aig_balance] — Compile_aig's ANDs, RRAMs and steps,
+   and the md5 of the ASCII AIGER text of that AIG. *)
+let table3_pins =
+  [
+    ("9sym_d", 79, 24, 277, "f605c174d81297b09dc9b7ec94de85c4");
+    ("con1f1", 11, 13, 43, "612ec2fca5a3a26c240f52634260cdab");
+    ("con2f2", 9, 14, 34, "490b70be48d94a9a0040286c6d1bc50e");
+    ("exam1_d", 4, 8, 16, "7eca7d7d990bdd24d2f52591f85cb4c3");
+    ("exam3_d", 10, 10, 42, "e921a4d501c9193d416827aa6c28a80a");
+    ("max46_d", 125, 21, 471, "401aefd06124ac0275e840413149c770");
+    ("newill_d", 24, 15, 91, "d02a4c89ae2c1eec04760c86932006e3");
+    ("newtag_d", 13, 15, 49, "eddaff14e837a0621b9dca2d39376d2b");
+    ("rd53f1", 14, 13, 51, "6a6f84859f3169c6556deeaea9748b15");
+    ("rd53f2", 22, 15, 80, "d1b7debed928662e96ebd364b2ca17e8");
+    ("rd53f3", 18, 12, 65, "f622d3c0d8d52c94bce6d5fcf93e7bff");
+    ("rd73f1", 21, 15, 75, "d6db97696f50b75e6eed44d21ae198f3");
+    ("rd73f2", 37, 18, 131, "9af120ca15b5c00879c4cb4da69910ca");
+    ("rd73f3", 34, 16, 123, "9a2b1680554b462f10aadae372208cc0");
+    ("rd84f1", 25, 16, 89, "8a520a08361047070f2cc71eddab0b43");
+    ("rd84f2", 50, 21, 178, "df1eb809cb5aaf9e428a9f6c8d702615");
+    ("rd84f3", 58, 21, 205, "98b801749ed7c31c835b2d321a506d2a");
+    ("rd84f4", 53, 21, 185, "9fad7707cd009001d890dd5212cf2e48");
+    ("sao2f1", 75, 20, 279, "2be1d50a0aaa430f21543d00899e9970");
+    ("sao2f2", 83, 19, 308, "e3d2985c1cebc29dac81f3e1cbd7e859");
+    ("sao2f3", 79, 20, 296, "d26e1ca369c4c90828c7b3f244145467");
+    ("sao2f4", 78, 22, 298, "7c907fd74719c3c1d590ee7c22c50ec3");
+    ("sym10_d", 94, 31, 328, "3adff312c579503b4823059600893ad4");
+    ("t481_d", 29, 24, 101, "8aefb4838347a9331715e918368a5602");
+    ("xor5_d", 14, 13, 51, "b0304ad52daa91ded62500e8324f772e");
+  ]
+
+let pin_tests =
+  let open Alcotest in
+  [
+    test_case "Table III (right) AIG flow is pinned" `Quick (fun () ->
+        check int "one pin per entry" (List.length Io.Benchmarks.table3_aig)
+          (List.length table3_pins);
+        List.iter
+          (fun e ->
+            let name = e.Io.Benchmarks.name in
+            let _, ands, rrams, steps, digest =
+              List.find (fun (n, _, _, _, _) -> n = name) table3_pins
+            in
+            let aig =
+              Aig_lib.Aig_balance.balance
+                (Aig_lib.Aig_rewrite.rewrite (Aig_lib.Aig_of_network.convert (e.Io.Benchmarks.build ())))
+            in
+            let c = Rram.Compile_aig.compile aig in
+            check int (name ^ " ANDs") ands c.Rram.Compile_aig.aig_nodes;
+            check int (name ^ " RRAMs") rrams c.Rram.Compile_aig.program.Rram.Program.num_regs;
+            check int (name ^ " steps") steps (Rram.Program.num_steps c.Rram.Compile_aig.program);
+            check string (name ^ " write_aig") digest
+              (Digest.to_hex (Digest.string (Io.Aiger.write_aig aig))))
+          Io.Benchmarks.table3_aig);
+  ]
+
 let props =
   [
     QCheck.Test.make ~name:"balance preserves function" ~count:80
@@ -164,5 +221,6 @@ let () =
       ("basic", basic_tests);
       ("balance", balance_tests);
       ("rewrite", rewrite_tests);
+      ("pin", pin_tests);
       ("props", List.map QCheck_alcotest.to_alcotest props);
     ]

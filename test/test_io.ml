@@ -449,7 +449,8 @@ let example_file name =
   if Sys.file_exists up then up else Filename.concat "examples" name
 
 (* [reader_digests.txt] rows: source, format, md5 of the reparsed
-   network's write_string, md5 of its MIG fingerprint. *)
+   network's write_string (for [aag]/[aig], the AIGER network writer of
+   that format), md5 of its MIG fingerprint. *)
 let reader_digest_rows () =
   In_channel.with_open_bin (local_file "reader_digests.txt") In_channel.input_all
   |> String.split_on_char '\n'
@@ -465,6 +466,12 @@ let reparse_digests format text =
     | "bench" ->
         let net = Io.Bench_format.parse_string text in
         (net, Io.Bench_format.write_string net)
+    | "aag" ->
+        let net = Io.Aiger.parse_string text in
+        (net, Io.Aiger.write_network net)
+    | "aig" ->
+        let net = Io.Aiger.parse_binary_string text in
+        (net, Io.Aiger.write_network_binary net)
     | _ ->
         let net = Io.Blif.parse_string text in
         (net, Io.Blif.write_string net)
@@ -723,6 +730,12 @@ let pin_tests =
             Hashtbl.replace texts (e.Io.Benchmarks.name, "bench") (Io.Bench_format.write_string net);
             Hashtbl.replace texts (e.Io.Benchmarks.name, "blif") (Io.Blif.write_string net))
           Io.Benchmarks.all;
+        List.iter
+          (fun e ->
+            let net = e.Io.Benchmarks.build () in
+            Hashtbl.replace texts (e.Io.Benchmarks.name, "aag") (Io.Aiger.write_network net);
+            Hashtbl.replace texts (e.Io.Benchmarks.name, "aig") (Io.Aiger.write_network_binary net))
+          Io.Benchmarks.table2;
         let read name = In_channel.with_open_bin (example_file name) In_channel.input_all in
         Hashtbl.replace texts ("c17.bench", "bench") (read "c17.bench");
         Hashtbl.replace texts ("c17_opt.blif", "blif") (read "c17_opt.blif");
