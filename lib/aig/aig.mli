@@ -2,8 +2,13 @@
 
     The substrate of the AIG-based RRAM-synthesis baseline [12] (Bürger et
     al., Reed-Muller 2013): two-input AND nodes with complemented edges,
-    structurally hashed.  Signals follow the same encoding as {!Core.Mig}:
-    [2*node + complement], node 0 is constant false. *)
+    structurally hashed.  An AIG is a view of a {!Core.Mig.t} whose every
+    gate is the majority M(0, a, b) = a·b, so node ids, signals (the same
+    [2*node + complement] encoding, node 0 constant false) and structural
+    hashing are the MIG store's, and simulation, levels and equivalence
+    run on {!to_mig}.  The type is abstract so that every gate stays an
+    AND: [Io.Aiger]'s writers and [Rram.Compile_aig] read the two
+    operands only. *)
 
 type t
 type signal = int
@@ -13,13 +18,16 @@ val const1 : signal
 val not_ : signal -> signal
 val node_of : signal -> int
 val is_compl : signal -> bool
-val signal_of : int -> bool -> signal
 
-val create : unit -> t
+val create : ?capacity:int -> unit -> t
+(** [capacity] is {!Core.Mig.create}'s sizing hint: it changes no result. *)
+
 val add_pi : t -> signal
 val and_ : t -> signal -> signal -> signal
 (** Structural hashing plus the standard one-level simplifications
-    ([a·a = a], [a·¬a = 0], constants). *)
+    ([a·a = a], [a·¬a = 0], constants).  A pair that does not simplify
+    becomes [Core.Mig.maj t a b const0], which numbers a new gate with
+    the next node id. *)
 
 val or_ : t -> signal -> signal -> signal
 val xor_ : t -> signal -> signal -> signal
@@ -34,27 +42,21 @@ val fanins : t -> int -> signal * signal
 val num_pis : t -> int
 val num_pos : t -> int
 val pi : t -> int -> signal
-val po : t -> int -> signal
 val pos : t -> signal array
 
 val topo_order : t -> int list
-(** Live AND nodes reachable from the outputs, fanins first.  Maintained
-    incrementally (the graph is append-only, so the reachable region only
-    grows at {!add_po}); each call materializes the list in O(size) with an
-    iterative, stack-safe traversal underneath. *)
+(** AND nodes reachable from the outputs, fanins first, by a traversal
+    per call ({!Core.Mig.topo_order}). *)
 
 val size : t -> int
-(** Live AND-node count, O(1). *)
+(** AND nodes reachable from the outputs, by a traversal.  An AIG never
+    substitutes, so this is its live AND count. *)
 
-val levels : t -> int array * int
-(** Per-node levels and the depth over outputs. *)
-
-val simulate : t -> Logic.Bitvec.t array -> Logic.Bitvec.t array
-(** One pattern set per primary input, one per output, on the
-    {!Logic.Word_store} kernel.  All inputs must have the same width;
-    otherwise raises [Invalid_argument "Aig.simulate: input width"]. *)
-
-val eval : t -> bool array -> bool array
-val truth_tables : t -> Logic.Truth_table.t array
+val to_mig : t -> Core.Mig.t
+(** The underlying MIG, for simulation ({!Core.Mig_sim}), levels
+    ({!Core.Mig_levels}), equivalence checking and traversals.  Read-only
+    by contract: a rewrite of it can break the AND-only invariant. *)
 
 val pp_stats : Format.formatter -> t -> unit
+(** [pis=… pos=… ands=… depth=…]; the depth comes from
+    {!Core.Mig_levels.compute_scratch}, so no analysis is attached. *)

@@ -14,7 +14,9 @@ let rec balanced_fold f = function
       f (balanced_fold f left) (balanced_fold f right)
 
 let convert net =
-  let aig = Aig.create () in
+  (* Sized like [Mig_of_network.convert]: a node makes several ANDs or none
+     (inverters, buffers), so its count is a middle estimate. *)
+  let aig = Aig.create ~capacity:(Network.num_nodes net + 1) () in
   let pis = Array.init (Network.num_inputs net) (fun _ -> Aig.add_pi aig) in
   let n = Network.num_nodes net in
   let signals = Array.make n Aig.const0 in

@@ -81,8 +81,14 @@ val num_gates : t -> int
     and abandoned).  Use {!size} for the reachable count. *)
 
 val size : t -> int
-(** Number of live majority gates reachable from the outputs.  Computed by a
-    traversal; {!Mig_analysis.size} maintains the same number in O(1). *)
+(** Number of majority gates reachable from the outputs, computed by the
+    {!iter_topo} traversal.  It counts a dead gate that is still reachable:
+    until the open {!substitute} defect is mended, a user that collapses
+    inside a nested cascade can be left on a killed gate, which
+    {!foreach_gate} then skips, so the two counts can differ.  On a graph
+    no substitution touched (every [Aig_lib.Aig] view) every reachable gate
+    is live.  Where no dead gate is reachable, {!Mig_analysis.size}
+    maintains the same number in O(1). *)
 
 val pi : t -> int -> signal
 val po : t -> int -> signal
@@ -150,15 +156,17 @@ val fingerprint : t -> string
     a table of visited states.  Compare the strings, never only a hash. *)
 
 val topo_order : t -> int list
-(** Live gate nodes reachable from the outputs, fanins before fanouts. *)
+(** Gate nodes reachable from the outputs, fanins before fanouts: the
+    {!iter_topo} order, dead gates included (see {!size}). *)
 
 val iter_topo : t -> (int -> unit) -> unit
-(** Call [f] on every live gate reachable from the outputs, fanins before
+(** Call [f] on every gate reachable from the outputs, fanins before
     fanouts — the same order as {!topo_order} without materializing the
-    list.  Iterative, with its visited set and stack allocated per call
-    (stack-safe on deep graphs; concurrent read-only traversals of one graph
-    share no state); the callback must not rewrite the graph (use
-    {!foreach_gate} for that). *)
+    list.  A reachable dead gate is visited too (see {!size}).  Iterative,
+    with its visited set and stack allocated per call (stack-safe on deep
+    graphs; concurrent read-only traversals of one graph share no state);
+    the callback must not rewrite the graph (use {!foreach_gate} for
+    that). *)
 
 val foreach_gate : t -> (int -> unit) -> unit
 (** Iterate {!topo_order} (snapshot taken before the first call, so the

@@ -212,41 +212,37 @@ let parse_binary_file path = parse_binary_string (read_file path)
 
 (* Shared variable numbering: inputs first, then ANDs in topological
    order — the layout the binary format mandates, reused for ASCII so the
-   two writers emit the same circuit description. *)
+   two writers emit the same circuit description.  The first [count]
+   entries of [ands] are the AND nodes in variable order, with variables
+   [num_pis + 1] to [m].  The order is {!Aig_lib.Aig.topo_order}'s, walked
+   on the view's MIG without building the list. *)
 let number_vars aig =
   let open Aig_lib in
-  let order = Aig.topo_order aig in
-  let pi k = Aig.node_of (Aig.pi aig k) in
-  let top = ref 0 in
-  for k = 0 to Aig.num_pis aig - 1 do
-    top := max !top (pi k)
-  done;
-  List.iter (fun n -> top := max !top n) order;
-  let var_of = Array.make (!top + 1) (-1) in
+  let mig = Aig.to_mig aig in
+  let npis = Aig.num_pis aig in
+  let var_of = Array.make (Core.Mig.num_nodes mig) (-1) in
   var_of.(0) <- 0;
-  let next = ref 1 in
-  for k = 0 to Aig.num_pis aig - 1 do
-    var_of.(pi k) <- !next;
-    incr next
+  for k = 0 to npis - 1 do
+    var_of.(Aig.node_of (Aig.pi aig k)) <- k + 1
   done;
-  List.iter
-    (fun n ->
-      var_of.(n) <- !next;
-      incr next)
-    order;
+  let ands = Array.make (Core.Mig.num_nodes mig) 0 in
+  let count = ref 0 in
+  Core.Mig.iter_topo mig (fun n ->
+      ands.(!count) <- n;
+      var_of.(n) <- npis + 1 + !count;
+      incr count);
   let lit s =
     let v = var_of.(Aig.node_of s) in
     (2 * v) + if Aig.is_compl s then 1 else 0
   in
-  (order, var_of, lit, !next - 1)
+  (ands, !count, var_of, lit, npis + !count)
 
 let write_aig aig =
   let open Aig_lib in
-  let order, var_of, lit, m = number_vars aig in
+  let ands, count, var_of, lit, m = number_vars aig in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
-    (Printf.sprintf "aag %d %d 0 %d %d\n" m (Aig.num_pis aig) (Aig.num_pos aig)
-       (List.length order));
+    (Printf.sprintf "aag %d %d 0 %d %d\n" m (Aig.num_pis aig) (Aig.num_pos aig) count);
   for k = 0 to Aig.num_pis aig - 1 do
     Buffer.add_string buf (Printf.sprintf "%d\n" (lit (Aig.pi aig k)))
   done;
@@ -254,13 +250,13 @@ let write_aig aig =
   (* Operands largest-literal first — the binary format's [rhs0 >= rhs1]
      normal form — so an [aag] file and its [aig] twin decode to identical
      AND definitions and round-trip byte-stably through either reader. *)
-  List.iter
-    (fun n ->
-      let f0, f1 = Aig.fanins aig n in
-      let a = lit f0 and b = lit f1 in
-      Buffer.add_string buf
-        (Printf.sprintf "%d %d %d\n" (2 * var_of.(n)) (max a b) (min a b)))
-    order;
+  for k = 0 to count - 1 do
+    let n = ands.(k) in
+    let f0, f1 = Aig.fanins aig n in
+    let a = lit f0 and b = lit f1 in
+    Buffer.add_string buf
+      (Printf.sprintf "%d %d %d\n" (2 * var_of.(n)) (max a b) (min a b))
+  done;
   Buffer.contents buf
 
 let encode_delta buf x =
@@ -273,27 +269,21 @@ let encode_delta buf x =
 
 let write_aig_binary aig =
   let open Aig_lib in
-  let order, var_of, lit, m = number_vars aig in
+  let ands, count, var_of, lit, m = number_vars aig in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
-    (Printf.sprintf "aig %d %d 0 %d %d\n" m (Aig.num_pis aig) (Aig.num_pos aig)
-       (List.length order));
+    (Printf.sprintf "aig %d %d 0 %d %d\n" m (Aig.num_pis aig) (Aig.num_pos aig) count);
   Array.iter (fun s -> Buffer.add_string buf (Printf.sprintf "%d\n" (lit s))) (Aig.pos aig);
-  List.iter
-    (fun n ->
-      let f0, f1 = Aig.fanins aig n in
-      let a = lit f0 and b = lit f1 in
-      let lhs = 2 * var_of.(n) in
-      let rhs0 = max a b and rhs1 = min a b in
-      encode_delta buf (lhs - rhs0);
-      encode_delta buf (rhs0 - rhs1))
-    order;
+  for k = 0 to count - 1 do
+    let n = ands.(k) in
+    let f0, f1 = Aig.fanins aig n in
+    let a = lit f0 and b = lit f1 in
+    let lhs = 2 * var_of.(n) in
+    let rhs0 = max a b and rhs1 = min a b in
+    encode_delta buf (lhs - rhs0);
+    encode_delta buf (rhs0 - rhs1)
+  done;
   Buffer.contents buf
 
 let write_network net = write_aig (Aig_lib.Aig_of_network.convert net)
 let write_network_binary net = write_aig_binary (Aig_lib.Aig_of_network.convert net)
-
-let write_file path aig =
-  let oc = open_out path in
-  output_string oc (write_aig aig);
-  close_out oc

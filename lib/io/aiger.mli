@@ -33,5 +33,3 @@ val write_network : Logic.Network.t -> string
 
 val write_network_binary : Logic.Network.t -> string
 (** Convert through {!Aig_lib.Aig_of_network} first (binary). *)
-
-val write_file : string -> Aig_lib.Aig.t -> unit

@@ -1,8 +1,8 @@
 (** A map from int triples to non-negative ints, in flat arrays.
 
-    The structural-hash tables of the graph stores ([Core.Mig],
-    [Aig_lib.Aig]) and of the MIG [strash] pass key on fanin triples and
-    map them to node ids.  This table keeps keys and values in plain [int
+    The structural-hash tables of the graph store ([Core.Mig], which
+    [Aig_lib.Aig] views) and of the MIG [strash] pass key on fanin
+    triples and map them to node ids.  This table keeps keys and values in plain [int
     array]s and probes linearly from the triple's hash, so a lookup
     allocates nothing and compares ints only.  Removal leaves a tombstone
     (which a later insertion may reuse); the arrays are rebuilt, twice as

@@ -1,8 +1,8 @@
 (** Flat, unboxed lane storage for the bit-parallel simulators.
 
-    {!Network.simulate}, [Core.Mig_sim.simulate] and [Aig_lib.Aig.simulate]
-    share this kernel.  A store holds one slot of 64-bit words per graph
-    node in a single [Bytes.t], read and written with
+    {!Network.simulate} and [Core.Mig_sim.simulate] (which also simulates
+    [Aig_lib.Aig] views) share this kernel.  A store holds one slot of
+    64-bit words per graph node in a single [Bytes.t], read and written with
     [Bytes.get/set_int64_ne], so evaluating a gate allocates nothing.  The
     input width is swept in blocks of 8 words (512 lanes, one 64-byte
     cache line per slot): each block is one topological walk of the graph

@@ -22,10 +22,24 @@ let random_aig seed ~pis ~gates ~pos =
   done;
   aig
 
+let truth_tables aig = Core.Mig_sim.truth_tables (A.to_mig aig)
+let depth aig = (Core.Mig_levels.compute_scratch (A.to_mig aig)).Core.Mig_levels.depth
+
 let equal_aig a b =
   A.num_pis a = A.num_pis b
   && A.num_pos a = A.num_pos b
-  && Array.for_all2 Truth_table.equal (A.truth_tables a) (A.truth_tables b)
+  && Array.for_all2 Truth_table.equal (truth_tables a) (truth_tables b)
+
+(* The view's invariant on [aig]'s MIG: every reachable gate is
+   M(0, a, b), the graph and its store check clean, and [size] counts
+   [topo_order]. *)
+let view_ok aig =
+  let mig = A.to_mig aig in
+  let order = A.topo_order aig in
+  List.for_all (fun n -> Core.Mig.fanin mig n 0 = Core.Mig.const0) order
+  && Core.Mig_check.check mig = Ok ()
+  && Core.Mig.check_store mig = Ok ()
+  && A.size aig = List.length order
 
 let basic_tests =
   let open Alcotest in
@@ -48,7 +62,7 @@ let basic_tests =
         ignore (A.add_po aig (A.xor_ aig a b));
         ignore (A.add_po aig (A.mux aig a b c));
         ignore (A.add_po aig (A.maj3 aig a b c));
-        let tts = A.truth_tables aig in
+        let tts = truth_tables aig in
         let va = Truth_table.var 3 0 and vb = Truth_table.var 3 1 and vc = Truth_table.var 3 2 in
         check bool "or" true (Truth_table.equal tts.(0) (Truth_table.bor va vb));
         check bool "xor" true (Truth_table.equal tts.(1) (Truth_table.bxor va vb));
@@ -62,8 +76,7 @@ let basic_tests =
           acc := A.and_ aig !acc pis.(i)
         done;
         ignore (A.add_po aig !acc);
-        let _, depth = A.levels aig in
-        check int "depth" 4 depth);
+        check int "depth" 4 (depth aig));
     test_case "size counts only live nodes" `Quick (fun () ->
         let aig = A.create () in
         let a = A.add_pi aig and b = A.add_pi aig in
@@ -85,9 +98,8 @@ let balance_tests =
         done;
         ignore (A.add_po aig !acc);
         let balanced = Aig_lib.Aig_balance.balance aig in
-        let _, d0 = A.levels aig and _, d1 = A.levels balanced in
-        check int "before" 7 d0;
-        check int "after" 3 d1;
+        check int "before" 7 (depth aig);
+        check int "after" 3 (depth balanced);
         check bool "same function" true (equal_aig aig balanced));
     test_case "balance respects complemented edges" `Quick (fun () ->
         let aig = A.create () in
@@ -190,9 +202,7 @@ let props =
       (QCheck.make QCheck.Gen.(int_bound 100000))
       (fun seed ->
         let aig = random_aig seed ~pis:6 ~gates:40 ~pos:4 in
-        let _, d0 = A.levels aig in
-        let _, d1 = A.levels (Aig_lib.Aig_balance.balance aig) in
-        d1 <= d0);
+        depth (Aig_lib.Aig_balance.balance aig) <= depth aig);
     QCheck.Test.make ~name:"rewrite preserves function" ~count:80
       (QCheck.make QCheck.Gen.(int_bound 100000))
       (fun seed ->
@@ -212,7 +222,23 @@ let props =
             ~inputs:7 ~gates:30 ~outputs:3 ()
         in
         let aig = Aig_lib.Aig_of_network.convert net in
-        Array.for_all2 Truth_table.equal (A.truth_tables aig) (Network.truth_tables net));
+        Array.for_all2 Truth_table.equal (truth_tables aig) (Network.truth_tables net));
+    QCheck.Test.make ~name:"every AIG is an AND-only MIG" ~count:80
+      (QCheck.make QCheck.Gen.(int_bound 100000))
+      (fun seed ->
+        let net =
+          Io.Gen.random_network
+            ~name:(Printf.sprintf "aig-view-%d" seed)
+            ~inputs:7 ~gates:30 ~outputs:3 ()
+        in
+        let built = Aig_lib.Aig_of_network.convert net in
+        let random = random_aig seed ~pis:6 ~gates:40 ~pos:4 in
+        List.for_all
+          (fun aig ->
+            view_ok aig
+            && view_ok (Aig_lib.Aig_rewrite.rewrite aig)
+            && view_ok (Aig_lib.Aig_balance.balance aig))
+          [ built; random ]);
   ]
 
 let () =
