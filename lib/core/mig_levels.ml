@@ -6,8 +6,8 @@ type t = {
   order : int list;
 }
 
-let of_level_assignment mig level =
-  let order = Mig.topo_order mig in
+(* [order] is the topological order the caller walked to assign [level]. *)
+let of_level_assignment mig level order =
   let depth =
     Array.fold_left (fun acc s -> max acc level.(Mig.node_of s)) 0 (Mig.pos mig)
   in
@@ -17,11 +17,11 @@ let of_level_assignment mig level =
     (fun g ->
       let l = level.(g) in
       gates_per_level.(l) <- gates_per_level.(l) + 1;
-      Array.iter
-        (fun s ->
-          if Mig.is_compl s && Mig.node_of s <> 0 then
-            compl_per_level.(l) <- compl_per_level.(l) + 1)
-        (Mig.fanins mig g))
+      for i = 0 to 2 do
+        let s = Mig.fanin mig g i in
+        if Mig.is_compl s && Mig.node_of s <> 0 then
+          compl_per_level.(l) <- compl_per_level.(l) + 1
+      done)
     order;
   (* Virtual readout stage for complemented primary outputs. *)
   Array.iter
@@ -32,16 +32,17 @@ let of_level_assignment mig level =
   { level; depth; gates_per_level; compl_per_level; order }
 
 let compute_scratch mig =
-  let n = Mig.num_nodes mig in
-  let level = Array.make n 0 in
+  let level = Array.make (Mig.num_nodes mig) 0 in
+  let order = Mig.topo_order mig in
   List.iter
     (fun g ->
-      let fanins = Mig.fanins mig g in
       let m = ref 0 in
-      Array.iter (fun s -> m := max !m level.(Mig.node_of s)) fanins;
+      for i = 0 to 2 do
+        m := max !m level.(Mig.node_of (Mig.fanin mig g i))
+      done;
       level.(g) <- !m + 1)
-    (Mig.topo_order mig);
-  of_level_assignment mig level
+    order;
+  of_level_assignment mig level order
 
 let compute mig =
   let a = Mig_analysis.of_mig mig in
@@ -50,7 +51,7 @@ let compute mig =
     Array.init n (fun i ->
         if Mig_analysis.is_counted a i then Mig_analysis.level a i else 0)
   in
-  of_level_assignment mig level
+  of_level_assignment mig level (Mig.topo_order mig)
 
 let num_levels_with_compl t =
   let count = ref 0 in

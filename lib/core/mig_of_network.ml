@@ -48,12 +48,18 @@ let signal_of_sop mig sop literal_signal =
   | cubes -> balanced_fold (Mig.or_ mig) (List.map cube_signal cubes)
 
 let convert net =
-  (* One MIG node per network node is the common case (a two-input gate
-     becomes one majority node, an inverter or buffer none), so sizing the
-     store by the network saves growing it while converting. *)
-  let mig = Mig.create ~capacity:(Network.num_nodes net + 1) () in
-  let pi_signals = Array.init (Network.num_inputs net) (fun _ -> Mig.add_pi mig) in
   let n = Network.num_nodes net in
+  (* One MIG node per input and per two-input gate is the common case; an
+     inverter, buffer or constant makes none.  Sizing the store by those
+     nodes (plus the constant node) saves growing it while converting. *)
+  let capacity = ref 1 in
+  for id = 0 to n - 1 do
+    match Network.kind net id with
+    | Network.Not | Network.Buf | Network.Const _ -> ()
+    | _ -> incr capacity
+  done;
+  let mig = Mig.create ~capacity:!capacity () in
+  let pi_signals = Array.init (Network.num_inputs net) (fun _ -> Mig.add_pi mig) in
   let signals = Array.make n Mig.const0 in
   for id = 0 to n - 1 do
     let fanins = Network.fanins net id in

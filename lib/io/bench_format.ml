@@ -24,12 +24,31 @@ let keywords =
     ("DFF", Dff);
   |]
 
+(* A word of at most 4 bytes as one int: its length, then its bytes
+   upper-cased; [-1] for a longer word. *)
+let pack s a b =
+  if b - a > 4 then -1
+  else begin
+    let key = ref (b - a) in
+    for i = a to b - 1 do
+      key := (!key lsl 8) lor Char.code (Char.uppercase_ascii (String.unsafe_get s i))
+    done;
+    !key
+  end
+
+let packed = Array.map (fun (w, _) -> pack w 0 (String.length w)) keywords
+
 let keyword s a b =
+  let key = pack s a b in
   let i = ref 0 in
-  while !i < Array.length keywords && not (S.equal_ci s a b (fst keywords.(!i))) do
+  while !i < Array.length packed && packed.(!i) <> key do
     incr i
   done;
-  if !i < Array.length keywords then !i else -1
+  if !i < Array.length packed then !i else -1
+
+let dff =
+  let rec find i = match keywords.(i) with _, Dff -> i | _ -> find (i + 1) in
+  find 0
 
 let arity_error kind n =
   match kind with
@@ -74,32 +93,33 @@ let parse_internal iter_lines =
           let target = S.intern names s a (S.trim_end s a eq) in
           let ra = S.skip_space s (eq + 1) b in
           let l = S.index s ra b '(' in
-          S.Ints.clear args;
-          let kind_end =
-            if l < 0 then b
-            else begin
-              let r = S.rindex s ra b ')' in
-              if r <= l then S.fail n "unbalanced parentheses";
-              (* comma-separated operands, trimmed, empty ones dropped *)
-              let i = ref (l + 1) in
-              while !i <= r do
-                let j = match S.index s !i r ',' with -1 -> r | j -> j in
-                let oa = S.skip_space s !i j in
-                if oa < j then S.Ints.push args (S.intern names s oa (S.trim_end s oa j));
-                i := j + 1
-              done;
-              S.trim_end s ra l
-            end
-          in
+          let r = if l < 0 then b else S.rindex s ra b ')' in
+          if l >= 0 && r <= l then S.fail n "unbalanced parentheses";
+          let kind_end = if l < 0 then b else S.trim_end s ra l in
           let k = keyword s ra kind_end in
-          if k >= 0 && snd keywords.(k) = Dff then begin
+          (* a DFF's operands go to [args]; a gate's straight into [defs] *)
+          S.Ints.clear args;
+          if l >= 0 then begin
+            (* comma-separated operands, trimmed, empty ones dropped *)
+            let i = ref (l + 1) in
+            while !i <= r do
+              let j = match S.index s !i r ',' with -1 -> r | j -> j in
+              let oa = S.skip_space s !i j in
+              if oa < j then begin
+                let id = S.intern names s oa (S.trim_end s oa j) in
+                if k = dff then S.Ints.push args id else S.push_operand defs id
+              end;
+              i := j + 1
+            done
+          end;
+          if k = dff then begin
             if S.Ints.length args <> 1 then S.fail n "DFF takes one operand";
             S.Ints.push dff_target target;
             S.Ints.push dff_data (S.Ints.get args 0);
             S.Ints.push dff_line n
           end
           else begin
-            let d = S.add_def defs ~target ~line:n args in
+            let d = S.end_def defs ~target ~line:n in
             S.Ints.push kinds k;
             if k < 0 then
               Hashtbl.replace unknown d

@@ -217,14 +217,19 @@ let defs () =
   Ints.push d.op_start 0;
   d
 
-let add_def d ~target ~line operands =
-  for i = 0 to Ints.length operands - 1 do
-    Ints.push d.ops (Ints.get operands i)
-  done;
+let push_operand d id = Ints.push d.ops id
+
+let end_def d ~target ~line =
   Ints.push d.target target;
   Ints.push d.lines line;
   Ints.push d.op_start (Ints.length d.ops);
   Ints.length d.target - 1
+
+let add_def d ~target ~line operands =
+  for i = 0 to Ints.length operands - 1 do
+    push_operand d (Ints.get operands i)
+  done;
+  end_def d ~target ~line
 
 let line d k = Ints.get d.lines k
 let arity d k = Ints.get d.op_start (k + 1) - Ints.get d.op_start k

@@ -90,6 +90,13 @@ type defs
 
 val defs : unit -> defs
 
+val push_operand : defs -> int -> unit
+(** Append an operand id to the definition being built. *)
+
+val end_def : defs -> target:int -> line:int -> int
+(** Close the definition being built, over the operands pushed since the
+    previous one, and return its number. *)
+
 val add_def : defs -> target:int -> line:int -> Ints.t -> int
 (** Add a definition whose operands are the ids in the vector (copied)
     and return its number. *)

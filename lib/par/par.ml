@@ -29,12 +29,14 @@ type t = {
   p_nonempty : Condition.t;
   p_queue : (unit -> unit) Queue.t;
   mutable p_closed : bool;
-  (* joined at shutdown; each worker returns its Obs buffer *)
+  (* spawned by the first submit, joined at shutdown; each worker returns
+     its Obs buffer *)
   mutable p_workers : Obs.Worker.snapshot Domain.t list;
   mutable p_shut : bool;
 }
 
 let jobs p = p.p_jobs
+let workers p = List.length p.p_workers
 
 (* Worker main loop: take thunks until the pool is closed AND the queue is
    drained, then hand the domain-local Obs buffer back through the join. *)
@@ -60,21 +62,15 @@ let worker pool () =
   Obs.Worker.capture ()
 
 let create ?jobs () =
-  let jobs = max 1 (Option.value jobs ~default:(recommended_jobs ())) in
-  let pool =
-    {
-      p_jobs = jobs;
-      p_mutex = Mutex.create ();
-      p_nonempty = Condition.create ();
-      p_queue = Queue.create ();
-      p_closed = false;
-      p_workers = [];
-      p_shut = false;
-    }
-  in
-  if jobs > 1 then
-    pool.p_workers <- List.init jobs (fun _ -> Domain.spawn (worker pool));
-  pool
+  {
+    p_jobs = max 1 (Option.value jobs ~default:(recommended_jobs ()));
+    p_mutex = Mutex.create ();
+    p_nonempty = Condition.create ();
+    p_queue = Queue.create ();
+    p_closed = false;
+    p_workers = [];
+    p_shut = false;
+  }
 
 let finish task outcome =
   Mutex.lock task.t_mutex;
@@ -95,20 +91,22 @@ let submit pool f =
   let task =
     { t_mutex = Mutex.create (); t_cond = Condition.create (); t_state = Pending }
   in
-  if pool.p_workers = [] then begin
+  if pool.p_jobs = 1 then begin
     if pool.p_shut then invalid_arg "Par.submit: pool is shut down";
     run_into task f ()
   end
-  else begin
-    Mutex.lock pool.p_mutex;
-    if pool.p_closed then begin
-      Mutex.unlock pool.p_mutex;
-      invalid_arg "Par.submit: pool is shut down"
-    end;
-    Queue.add (run_into task f) pool.p_queue;
-    Condition.signal pool.p_nonempty;
-    Mutex.unlock pool.p_mutex
-  end;
+  else
+    Mutex.protect pool.p_mutex (fun () ->
+        if pool.p_closed then invalid_arg "Par.submit: pool is shut down";
+        (* The first task starts every worker.  Each domain is recorded
+           as it is spawned, so if a spawn fails, shutdown still joins the
+           ones that started. *)
+        if pool.p_workers = [] then
+          for _ = 1 to pool.p_jobs do
+            pool.p_workers <- Domain.spawn (worker pool) :: pool.p_workers
+          done;
+        Queue.add (run_into task f) pool.p_queue;
+        Condition.signal pool.p_nonempty);
   task
 
 let await task =
@@ -135,7 +133,6 @@ let shutdown pool =
     Condition.broadcast pool.p_nonempty;
     Mutex.unlock pool.p_mutex;
     let snapshots = List.map Domain.join pool.p_workers in
-    pool.p_workers <- [];
     List.iter Obs.Worker.merge snapshots
   end
 
@@ -144,8 +141,9 @@ let with_pool ?jobs f =
   Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)
 
 let map ?jobs f xs =
-  match max 1 (Option.value jobs ~default:(recommended_jobs ())) with
-  | 1 -> List.map (fun x -> Obs.with_task_root (fun () -> f x)) xs
+  let jobs = max 1 (Option.value jobs ~default:(recommended_jobs ())) in
+  match min jobs (List.length xs) with
+  | 0 | 1 -> List.map (fun x -> Obs.with_task_root (fun () -> f x)) xs
   | jobs ->
       with_pool ~jobs (fun pool ->
           let tasks = List.map (fun x -> submit pool (fun () -> f x)) xs in

@@ -1410,6 +1410,45 @@ module Reference = struct
         end)
       (M.topo_order mig);
     !changed
+
+  (* [Mig_levels] as it was before it took its caller's order: a second
+     [topo_order] per record and a fanin array per gate. *)
+  let of_level_assignment mig level =
+    let order = M.topo_order mig in
+    let depth = Array.fold_left (fun acc s -> max acc level.(M.node_of s)) 0 (M.pos mig) in
+    let gates_per_level = Array.make (depth + 2) 0 in
+    let compl_per_level = Array.make (depth + 2) 0 in
+    List.iter
+      (fun g ->
+        let l = level.(g) in
+        gates_per_level.(l) <- gates_per_level.(l) + 1;
+        Array.iter
+          (fun s ->
+            if M.is_compl s && M.node_of s <> 0 then
+              compl_per_level.(l) <- compl_per_level.(l) + 1)
+          (M.fanins mig g))
+      order;
+    Array.iter
+      (fun s ->
+        if M.is_compl s && M.node_of s <> 0 then
+          compl_per_level.(depth + 1) <- compl_per_level.(depth + 1) + 1)
+      (M.pos mig);
+    { Core.Mig_levels.level; depth; gates_per_level; compl_per_level; order }
+
+  let levels_scratch mig =
+    let level = Array.make (M.num_nodes mig) 0 in
+    List.iter
+      (fun g ->
+        let m = ref 0 in
+        Array.iter (fun s -> m := max !m level.(M.node_of s)) (M.fanins mig g);
+        level.(g) <- !m + 1)
+      (M.topo_order mig);
+    of_level_assignment mig level
+
+  let levels mig =
+    let a = A.of_mig mig in
+    of_level_assignment mig
+      (Array.init (M.num_nodes mig) (fun i -> if A.is_counted a i then A.level a i else 0))
 end
 
 (* Two identical random graphs, each with its analysis attached before a
@@ -1555,6 +1594,15 @@ let kernel_props =
             let want = counts reference ma and got = counts kernel mb in
             want = got && Core.Mig.fingerprint ma = Core.Mig.fingerprint mb)
           sweeps);
+    QCheck.Test.make ~name:"level records equal the reference" ~count:100
+      (QCheck.make QCheck.Gen.(int_bound 100000))
+      (fun seed ->
+        let (ma, _), _ = kernel_pair seed in
+        List.for_all
+          (fun mig ->
+            Core.Mig_levels.compute_scratch mig = R.levels_scratch mig
+            && Core.Mig_levels.compute mig = R.levels mig)
+          [ ma; mig_of_seed ~pis:(1 + (seed mod 8)) ~gates:(seed mod 120) seed ]);
     (* Cascades can leave dead gates reachable (the known defect of
        [Mig.substitute]); strash's reachable count includes them. *)
     QCheck.Test.make ~name:"strash counts like the reference" ~count:150

@@ -1,8 +1,9 @@
 (* The Par work-pool and the determinism contract built on it: pool
    semantics (ordering, stress, exception propagation, sequential
-   fallback), the portfolio race's jobs-independent winner, the Obs
-   per-domain merge, and a QCheck property pinning parallel experiment
-   rows to the sequential run modulo wall-time fields (DESIGN.md §11). *)
+   fallback), workers started by the first task, the portfolio race's
+   jobs-independent winner, the Obs per-domain merge, and a QCheck
+   property pinning parallel experiment rows to the sequential run modulo
+   wall-time fields (DESIGN.md §11). *)
 
 let default_effort = 3
 
@@ -67,6 +68,74 @@ let pool_tests =
         check int "Some n" 5 (Par.resolve_jobs (Some 5));
         check bool "None is >= 1" true (Par.resolve_jobs None >= 1);
         check bool "Some 0 falls back" true (Par.resolve_jobs (Some 0) >= 1));
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Workers start on first use                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Domain ids are handed out in spawn order, so the ids of two probe
+   domains spawned around [f] count the domains [f] spawned. *)
+let domains_spawned_by f =
+  let probe () =
+    let d = Domain.spawn ignore in
+    let id = (Domain.get_id d :> int) in
+    Domain.join d;
+    id
+  in
+  let before = probe () in
+  let v = f () in
+  (v, probe () - before - 1)
+
+let lazy_tests =
+  let open Alcotest in
+  let raises_on_submit pool =
+    try
+      ignore (Par.submit pool (fun () -> ()));
+      false
+    with Invalid_argument _ -> true
+  in
+  [
+    test_case "create spawns nothing; an unused pool joins none" `Quick
+      (fun () ->
+        let (), spawned =
+          domains_spawned_by (fun () ->
+              let pool = Par.create ~jobs:4 () in
+              check int "no worker after create" 0 (Par.workers pool);
+              check int "jobs kept" 4 (Par.jobs pool);
+              Par.shutdown pool;
+              check int "none after shutdown" 0 (Par.workers pool);
+              check bool "submit still rejected" true (raises_on_submit pool))
+        in
+        check int "no domain spawned" 0 spawned);
+    test_case "first submit starts all jobs workers" `Quick (fun () ->
+        let pool = Par.create ~jobs:4 () in
+        let t = Par.submit pool (fun () -> 6 * 7) in
+        check int "all workers" 4 (Par.workers pool);
+        check int "result" 42 (Par.await t);
+        ignore (Par.await (Par.submit pool (fun () -> 0)));
+        check int "no more workers" 4 (Par.workers pool);
+        Par.shutdown pool;
+        check bool "used pool rejects submit" true (raises_on_submit pool));
+    test_case "jobs=1 pool never starts a worker" `Quick (fun () ->
+        let pool = Par.create ~jobs:1 () in
+        check int "inline" 5 (Par.await (Par.submit pool (fun () -> 5)));
+        check int "no worker" 0 (Par.workers pool);
+        Par.shutdown pool);
+    test_case "map ~jobs:8 over 3 items starts at most 3 workers" `Quick
+      (fun () ->
+        let ys, spawned =
+          domains_spawned_by (fun () -> Par.map ~jobs:8 succ [ 1; 2; 3 ])
+        in
+        check (list int) "rows" [ 2; 3; 4 ] ys;
+        check int "one worker per item" 3 spawned);
+    test_case "map ~jobs:8 over 0 or 1 item runs inline" `Quick (fun () ->
+        let ys, spawned = domains_spawned_by (fun () -> Par.map ~jobs:8 succ [ 9 ]) in
+        check (list int) "List.map" (List.map succ [ 9 ]) ys;
+        check int "one item spawns none" 0 spawned;
+        let ys, spawned = domains_spawned_by (fun () -> Par.map ~jobs:8 succ []) in
+        check (list int) "empty" [] ys;
+        check int "no item spawns none" 0 spawned);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -142,6 +211,24 @@ let obs_tests =
         check int "exact total after shutdown merge" 4950 (Obs.count c);
         Obs.reset ();
         Obs.set_enabled false);
+    test_case "counters merge from workers started by the first submit"
+      `Quick (fun () ->
+        Obs.set_enabled true;
+        Obs.reset ();
+        let c = Obs.counter "par.test/lazy" in
+        let pool = Par.create ~jobs:3 () in
+        let tasks =
+          List.init 30 (fun x ->
+              Par.submit pool (fun () ->
+                  Obs.incr ~by:x c;
+                  x))
+        in
+        List.iter (fun t -> ignore (Par.await t)) tasks;
+        Par.shutdown pool;
+        check int "workers" 3 (Par.workers pool);
+        check int "exact total after shutdown merge" 435 (Obs.count c);
+        Obs.reset ();
+        Obs.set_enabled false);
     test_case "sequential pool leaves counters on the caller" `Quick (fun () ->
         Obs.set_enabled true;
         Obs.reset ();
@@ -172,6 +259,7 @@ let () =
   Alcotest.run "par"
     [
       ("pool", pool_tests);
+      ("lazy-workers", lazy_tests);
       ("portfolio", portfolio_tests);
       ("obs-merge", obs_tests);
       ("experiments-props", List.map QCheck_alcotest.to_alcotest experiment_props);

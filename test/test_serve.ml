@@ -432,6 +432,19 @@ let with_server ?(jobs = 2) ?max_request_bytes ?budget f =
   let summary = Domain.join dom in
   (result, summary)
 
+(* Domain ids are handed out in spawn order, so the ids of two probe
+   domains spawned around [f] count the domains [f] spawned. *)
+let domains_spawned_by f =
+  let probe () =
+    let d = Domain.spawn ignore in
+    let id = (Domain.get_id d :> int) in
+    Domain.join d;
+    id
+  in
+  let before = probe () in
+  let v = f () in
+  (v, probe () - before - 1)
+
 let inline_blif = P.Inline { format = "blif"; source = maj_blif }
 
 let quick_synth = synth_op ~flows:[ "push_up" ] inline_blif
@@ -642,6 +655,40 @@ let e2e_tests =
         check bool "socket removed" false (Sys.file_exists path_seen);
         check int "one request" 1 summary.Serve.Server.requests;
         check int "ok" 1 summary.Serve.Server.ok);
+    test_case "a ping-only daemon spawns no worker and still answers misses"
+      `Quick (fun () ->
+        let ((jobs, summary), spawned), results =
+          Fun.protect ~finally:(fun () -> Obs.reset (); Obs.set_enabled false) @@ fun () ->
+          Obs.set_enabled true;
+          Obs.Manifest.start ~tool:"test" ~subcommand:"serve" ();
+          let run =
+            domains_spawned_by (fun () ->
+                with_server ~jobs:2 (fun path ->
+                    let c = Serve.Client.connect path in
+                    let pong = Serve.Client.rpc c (encode P.Ping) in
+                    check string "pong" "ok" (member_str "status" pong);
+                    let m = Serve.Client.rpc c (encode P.Metrics) in
+                    Serve.Client.close c;
+                    Json.member "jobs" (Json.member "result" m)))
+          in
+          (run, Json.member "results" (Obs.Manifest.finish ()))
+        in
+        check json "metrics report jobs" (Json.Int 2) jobs;
+        check int "only the daemon's own domain" 1 spawned;
+        check int "ping, metrics, shutdown" 3 summary.Serve.Server.requests;
+        check int "all ok" 3 summary.Serve.Server.ok;
+        check json "manifest requests" (Json.Int 3) (Json.member "requests" results);
+        check json "manifest cache misses" (Json.Int 0)
+          (Json.member "misses" (Json.member "cache" results));
+        let (), summary =
+          with_server ~jobs:2 (fun path ->
+              let c = Serve.Client.connect path in
+              let r = Serve.Client.rpc c (encode quick_synth) in
+              check string "miss answered" "ok" (member_str "status" r);
+              check string "from the pool" "miss" (member_str "cache" r);
+              Serve.Client.close c)
+        in
+        check int "one miss" 1 summary.Serve.Server.cache.Serve.Cache.misses);
     test_case "malformed netlists answer bad_request, daemon survives" `Quick
       (fun () ->
         let (), summary =
