@@ -771,6 +771,56 @@ let crossbar_digest_tests =
         List.iter2 (check string "cell") expected (suite @ scale));
   ]
 
+(* One line per Table II circuit x serial realization and per Table III
+   (right) circuit: the MD5 of [Program.pp] of the compiled program, so a
+   compiler refactor must reproduce every serial program byte for byte. *)
+let program_md5 p =
+  Digest.to_hex (Digest.string (Format.asprintf "%a@." Rram.Program.pp p))
+
+let program_digest_lines () =
+  let serial =
+    List.concat_map
+      (fun (e : Io.Benchmarks.entry) ->
+        let mig =
+          Core.Mig_opt.steps ~effort:2 (Core.Mig_of_network.convert (e.Io.Benchmarks.build ()))
+        in
+        List.map
+          (fun (tag, r) ->
+            Printf.sprintf "%s %s %s" e.Io.Benchmarks.name tag
+              (program_md5 (Rram.Compile_mig.compile r mig).Rram.Compile_mig.program))
+          [ ("imp", Core.Rram_cost.Imp); ("maj", Core.Rram_cost.Maj) ])
+      Io.Benchmarks.table2
+  in
+  let aig =
+    List.map
+      (fun (e : Io.Benchmarks.entry) ->
+        let aig =
+          Aig_lib.Aig_balance.balance
+            (Aig_lib.Aig_rewrite.rewrite (Aig_lib.Aig_of_network.convert (e.Io.Benchmarks.build ())))
+        in
+        Printf.sprintf "%s aig %s" e.Io.Benchmarks.name
+          (program_md5 (Rram.Compile_aig.compile aig).Rram.Compile_aig.program))
+      Io.Benchmarks.table3_aig
+  in
+  serial @ aig
+
+let program_digest_tests =
+  let open Alcotest in
+  [
+    test_case "serial programs are byte-identical to the pinned digests" `Quick (fun () ->
+        let path =
+          if Sys.file_exists "program_digests.txt" then "program_digests.txt"
+          else "test/program_digests.txt"
+        in
+        let expected =
+          In_channel.with_open_text path In_channel.input_all
+          |> String.split_on_char '\n'
+          |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+        in
+        check int "25 circuits x 2 + 25 AIG circuits" 75 (List.length expected);
+        List.iter2 (check string "program") expected (program_digest_lines ()));
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* Non-ideal devices, fault semantics, remapping, TMR                   *)
 (* ------------------------------------------------------------------ *)
@@ -1413,6 +1463,7 @@ let () =
       ("crossbar", crossbar_tests);
       ("crossbar-props", List.map QCheck_alcotest.to_alcotest crossbar_props);
       ("crossbar-digests", crossbar_digest_tests);
+      ("program-digests", program_digest_tests);
       ("fault-semantics", fault_semantics_tests);
       ("tmr", tmr_tests);
       ("interp-trace", interp_trace_tests);
