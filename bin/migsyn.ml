@@ -319,7 +319,7 @@ let stats_cmd =
     let mig = Core.Mig_of_network.convert net in
     let lv = Core.Mig_levels.compute mig in
     Format.printf "MIG:     %a depth=%d@." Core.Mig.pp_stats mig lv.Core.Mig_levels.depth;
-    let aig = Aig_lib.Aig_of_network.convert net in
+    let aig = Aig_lib.Aig.of_network net in
     Format.printf "AIG:     %a@." Aig_lib.Aig.pp_stats aig;
     (try
        Format.printf "BDD:     %a@." Bdd_lib.Bdd_stats.pp
@@ -626,7 +626,7 @@ let compare_cmd =
      with Bdd_lib.Bdd.Limit_exceeded -> Format.printf "BDD [11]: overflow (> 1M nodes)@.");
     let aig =
       Aig_lib.Aig_balance.balance
-        (Aig_lib.Aig_rewrite.rewrite (Aig_lib.Aig_of_network.convert net))
+        (Aig_lib.Aig_rewrite.rewrite (Aig_lib.Aig.of_network net))
     in
     let a = Rram.Compile_aig.compile aig in
     Format.printf "AIG [12]: %d ANDs, %d RRAMs %d steps (sequential)@."

@@ -31,6 +31,13 @@ let mux t s a b = or_ t (and_ t s a) (and_ t (not_ s) b)
 let maj3 t a b c = or_ t (and_ t a b) (or_ t (and_ t a c) (and_ t b c))
 let add_po = Mig.add_po
 
+(* Sized by every network node: the AND count is of that order, where the
+   gate-making count [Mig_of_network.convert] uses would grow the store
+   several times ([Maj] alone makes five ANDs). *)
+let of_network net =
+  Core.Mig_of_network.convert_with { and_; or_; xor_; maj = maj3; mux }
+    ~capacity:(Logic.Network.num_nodes net + 1) net
+
 let kind t n =
   match Mig.kind t n with Mig.Const -> Const | Mig.Pi k -> Pi k | Mig.Gate -> And
 
@@ -39,7 +46,6 @@ let num_pis = Mig.num_pis
 let num_pos = Mig.num_pos
 let pi = Mig.pi
 let pos = Mig.pos
-let topo_order = Mig.topo_order
 let size = Mig.size
 let to_mig t = t
 

@@ -35,6 +35,11 @@ val mux : t -> signal -> signal -> signal -> signal
 val maj3 : t -> signal -> signal -> signal -> signal
 val add_po : t -> signal -> int
 
+val of_network : Logic.Network.t -> t
+(** {!Core.Mig_of_network.convert_with} these AND-based constructors
+    ([maj3] for [Maj]): balanced n-ary folds, SOP tables as an OR of AND
+    cubes.  The store is sized by the network's node count. *)
+
 type kind = Const | Pi of int | And
 
 val kind : t -> int -> kind
@@ -44,13 +49,10 @@ val num_pos : t -> int
 val pi : t -> int -> signal
 val pos : t -> signal array
 
-val topo_order : t -> int list
-(** AND nodes reachable from the outputs, fanins first, by a traversal
-    per call ({!Core.Mig.topo_order}). *)
-
 val size : t -> int
-(** AND nodes reachable from the outputs, by a traversal.  An AIG never
-    substitutes, so this is its live AND count. *)
+(** AND nodes reachable from the outputs, by a traversal
+    ({!Core.Mig.size}).  An AIG never substitutes, so this is its live AND
+    count. *)
 
 val to_mig : t -> Core.Mig.t
 (** The underlying MIG, for simulation ({!Core.Mig_sim}), levels

@@ -30,26 +30,20 @@ let smart_and aig a b =
     in
     match absorbed with Some s -> s | None -> Aig.and_ aig a b
 
+(* One walk of the source into a node-indexed signal array.  The walk
+   visits fanin slot 2 before slot 1, the order in which a recursive
+   [smart_and fresh (rebuild f0) (rebuild f1)] builds them, so the fresh
+   graph keeps that numbering. *)
 let rewrite aig =
   let fresh = Aig.create () in
-  let pis = Array.init (Aig.num_pis aig) (fun _ -> Aig.add_pi fresh) in
-  let memo = Hashtbl.create 997 in
-  let rec rebuild s =
-    let n = Aig.node_of s in
-    let positive =
-      match Aig.kind aig n with
-      | Aig.Const -> Aig.const0
-      | Aig.Pi k -> pis.(k)
-      | Aig.And -> (
-          match Hashtbl.find_opt memo n with
-          | Some r -> r
-          | None ->
-              let f0, f1 = Aig.fanins aig n in
-              let r = smart_and fresh (rebuild f0) (rebuild f1) in
-              Hashtbl.replace memo n r;
-              r)
-    in
-    if Aig.is_compl s then Aig.not_ positive else positive
-  in
-  Array.iter (fun s -> ignore (Aig.add_po fresh (rebuild s))) (Aig.pos aig);
+  let mig = Aig.to_mig aig in
+  let map = Array.make (Core.Mig.num_nodes mig) Aig.const0 in
+  for k = 0 to Aig.num_pis aig - 1 do
+    map.(Aig.node_of (Aig.pi aig k)) <- Aig.add_pi fresh
+  done;
+  let copy s = if Aig.is_compl s then Aig.not_ map.(Aig.node_of s) else map.(Aig.node_of s) in
+  Core.Mig.iter_topo_rev mig (fun n ->
+      let f0, f1 = Aig.fanins aig n in
+      map.(n) <- smart_and fresh (copy f0) (copy f1));
+  Array.iter (fun s -> ignore (Aig.add_po fresh (copy s))) (Aig.pos aig);
   fresh

@@ -461,6 +461,7 @@ let iter_topo_gen t ~rev_fanins f =
   done
 
 let iter_topo t f = iter_topo_gen t ~rev_fanins:false f
+let iter_topo_rev t f = iter_topo_gen t ~rev_fanins:true f
 
 let topo_order t =
   let acc = ref [] in
@@ -522,7 +523,7 @@ let cleanup ?size:kept t =
     map.(t.pis.(i)) <- node_of (add_pi fresh)
   done;
   let[@inline] copy s = signal_of map.(node_of s) (is_compl s) in
-  iter_topo_gen t ~rev_fanins:true (fun n ->
+  iter_topo_rev t (fun n ->
       let s = maj fresh (copy (fanin t n 0)) (copy (fanin t n 1)) (copy (fanin t n 2)) in
       (* A live gate triple cannot simplify, and strashing in the fresh graph
          only merges identical gates, so the copy is a positive signal. *)

@@ -168,6 +168,13 @@ val iter_topo : t -> (int -> unit) -> unit
     the callback must not rewrite the graph (use {!foreach_gate} for
     that). *)
 
+val iter_topo_rev : t -> (int -> unit) -> unit
+(** {!iter_topo} exploring each gate's fanins from slot 2 down to slot 0:
+    the order in which {!cleanup} copies gates, and the order in which a
+    recursive rebuild [f (rebuild x) (rebuild y)] creates them (OCaml
+    evaluates the arguments right to left).  A pass that rebuilds a graph
+    gate by gate walks it to keep that node numbering. *)
+
 val foreach_gate : t -> (int -> unit) -> unit
 (** Iterate {!topo_order} (snapshot taken before the first call, so the
     callback may rewrite the graph), skipping the gates that are dead when

@@ -6,6 +6,27 @@
     OR-of-ANDs. *)
 
 val convert : Logic.Network.t -> Mig.t
+(** [convert_with] the majority gates of {!Mig}, with the store sized by
+    the constant node plus the network nodes that make a gate (every node
+    but [Not], [Buf] and [Const]). *)
+
+(** The gate constructors a conversion builds with.  Each takes the graph
+    being built; a constructor may simplify, so it need not make a gate. *)
+type gates = {
+  and_ : Mig.t -> Mig.signal -> Mig.signal -> Mig.signal;
+  or_ : Mig.t -> Mig.signal -> Mig.signal -> Mig.signal;
+  xor_ : Mig.t -> Mig.signal -> Mig.signal -> Mig.signal;
+  maj : Mig.t -> Mig.signal -> Mig.signal -> Mig.signal -> Mig.signal;
+  mux : Mig.t -> Mig.signal -> Mig.signal -> Mig.signal -> Mig.signal;
+}
+
+val convert_with : gates -> capacity:int -> Logic.Network.t -> Mig.t
+(** Convert in network node order into a fresh graph of [Mig.create
+    ~capacity]: inputs first, then each node through [gates] (n-ary
+    operands as a balanced fold whose right half is built first, SOP
+    tables as an OR of AND cubes), then the outputs.  [capacity] is a
+    sizing hint that changes no result.  [Aig_lib.Aig.of_network] is the
+    same walk with AND-only gates. *)
 
 val of_truth_table : Logic.Truth_table.t -> Mig.t
 (** Single-output MIG from a truth table via its minimized SOP cover

@@ -232,7 +232,7 @@ let table3_aig_row ?effort (e : Io.Benchmarks.entry) =
   Obs.with_span ~cat:"exp" ("exp/table3_aig/" ^ e.Io.Benchmarks.name) @@ fun () ->
   let net = e.Io.Benchmarks.build () in
   let aig =
-    Aig_lib.Aig_balance.balance (Aig_lib.Aig_rewrite.rewrite (Aig_lib.Aig_of_network.convert net))
+    Aig_lib.Aig_balance.balance (Aig_lib.Aig_rewrite.rewrite (Aig_lib.Aig.of_network net))
   in
   let compiled = Rram.Compile_aig.compile aig in
   let mig = Core.Mig_of_network.convert net in
@@ -407,7 +407,7 @@ let verify_entry ?(effort = 8) (e : Io.Benchmarks.entry) =
       | exception Bdd_lib.Bdd.Limit_exceeded -> Ok () (* BDD check skipped *)
     in
     Rram.Verify.against_network
-      (Rram.Compile_aig.compile (Aig_lib.Aig_of_network.convert net)).Rram.Compile_aig.program
+      (Rram.Compile_aig.compile (Aig_lib.Aig.of_network net)).Rram.Compile_aig.program
       net
 
 let pp_table1_check ppf () =

@@ -214,8 +214,8 @@ let parse_binary_file path = parse_binary_string (read_file path)
    order — the layout the binary format mandates, reused for ASCII so the
    two writers emit the same circuit description.  The first [count]
    entries of [ands] are the AND nodes in variable order, with variables
-   [num_pis + 1] to [m].  The order is {!Aig_lib.Aig.topo_order}'s, walked
-   on the view's MIG without building the list. *)
+   [num_pis + 1] to [m].  The order is {!Core.Mig.iter_topo}'s on the
+   view's MIG. *)
 let number_vars aig =
   let open Aig_lib in
   let mig = Aig.to_mig aig in
@@ -285,5 +285,5 @@ let write_aig_binary aig =
   done;
   Buffer.contents buf
 
-let write_network net = write_aig (Aig_lib.Aig_of_network.convert net)
-let write_network_binary net = write_aig_binary (Aig_lib.Aig_of_network.convert net)
+let write_network net = write_aig (Aig_lib.Aig.of_network net)
+let write_network_binary net = write_aig_binary (Aig_lib.Aig.of_network net)

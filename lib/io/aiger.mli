@@ -29,7 +29,7 @@ val write_aig_binary : Aig_lib.Aig.t -> string
 (** Serialize an AIG in the compact binary format. *)
 
 val write_network : Logic.Network.t -> string
-(** Convert through {!Aig_lib.Aig_of_network} first (ASCII). *)
+(** Convert through {!Aig_lib.Aig.of_network} first (ASCII). *)
 
 val write_network_binary : Logic.Network.t -> string
-(** Convert through {!Aig_lib.Aig_of_network} first (binary). *)
+(** Convert through {!Aig_lib.Aig.of_network} first (binary). *)

@@ -3,43 +3,38 @@ open Aig_lib
 type result = { program : Program.t; aig_nodes : int }
 
 let compile aig =
+  let mig = Aig.to_mig aig in
   let num_inputs = Aig.num_pis aig in
   let b = Program.Builder.create ~num_inputs in
-  let order = Aig.topo_order aig in
-  let aig_nodes = List.length order in
+  let nodes = Core.Mig.num_nodes mig in
   (* Reference counts for result liveness (outputs pin their drivers). *)
-  let refcount = Hashtbl.create 997 in
-  let bump s =
-    let n = Aig.node_of s in
-    if Aig.kind aig n = Aig.And then
-      Hashtbl.replace refcount n (1 + try Hashtbl.find refcount n with Not_found -> 0)
-  in
-  List.iter
-    (fun n ->
+  let refcount = Array.make nodes 0 in
+  let bump s = refcount.(Aig.node_of s) <- refcount.(Aig.node_of s) + 1 in
+  let aig_nodes = ref 0 in
+  Core.Mig.iter_topo mig (fun n ->
+      incr aig_nodes;
       let f0, f1 = Aig.fanins aig n in
       bump f0;
-      bump f1)
-    order;
+      bump f1);
   Array.iter bump (Aig.pos aig);
   (* Prologue: every primary input is staged into a device once, so it can
      serve as an implication source. *)
   let input_reg = Array.init num_inputs (fun _ -> Program.Builder.alloc b) in
   Program.Builder.push_step b
     (List.init num_inputs (fun i -> Isa.Load (input_reg.(i), Isa.Input i)));
-  let result_reg = Hashtbl.create 997 in
+  let result_reg = Array.make nodes (-1) in
   (* Plain-value register of a node (not a signal). *)
   let node_reg n =
     match Aig.kind aig n with
     | Aig.Pi k -> input_reg.(k)
-    | Aig.And -> Hashtbl.find result_reg n
+    | Aig.And -> result_reg.(n)
     | Aig.Const -> invalid_arg "Compile_aig: constant fanin should be folded"
   in
   let release s =
     let n = Aig.node_of s in
     if Aig.kind aig n = Aig.And then begin
-      let c = Hashtbl.find refcount n - 1 in
-      Hashtbl.replace refcount n c;
-      if c = 0 then Program.Builder.free b (Hashtbl.find result_reg n)
+      refcount.(n) <- refcount.(n) - 1;
+      if refcount.(n) = 0 then Program.Builder.free b result_reg.(n)
     end
   in
   (* Emit one AND node: load, optional pre-inversion of [a], then the
@@ -76,7 +71,7 @@ let compile aig =
       end
       else node_reg (Aig.node_of a_sig)
     in
-    Hashtbl.replace result_reg n r2;
+    result_reg.(n) <- r2;
     List.iter (Program.Builder.push_step b)
       [
         List.rev !load;
@@ -89,14 +84,14 @@ let compile aig =
     release f0;
     release f1
   in
-  List.iter emit_node order;
+  Core.Mig.iter_topo mig emit_node;
   (* Outputs: complemented drivers get a shared final inversion. *)
   let final_preset = ref [] and final_inv = ref [] in
-  let memo = Hashtbl.create 17 in
+  let memo = Array.make (2 * nodes) None in
   let outputs =
     Array.map
       (fun s ->
-        match Hashtbl.find_opt memo s with
+        match memo.(s) with
         | Some o -> o
         | None ->
             let n = Aig.node_of s and c = Aig.is_compl s in
@@ -111,13 +106,12 @@ let compile aig =
               | Aig.Const -> Isa.Const c
               | Aig.Pi k -> if c then invert_of input_reg.(k) else Isa.Input k
               | Aig.And ->
-                  if c then invert_of (Hashtbl.find result_reg n)
-                  else Isa.Reg (Hashtbl.find result_reg n)
+                  if c then invert_of result_reg.(n) else Isa.Reg result_reg.(n)
             in
-            Hashtbl.replace memo s o;
+            memo.(s) <- Some o;
             o)
       (Aig.pos aig)
   in
   Program.Builder.push_step b !final_preset;
   Program.Builder.push_step b !final_inv;
-  { program = Program.Builder.finish b ~outputs; aig_nodes }
+  { program = Program.Builder.finish b ~outputs; aig_nodes = !aig_nodes }

@@ -184,12 +184,12 @@ let aiger_tests =
       (fun (name, net) ->
         [
           Alcotest.test_case ("round-trip " ^ name) `Quick (fun () ->
-              let aig = Aig_lib.Aig_of_network.convert net in
+              let aig = Aig_lib.Aig.of_network net in
               let text = Io.Aiger.write_aig aig in
               let back = Io.Aiger.parse_string text in
               Alcotest.(check bool) "same function" true (equal_networks net back));
           Alcotest.test_case ("binary round-trip " ^ name) `Quick (fun () ->
-              let aig = Aig_lib.Aig_of_network.convert net in
+              let aig = Aig_lib.Aig.of_network net in
               let bin = Io.Aiger.write_aig_binary aig in
               let back = Io.Aiger.parse_binary_string bin in
               Alcotest.(check bool) "same function" true (equal_networks net back));
@@ -197,11 +197,11 @@ let aiger_tests =
               (* The ASCII file and its binary twin must describe the same
                  circuit so precisely that re-serializing either parse
                  reproduces both byte streams. *)
-              let aig = Aig_lib.Aig_of_network.convert net in
+              let aig = Aig_lib.Aig.of_network net in
               let ascii = Io.Aiger.write_aig aig in
               let bin = Io.Aiger.write_aig_binary aig in
-              let via_ascii = Aig_lib.Aig_of_network.convert (Io.Aiger.parse_string ascii) in
-              let via_bin = Aig_lib.Aig_of_network.convert (Io.Aiger.parse_binary_string bin) in
+              let via_ascii = Aig_lib.Aig.of_network (Io.Aiger.parse_string ascii) in
+              let via_bin = Aig_lib.Aig.of_network (Io.Aiger.parse_binary_string bin) in
               Alcotest.(check string) "ascii via ascii" ascii (Io.Aiger.write_aig via_ascii);
               Alcotest.(check string) "ascii via binary" ascii (Io.Aiger.write_aig via_bin);
               Alcotest.(check string) "binary via ascii" bin (Io.Aiger.write_aig_binary via_ascii);

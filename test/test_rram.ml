@@ -250,7 +250,7 @@ let check_bdd mode net =
   | Error e -> Alcotest.fail e
 
 let check_aig net =
-  let aig = Aig_lib.Aig_of_network.convert net in
+  let aig = Aig_lib.Aig.of_network net in
   let r = Rram.Compile_aig.compile aig in
   (match Rram.Program.validate r.Rram.Compile_aig.program with
   | Ok () -> ()
@@ -796,7 +796,7 @@ let program_digest_lines () =
       (fun (e : Io.Benchmarks.entry) ->
         let aig =
           Aig_lib.Aig_balance.balance
-            (Aig_lib.Aig_rewrite.rewrite (Aig_lib.Aig_of_network.convert (e.Io.Benchmarks.build ())))
+            (Aig_lib.Aig_rewrite.rewrite (Aig_lib.Aig.of_network (e.Io.Benchmarks.build ())))
         in
         Printf.sprintf "%s aig %s" e.Io.Benchmarks.name
           (program_md5 (Rram.Compile_aig.compile aig).Rram.Compile_aig.program))
@@ -1193,7 +1193,7 @@ let rd53_programs () =
       .Rram.Compile_bdd.program
   in
   let aig =
-    (Rram.Compile_aig.compile (Aig_lib.Aig_of_network.convert net)).Rram.Compile_aig.program
+    (Rram.Compile_aig.compile (Aig_lib.Aig.of_network net)).Rram.Compile_aig.program
   in
   [
     ("serial IMP", serial Core.Rram_cost.Imp);
