@@ -24,25 +24,29 @@ let compile_serial realization mig =
   Array.iteri (fun i gates -> by_level.(i) <- List.rev gates) by_level;
   (* Liveness: a gate's result register is freed after the level of its last
      consumer has been emitted; outputs pin results to the readout stage. *)
-  let last_use = Hashtbl.create 997 in
-  let note_use n l =
-    let prev = try Hashtbl.find last_use n with Not_found -> 0 in
-    if l > prev then Hashtbl.replace last_use n l
+  let nodes = Core.Mig.num_nodes mig in
+  (* the highest level that reads each node, 0 when none does *)
+  let last_use = Array.make nodes 0 in
+  let note_use s l =
+    let n = Core.Mig.node_of s in
+    if l > last_use.(n) then last_use.(n) <- l
   in
   List.iter
     (fun g ->
       let l = lv.Core.Mig_levels.level.(g) in
-      Array.iter (fun s -> note_use (Core.Mig.node_of s) l) (Core.Mig.fanins mig g))
+      for i = 0 to 2 do
+        note_use (Core.Mig.fanin mig g i) l
+      done)
     lv.Core.Mig_levels.order;
-  Array.iter
-    (fun s -> note_use (Core.Mig.node_of s) (depth + 1))
-    (Core.Mig.pos mig);
+  Array.iter (fun s -> note_use s (depth + 1)) (Core.Mig.pos mig);
+  (* a result is freed after its last reader's level, or its own *)
+  let release_level g l = if last_use.(g) = 0 then l else last_use.(g) in
   let free_after = Array.make (depth + 2) [] in
   let schedule_free l r =
     let l = min l (depth + 1) in
     free_after.(l) <- r :: free_after.(l)
   in
-  let result_reg = Hashtbl.create 997 in
+  let result_reg = Array.make nodes (-1) in
   (* Readout plan: complemented primary outputs need an inversion device
      whose FALSE preset rides along with the last level's data loading (the
      paper's "in parallel with the data loading step"), plus one shared
@@ -120,7 +124,7 @@ let compile_serial realization mig =
             inv
           end
       | Core.Mig.Gate ->
-          let src = Hashtbl.find result_reg n in
+          let src = result_reg.(n) in
           if not c then begin
             let r = Program.Builder.alloc b in
             temp r;
@@ -137,10 +141,9 @@ let compile_serial realization mig =
     in
     List.iter
       (fun g ->
-        let f = Core.Mig.fanins mig g in
-        let x = operand_reg f.(0) in
-        let y = operand_reg f.(1) in
-        let z = operand_reg f.(2) in
+        let x = operand_reg (Core.Mig.fanin mig g 0) in
+        let y = operand_reg (Core.Mig.fanin mig g 1) in
+        let z = operand_reg (Core.Mig.fanin mig g 2) in
         match realization with
         | Core.Rram_cost.Imp ->
             (* registers A, B, C preset to 0 in the load step *)
@@ -158,21 +161,21 @@ let compile_serial realization mig =
             add_gate_micro 6 (Isa.Reset a);
             add_gate_micro 7 (Isa.Imp { src = c; dst = a });
             add_gate_micro 8 (Isa.Imp { src = d; dst = a });
-            Hashtbl.replace result_reg g a;
+            result_reg.(g) <- a;
             temp c;
             temp d;
-            schedule_free (try Hashtbl.find last_use g with Not_found -> l) a
+            schedule_free (release_level g l) a
         | Core.Rram_cost.Maj ->
             let a = Program.Builder.alloc b in
             load := Isa.Reset a :: !load;
             (* step 02: A ← ¬y; step 03: Z ← M(x, y, z) *)
             add_gate_micro 0 (Isa.Maj_pulse { p = Isa.Const true; q = Isa.Reg y; dst = a });
             add_gate_micro 1 (Isa.Maj_pulse { p = Isa.Reg x; q = Isa.Reg a; dst = z });
-            Hashtbl.replace result_reg g z;
+            result_reg.(g) <- z;
             temp a;
             (* z doubles as the result: exclude it from the temps *)
             temps := List.filter (fun r -> r <> z) !temps;
-            schedule_free (try Hashtbl.find last_use g with Not_found -> l) z)
+            schedule_free (release_level g l) z)
       by_level.(l);
     (* The readout presets merge into the last level's load step for free. *)
     if l = depth && !po_presets <> [] then begin
@@ -194,12 +197,12 @@ let compile_serial realization mig =
       (fun plan ->
         match plan with
         | `Direct o -> o
-        | `Gate_result n -> Isa.Reg (Hashtbl.find result_reg n)
+        | `Gate_result n -> Isa.Reg (result_reg.(n))
         | `Inv_of_reg (h, inv) ->
             final_inv := invert_micro realization ~src:h ~dst:inv :: !final_inv;
             Isa.Reg inv
         | `Inv_of_gate (n, inv) ->
-            let src = Hashtbl.find result_reg n in
+            let src = result_reg.(n) in
             final_inv := invert_micro realization ~src ~dst:inv :: !final_inv;
             Isa.Reg inv)
       po_plans
