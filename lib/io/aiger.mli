@@ -14,7 +14,8 @@
 
 exception Parse_error of int * string
 (** Position is a line number for ASCII input, a byte offset for binary.
-    Malformed input of either format raises only this. *)
+    Malformed input of either format raises only this.  It is
+    {!Netlist_scan.Parse_error}, the exception every reader raises. *)
 
 val parse_string : string -> Logic.Network.t
 val parse_file : string -> Logic.Network.t

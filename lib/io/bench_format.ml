@@ -1,7 +1,7 @@
 open Logic
 module S = Netlist_scan
 
-exception Parse_error of int * string
+exception Parse_error = S.Parse_error
 
 type gate = Gate of Network.kind | Const of bool | Dff
 
@@ -67,7 +67,7 @@ let paren_arg names n s a b =
    and the DFF list; a second walk builds the network from the outputs
    (then the DFF data pins) down.  [iter_lines] hands over one line at a
    time, so a file parse reads straight off the channel. *)
-let parse_internal iter_lines =
+let parse iter_lines =
   let names = S.names () and defs = S.defs () in
   let inputs = S.Ints.create () and input_lines = S.Ints.create () in
   let outputs = S.Ints.create () in
@@ -162,9 +162,6 @@ let parse_internal iter_lines =
       (S.resolve r ~emit (S.Ints.get dff_data i))
   done;
   (net, S.Ints.length inputs, S.Ints.length outputs, dffs)
-
-let parse iter_lines =
-  try parse_internal iter_lines with S.Error (line, msg) -> raise (Parse_error (line, msg))
 
 let parse_string text =
   let net, _, _, _ = parse (S.iter_string_lines text) in

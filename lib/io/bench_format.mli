@@ -9,7 +9,8 @@
     profile the ISCAS-89 comparison of the paper uses [17]. *)
 
 exception Parse_error of int * string
-(** [(line, message)]; line 0 for an undefined signal. *)
+(** [(line, message)]; line 0 for an undefined signal.  It is
+    {!Netlist_scan.Parse_error}, the exception every reader raises. *)
 
 val parse_string : string -> Logic.Network.t
 val parse_file : string -> Logic.Network.t

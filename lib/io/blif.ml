@@ -1,7 +1,7 @@
 open Logic
 module S = Netlist_scan
 
-exception Parse_error of int * string
+exception Parse_error = S.Parse_error
 
 (* BLIF tokens are separated by spaces only. *)
 let token_start s i b =
@@ -52,7 +52,7 @@ let iter_logical_lines iter_lines k =
    blocks (a definition each, its cover lines numbered in file order) and
    the latches; a second walk builds the network from the outputs (then
    the latch data pins) down. *)
-let parse_internal ~sequential iter_lines =
+let parse ~sequential iter_lines =
   let names = S.names () and defs = S.defs () in
   let inputs = S.Ints.create () and input_lines = S.Ints.create () in
   let outputs = S.Ints.create () in
@@ -192,10 +192,6 @@ let parse_internal ~sequential iter_lines =
     S.Ints.length inputs,
     S.Ints.length outputs,
     Array.init latches (fun i -> S.Ints.get latch_init i = 1) )
-
-let parse ~sequential iter_lines =
-  try parse_internal ~sequential iter_lines
-  with S.Error (line, msg) -> raise (Parse_error (line, msg))
 
 let parse_string text =
   let net, _, _, _ = parse ~sequential:false (S.iter_string_lines text) in

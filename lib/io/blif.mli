@@ -7,7 +7,8 @@
     clear error — the paper evaluates combinational profiles. *)
 
 exception Parse_error of int * string
-(** line number (0 for an undefined signal), message *)
+(** line number (0 for an undefined signal), message.  It is
+    {!Netlist_scan.Parse_error}, the exception every reader raises. *)
 
 val parse_string : string -> Logic.Network.t
 val parse_file : string -> Logic.Network.t

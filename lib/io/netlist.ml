@@ -1,4 +1,4 @@
-exception Parse_error of int * string
+exception Parse_error = Netlist_scan.Parse_error
 
 let readers = function
   | "blif" -> Some (Blif.parse_string, Blif.parse_file)
@@ -34,16 +34,8 @@ let format_of_path path =
   let ext = Filename.extension path in
   if ext = "" then "" else String.sub ext 1 (String.length ext - 1)
 
-let unify parse input =
-  try parse input with
-  | Blif.Parse_error (line, msg)
-  | Bench_format.Parse_error (line, msg)
-  | Pla.Parse_error (line, msg)
-  | Aiger.Parse_error (line, msg) ->
-      raise (Parse_error (line, msg))
-
 let parse_string ~format source =
-  Option.map (fun (of_string, _) -> unify of_string source) (readers format)
+  Option.map (fun (of_string, _) -> of_string source) (readers format)
 
 let parse_file path =
-  Option.map (fun (_, of_file) -> unify of_file path) (readers (format_of_path path))
+  Option.map (fun (_, of_file) -> of_file path) (readers (format_of_path path))

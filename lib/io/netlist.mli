@@ -2,12 +2,13 @@
     [.bench], PLA, ASCII ([aag]) and binary ([aig]) AIGER.  Every entry
     point that reads or writes a circuit (the CLI, the daemon, the
     examples) goes through it and words its own errors: [None] means the
-    format is not one of the table's, and a reader's parse error surfaces
-    as the single {!Parse_error}, whichever reader raised it.  A format is
+    format is not one of the table's, and every reader raises the one
+    {!Parse_error}.  A format is
     named by its file extension without the dot. *)
 
 exception Parse_error of int * string
-(** [(line, message)] of the reader that rejected the input. *)
+(** [(line, message)] of the reader that rejected the input.  It is
+    {!Netlist_scan.Parse_error}, the exception every reader raises. *)
 
 val formats : string list
 (** The readable formats: [["blif"; "bench"; "pla"; "aag"; "aig"]]. *)

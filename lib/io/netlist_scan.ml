@@ -1,6 +1,6 @@
-exception Error of int * string
+exception Parse_error of int * string
 
-let fail line msg = raise (Error (line, msg))
+let fail line msg = raise (Parse_error (line, msg))
 
 module Ints = struct
   type t = { mutable data : int array; mutable len : int }
@@ -91,8 +91,6 @@ let has_prefix_ci s a b kw =
     incr i
   done;
   !i = k
-
-let equal_ci s a b kw = b - a = String.length kw && has_prefix_ci s a b kw
 
 let equal s a b str =
   b - a = String.length str

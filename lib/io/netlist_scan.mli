@@ -13,14 +13,15 @@
     recursive definition order and deep netlists cannot overflow the
     stack.
 
-    Every rejection raises {!Error}; each reader re-raises it as its own
-    [Parse_error]. *)
+    Every rejection raises {!Parse_error}. *)
 
-exception Error of int * string
-(** [(line, message)]. *)
+exception Parse_error of int * string
+(** [(line, message)].  The one parse error of the five readers: [Blif],
+    [Bench_format], [Pla], [Aiger] and [Netlist] each bind their
+    [Parse_error] to it. *)
 
 val fail : int -> string -> 'a
-(** [fail line message] raises {!Error}. *)
+(** [fail line message] raises {!Parse_error}. *)
 
 (** Growable int vectors. *)
 module Ints : sig
@@ -63,9 +64,6 @@ val rindex : string -> int -> int -> char -> int
 val has_prefix_ci : string -> int -> int -> string -> bool
 (** Does [\[a, b)] start with the upper-case keyword, ignoring ASCII
     case? *)
-
-val equal_ci : string -> int -> int -> string -> bool
-(** Is [\[a, b)] the upper-case keyword, ignoring ASCII case? *)
 
 val equal : string -> int -> int -> string -> bool
 (** Is [\[a, b)] exactly the string? *)

@@ -1,6 +1,6 @@
 open Logic
 
-exception Parse_error of int * string
+exception Parse_error = Netlist_scan.Parse_error
 
 let fail line msg = raise (Parse_error (line, msg))
 

@@ -9,7 +9,8 @@
 
 exception Parse_error of int * string
 (** The offending line (0 for a missing [.i]/[.o]) and a message.
-    Malformed input raises only this. *)
+    Malformed input raises only this.  It is {!Netlist_scan.Parse_error},
+    the exception every reader raises. *)
 
 val parse_string : string -> Logic.Network.t
 val parse_file : string -> Logic.Network.t
