@@ -260,6 +260,7 @@ type state = {
   cache : Cache.t;
   pool : Par.t;
   started_ns : int64;
+  read_buf : Bytes.t;  (* every [Unix.read] lands here, then in a conn's [inbuf] *)
   mutable conns : conn list;
   mutable stopping : bool;
   mutable requests : int;
@@ -455,17 +456,21 @@ let trim_cr line =
   let n = String.length line in
   if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1) else line
 
+(* Does [buf] hold a newline in its first [n] bytes? *)
+let has_newline buf n =
+  let rec go i = i < n && (Bytes.unsafe_get buf i = '\n' || go (i + 1)) in
+  go 0
+
 let read_conn state conn batch =
-  let buf = Bytes.create chunk_bytes in
-  match Unix.read conn.fd buf 0 chunk_bytes with
+  let buf = state.read_buf in
+  match Unix.read conn.fd buf 0 (Bytes.length buf) with
   | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
       conn.alive <- false
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   | 0 -> conn.alive <- false
   | n ->
-      let chunk = Bytes.sub_string buf 0 n in
-      Buffer.add_string conn.inbuf chunk;
-      if String.contains chunk '\n' then begin
+      Buffer.add_subbytes conn.inbuf buf 0 n;
+      if has_newline buf n then begin
         let data = Buffer.contents conn.inbuf in
         Buffer.clear conn.inbuf;
         let rec go = function
@@ -602,6 +607,7 @@ let run cfg =
           cache = Cache.create ~budget_bytes:cfg.cache_budget_bytes ();
           pool = Par.create ~jobs:cfg.jobs ();
           started_ns = Obs.now_ns ();
+          read_buf = Bytes.create chunk_bytes;
           conns = [];
           stopping = false;
           requests = 0;

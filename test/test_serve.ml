@@ -458,6 +458,21 @@ let c17_path () =
   if Sys.file_exists "examples/c17.bench" then "examples/c17.bench"
   else "../examples/c17.bench"
 
+(* A plain socket to the daemon, for writes the line client never makes
+   (byte by byte, several requests at once); [Client.connect] first waits
+   until the daemon listens. *)
+let raw_connect path =
+  Serve.Client.close (Serve.Client.connect path);
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  (fd, Unix.in_channel_of_descr fd)
+
+let write_all fd s =
+  let rec go pos =
+    if pos < String.length s then go (pos + Unix.write_substring fd s pos (String.length s - pos))
+  in
+  go 0
+
 let e2e_tests =
   let open Alcotest in
   [
@@ -622,6 +637,37 @@ let e2e_tests =
               let pong = Serve.Client.rpc c2 (encode P.Ping) in
               check string "still serving" "ok" (member_str "status" pong);
               Serve.Client.close c2)
+        in
+        ());
+    test_case "a request written one byte per write is answered" `Quick (fun () ->
+        let (), _ =
+          with_server (fun path ->
+              let fd, ic = raw_connect path in
+              let line = P.encode_request { P.id = Some "slow"; op = P.Ping } ^ "\n" in
+              String.iter
+                (fun ch ->
+                  write_all fd (String.make 1 ch);
+                  Unix.sleepf 0.001)
+                line;
+              let r = Json.of_string (input_line ic) in
+              check string "status" "ok" (member_str "status" r);
+              check string "id" "slow" (member_str "id" r);
+              Unix.close fd)
+        in
+        ());
+    test_case "requests sharing one write are answered in order" `Quick (fun () ->
+        let (), _ =
+          with_server (fun path ->
+              let fd, ic = raw_connect path in
+              let ping id = P.encode_request { P.id = Some id; op = P.Ping } in
+              write_all fd (ping "a" ^ "\n" ^ ping "b" ^ "\n" ^ ping "c" ^ "\r\n");
+              List.iter
+                (fun id ->
+                  let r = Json.of_string (input_line ic) in
+                  check string ("status " ^ id) "ok" (member_str "status" r);
+                  check string "id" id (member_str "id" r))
+                [ "a"; "b"; "c" ];
+              Unix.close fd)
         in
         ());
     test_case "metrics expose request and cache counters" `Quick (fun () ->
