@@ -291,6 +291,32 @@ let montecarlo_tests =
         check bool "wear-aware strictly beats bare IMP" true (yield_of p "wear" > imp);
         check bool "wear-aware at least matches plain remapping" true
           (yield_of p "wear" >= yield_of p "resilient"));
+    test_case "the golden's sigma 1.5 point keeps protection ahead" `Quick (fun () ->
+        (* MONTECARLO_golden.json is the campaign the runtest rules rerun at
+           --jobs 1, 2 and 8 and must equal exactly *)
+        let path =
+          if Sys.file_exists "MONTECARLO_golden.json" then "MONTECARLO_golden.json"
+          else "../MONTECARLO_golden.json"
+        in
+        let module J = Obs.Json in
+        let golden = J.of_string (In_channel.with_open_text path In_channel.input_all) in
+        let point =
+          List.find
+            (fun p -> J.to_float (J.member "sigma" p) = 1.5)
+            (J.to_list (J.member "points" golden))
+        in
+        let y arm =
+          J.to_float
+            (J.member "yield"
+               (List.find
+                  (fun a -> J.member "arm" a = J.String arm)
+                  (J.to_list (J.member "arms" point))))
+        in
+        let bare = Float.max (y "imp") (y "maj") in
+        check bool "TMR beats the better bare arm" true (y "tmr" > bare);
+        check bool "wear-aware repair beats the better bare arm" true (y "wear" > bare);
+        check bool "wear-aware repair at least matches plain remapping" true
+          (y "wear" >= y "resilient"));
     test_case "campaigns replay bit-identically at a fixed seed" `Quick (fun () ->
         check bool "equal fingerprints" true
           (fingerprint (campaign ()) = fingerprint (campaign ())));
