@@ -50,9 +50,8 @@ val pi : t -> int -> signal
 val pos : t -> signal array
 
 val size : t -> int
-(** AND nodes reachable from the outputs, by a traversal
-    ({!Core.Mig.size}).  An AIG never substitutes, so this is its live AND
-    count. *)
+(** AND nodes reachable from the outputs, by a traversal.  An AIG never
+    substitutes, so this is its live AND count. *)
 
 val to_mig : t -> Core.Mig.t
 (** The underlying MIG, for simulation ({!Core.Mig_sim}), levels

@@ -30,10 +30,9 @@ let smart_and aig a b =
     in
     match absorbed with Some s -> s | None -> Aig.and_ aig a b
 
-(* One walk of the source into a node-indexed signal array.  The walk
-   visits fanin slot 2 before slot 1, the order in which a recursive
-   [smart_and fresh (rebuild f0) (rebuild f1)] builds them, so the fresh
-   graph keeps that numbering. *)
+(* One walk of the source into a node-indexed signal array.  Visiting
+   fanin slot 2 before slot 1 fixes the fresh graph's node numbering,
+   which test_aig's Table III (right) pins. *)
 let rewrite aig =
   let fresh = Aig.create () in
   let mig = Aig.to_mig aig in
@@ -41,7 +40,9 @@ let rewrite aig =
   for k = 0 to Aig.num_pis aig - 1 do
     map.(Aig.node_of (Aig.pi aig k)) <- Aig.add_pi fresh
   done;
-  let copy s = if Aig.is_compl s then Aig.not_ map.(Aig.node_of s) else map.(Aig.node_of s) in
+  let copy s =
+    if Aig.is_compl s then Aig.not_ map.(Aig.node_of s) else map.(Aig.node_of s)
+  in
   Core.Mig.iter_topo_rev mig (fun n ->
       let f0, f1 = Aig.fanins aig n in
       map.(n) <- smart_and fresh (copy f0) (copy f1));

@@ -40,7 +40,8 @@ type gates = {
   mux : Mig.t -> Mig.signal -> Mig.signal -> Mig.signal -> Mig.signal;
 }
 
-let majority = { and_ = Mig.and_; or_ = Mig.or_; xor_ = Mig.xor_; maj = Mig.maj; mux = Mig.mux }
+let majority =
+  { and_ = Mig.and_; or_ = Mig.or_; xor_ = Mig.xor_; maj = Mig.maj; mux = Mig.mux }
 
 let signal_of_sop gates mig sop literal_signal =
   let cube_signal cube =

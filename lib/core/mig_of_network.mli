@@ -5,13 +5,8 @@
     initial depth low; [Table] gates expand their SOP cover as a balanced
     OR-of-ANDs. *)
 
-val convert : Logic.Network.t -> Mig.t
-(** [convert_with] the majority gates of {!Mig}, with the store sized by
-    the constant node plus the network nodes that make a gate (every node
-    but [Not], [Buf] and [Const]). *)
-
 (** The gate constructors a conversion builds with.  Each takes the graph
-    being built; a constructor may simplify, so it need not make a gate. *)
+    being built and may simplify instead of making a gate. *)
 type gates = {
   and_ : Mig.t -> Mig.signal -> Mig.signal -> Mig.signal;
   or_ : Mig.t -> Mig.signal -> Mig.signal -> Mig.signal;
@@ -21,12 +16,14 @@ type gates = {
 }
 
 val convert_with : gates -> capacity:int -> Logic.Network.t -> Mig.t
-(** Convert in network node order into a fresh graph of [Mig.create
-    ~capacity]: inputs first, then each node through [gates] (n-ary
-    operands as a balanced fold whose right half is built first, SOP
-    tables as an OR of AND cubes), then the outputs.  [capacity] is a
-    sizing hint that changes no result.  [Aig_lib.Aig.of_network] is the
-    same walk with AND-only gates. *)
+(** The network, node by node in id order, through [gates] into a fresh
+    [Mig.create ~capacity] graph; [capacity] is a sizing hint that changes
+    no result.  [Aig_lib.Aig.of_network] calls it with AND-only gates. *)
+
+val convert : Logic.Network.t -> Mig.t
+(** [convert_with] {!Mig}'s majority gates, sized by the constant node and
+    the network nodes that make a gate (all but [Not], [Buf] and
+    [Const]). *)
 
 val of_truth_table : Logic.Truth_table.t -> Mig.t
 (** Single-output MIG from a truth table via its minimized SOP cover
