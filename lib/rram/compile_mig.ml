@@ -197,7 +197,7 @@ let compile_serial realization mig =
       (fun plan ->
         match plan with
         | `Direct o -> o
-        | `Gate_result n -> Isa.Reg (result_reg.(n))
+        | `Gate_result n -> Isa.Reg result_reg.(n)
         | `Inv_of_reg (h, inv) ->
             final_inv := invert_micro realization ~src:h ~dst:inv :: !final_inv;
             Isa.Reg inv
